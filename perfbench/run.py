@@ -19,7 +19,7 @@ import os
 import subprocess
 import sys
 
-WORKLOADS = ("paper_campaign", "large_local", "serve_churn")
+WORKLOADS = ("paper_campaign", "serve_churn")
 USAGE = (
     "python3 perfbench/run.py --workload %s --seed N --seconds S --trace 0|1"
     % "|".join(WORKLOADS)

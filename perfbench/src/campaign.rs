@@ -1,35 +1,38 @@
-//! The two campaign workloads: the pooled §6 campaign (`paper_campaign`)
-//! and length-8 local traffic on a 32×32 mesh (`large_local`).
+//! The `paper_campaign` workload: the pooled §6 campaign (all nine
+//! sub-figures, 122 sweep points, 10 trials per point, 8×8 mesh,
+//! Kim–Horowitz model).
 //!
-//! Both run the same three steps:
+//! The run is made of rounds. A round visits every sweep point in campaign
+//! order and, for each, takes one host-speed probe reading, then:
 //!
-//! 1. **Gates** (before any throughput timing): a seeded sample of
-//!    instances must route identically under `EngineConfig::LIVE` and
-//!    `EngineConfig::REFERENCE`, and a stepwise replay of the whole
-//!    campaign (generate → route each policy → power → `PointStats::add`,
-//!    chunked and merged exactly as the work-pool does) gives the
-//!    reference fingerprint of the pooled statistics.
-//! 2. **Timed passes** through the library's own entry points
-//!    (`Campaign::run_pooled`, `Campaign::run_experiment`) at 1 thread
-//!    and at `nproc` threads, alternating; every pass must reproduce the
-//!    replay's fingerprint bit for bit.
-//! 3. With `--trace 1`, the replay's per-call spans give the per-layer
-//!    self times, and `Campaign::run_point` is timed point by point.
+//! 1. replays the point stepwise at one thread (generate → route each
+//!    policy → power → `PointStats::add`, chunked and merged exactly as the
+//!    work-pool does), timed instance by instance;
+//! 2. runs `Campaign::run_point` at 1 thread and at `nproc` threads
+//!    (alternating which goes first), each timed as a whole.
+//!    `Campaign::run_pooled` is exactly the loop of `run_point` over these
+//!    points.
+//!
+//! Every round builds fresh precomputes, as one campaign process does. The
+//! first round's replay gives each point's reference statistics; every later
+//! replay and every `run_point` call must reproduce them bit for bit.
+//!
+//! End-to-end timings are scaled to the reference host speed by the probe
+//! readings around them (see [`crate::speed`]); each point and each instance
+//! then reports its median over the rounds, and the campaign figures sum
+//! over the points. Per-layer figures are raw wall times.
 
-use crate::report::{median, quantile, ratio, secs, Report};
+use crate::report::{median, ratio, secs, Report};
+use crate::speed::Probe;
 use crate::{Args, Measured};
 use pamr_mesh::Mesh;
 use pamr_power::PowerModel;
-use pamr_routing::{
-    ideal_power_lower_bound, CommSet, EngineConfig, HeuristicKind, MeshPrecompute, RouteScratch,
-    Routing,
-};
+use pamr_routing::{EngineConfig, HeuristicKind, MeshPrecompute, RouteScratch, Routing};
 use pamr_sim::experiments::campaign_figures;
 use pamr_sim::{
     experiment_seed, trial_seed, Campaign, Experiment, HeurResult, InstanceOutcome, PointStats,
-    ShardSpec, SweepPoint, WorkloadSpec,
+    ShardSpec, SweepPoint,
 };
-use pamr_workload::LengthTargetedWorkload;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -41,8 +44,23 @@ use std::time::Instant;
 /// bit-identical to the pooled run's.
 const POOL_CHUNK: usize = 8;
 
+/// Trials per sweep point. Ten trials split 8+2 into pool chunks, so
+/// pool scheduling shows at `nproc` threads.
+const TRIALS: usize = 10;
+
+/// Rounds a run makes at least, whatever `--seconds` says: the fewest
+/// readings per unit a median is taken over.
+const MIN_ROUNDS: usize = 3;
+
+/// A reading is scaled by the median of the probe readings up to this
+/// many point visits before and after it (a visit takes about 60 ms).
+const PROBE_SPAN: usize = 2;
+
 /// Set-up repetitions per round (`setup_s` is the median of all of them).
 const SETUP_REPS: usize = 31;
+
+/// Instances in the LIVE-vs-REFERENCE gate sample.
+const ENGINE_SAMPLE: usize = 24;
 
 /// The share of the traced replay's wall time the layer spans must cover.
 /// Everything outside them is loop bookkeeping (seeding, scratch set-up,
@@ -59,34 +77,12 @@ const ROUTE_NAMES: [[&str; 3]; 6] = [
     ["route.pr.us", "route.pr.share", "route.pr.feasible_frac"],
 ];
 
-/// One campaign workload: the platform, the sweep and the seeds.
+/// The campaign workload: the platform, the sweep and the master seed.
 pub struct Spec {
     mesh: Mesh,
     model: PowerModel,
     figures: Vec<Vec<Experiment>>,
-    trials: usize,
     seed: u64,
-    /// Run through `Campaign::run_pooled` (all nine sub-figures) rather
-    /// than `Campaign::run_experiment` per experiment.
-    pooled: bool,
-    /// Instances in the LIVE-vs-REFERENCE gate sample...
-    engine_sample: usize,
-    /// ...each cut to its first this many communications (the reference
-    /// engines are too slow for whole 32×32 instances).
-    engine_comms: usize,
-    /// How `quality_ratio` is defined on this workload.
-    quality: Quality,
-}
-
-/// The routing-quality figure a campaign workload reports.
-#[derive(Clone, Copy, PartialEq)]
-enum Quality {
-    /// BEST's pooled inverse power over XY's (the §6.4 headline).
-    BestOverXy,
-    /// Mean over trials of the ideal-sharing lower bound on dynamic power
-    /// over BEST's dynamic power (0 when every policy fails): XY fails on
-    /// most 32×32 local-traffic instances, so it is no stable baseline.
-    BoundOverBest,
 }
 
 /// One sweep point with the seed its trials derive from.
@@ -96,7 +92,7 @@ struct PointRef<'a> {
     point: &'a SweepPoint,
 }
 
-/// Self times (seconds) and counts collected by one stepwise replay.
+/// Self times (seconds) and counts collected by the stepwise replays.
 #[derive(Default)]
 struct Spans {
     instances: usize,
@@ -111,22 +107,52 @@ struct Spans {
     merges: usize,
     /// Replay wall time, without the side-by-side customize timing.
     wall: f64,
-    /// Time spent on side measurements, kept out of `wall`.
-    side: f64,
     interner: (u64, u64),
 }
 
-/// What a stepwise replay produced.
-struct Replay {
+/// What the stepwise replay of one sweep point produced.
+struct PointReplay {
     stats: PointStats,
+    /// Replay wall time (s), without the side-by-side customize timing.
+    wall: f64,
     /// Per-instance wall time (µs): generate, route and evaluate.
     instance_us: Vec<f64>,
     /// Per-instance evaluate time (µs): six `Routing::power` calls and the
     /// `PointStats::add` fold.
     read_us: Vec<f64>,
-    /// Per-trial [`Quality::BoundOverBest`] ratios (empty otherwise).
-    bound_ratio: Vec<f64>,
-    spans: Spans,
+}
+
+/// Every reading of every unit (a point or an instance), each with the
+/// index of the host-speed probe reading taken beside it.
+struct Readings(Vec<Vec<(f64, usize)>>);
+
+impl Readings {
+    fn new(units: usize) -> Readings {
+        Readings(vec![Vec::new(); units])
+    }
+
+    fn record(&mut self, unit: usize, value: f64, probe_at: usize) {
+        self.0[unit].push((value, probe_at));
+    }
+
+    /// Each unit's median reading; with a probe, every reading is first
+    /// scaled to the reference host speed by the probe readings around it.
+    fn medians(&self, probe: Option<&Probe>) -> Vec<f64> {
+        self.0
+            .iter()
+            .map(|rs| {
+                let xs: Vec<f64> = rs
+                    .iter()
+                    .map(|&(v, k)| {
+                        probe.map_or(v, |p| {
+                            v * p.scale(k.saturating_sub(PROBE_SPAN), k + PROBE_SPAN + 1)
+                        })
+                    })
+                    .collect();
+                median(&xs)
+            })
+            .collect()
+    }
 }
 
 /// The pooled statistics' bits, `sum_micros` (a wall-clock reading)
@@ -166,49 +192,14 @@ fn pool_reduce(chunks: Vec<PointStats>) -> PointStats {
         .fold(PointStats::default(), PointStats::merge)
 }
 
-/// Derives a workload's master seed from the benchmark seed.
-fn master_seed(seed: u64, salt: u64) -> u64 {
-    SmallRng::seed_from_u64(seed ^ salt).gen_range(0..u64::MAX)
-}
-
 impl Spec {
-    /// `paper_campaign`: the pooled §6 campaign, 10 trials per point.
+    /// `paper_campaign`: the seed picks the campaign master seed.
     pub fn paper(seed: u64) -> Spec {
         Spec {
             mesh: pamr_sim::paper_mesh(),
             model: pamr_sim::paper_model(),
             figures: campaign_figures().into_iter().collect(),
-            trials: 10,
-            seed: master_seed(seed, 0x5EC6),
-            pooled: true,
-            engine_sample: 24,
-            engine_comms: usize::MAX,
-            quality: Quality::BestOverXy,
-        }
-    }
-
-    /// `large_local`: one sweep point of 640 length-8 communications,
-    /// U\[100, 800\] Mb/s, on a 32×32 mesh, 16 trials per pass.
-    pub fn large_local(seed: u64) -> Spec {
-        let point = SweepPoint {
-            x: 8.0,
-            workload: WorkloadSpec::Length(LengthTargetedWorkload::new(640, 100.0, 800.0, 8)),
-        };
-        Spec {
-            mesh: Mesh::new(32, 32),
-            model: pamr_sim::paper_model(),
-            figures: vec![vec![Experiment {
-                id: "large_local",
-                title: "640 length-8 communications, U[100,800] Mb/s, 32x32",
-                xlabel: "average length",
-                points: vec![point],
-            }]],
-            trials: 16,
-            seed: master_seed(seed, 0x10CA1),
-            pooled: false,
-            engine_sample: 2,
-            engine_comms: 128,
-            quality: Quality::BoundOverBest,
+            seed: SmallRng::seed_from_u64(seed ^ 0x5EC6).gen_range(0..u64::MAX),
         }
     }
 
@@ -216,11 +207,7 @@ impl Spec {
         let mut out = Vec::new();
         for (fi, fig) in self.figures.iter().enumerate() {
             for (ei, exp) in fig.iter().enumerate() {
-                let exp_seed = if self.pooled {
-                    experiment_seed(self.seed, fi, ei)
-                } else {
-                    self.seed
-                };
+                let exp_seed = experiment_seed(self.seed, fi, ei);
                 for (index, point) in exp.points.iter().enumerate() {
                     out.push(PointRef {
                         exp_seed,
@@ -233,21 +220,9 @@ impl Spec {
         out
     }
 
-    fn instance(&self, p: &PointRef, trial: usize) -> CommSet {
+    fn instance(&self, p: &PointRef, trial: usize) -> pamr_routing::CommSet {
         let mut rng = SmallRng::seed_from_u64(trial_seed(p.exp_seed, p.index, trial));
         p.point.workload.generate(&self.mesh, &mut rng)
-    }
-
-    fn campaign<'a>(&'a self, pre: &'a Arc<MeshPrecompute>) -> Campaign<'a> {
-        Campaign {
-            mesh: &self.mesh,
-            model: &self.model,
-            trials: self.trials,
-            seed: self.seed,
-            shard: ShardSpec::FULL,
-            pre: Some(pre),
-            engine: EngineConfig::LIVE,
-        }
     }
 
     /// Set-up before the first trial: the per-mesh precompute and a
@@ -262,151 +237,120 @@ impl Spec {
         secs(t)
     }
 
-    /// One timed pass through the library's campaign entry point at
-    /// `threads` threads, on a fresh precompute (what one campaign process
-    /// pays). Returns the pooled statistics and the wall time.
-    fn pass(&self, threads: usize) -> (PointStats, f64) {
+    /// `Campaign::run_point` on one point at `threads` threads, timed.
+    fn run_point(
+        &self,
+        p: &PointRef,
+        pre: &Arc<MeshPrecompute>,
+        threads: usize,
+    ) -> (PointStats, f64) {
         rayon::set_num_threads(threads);
-        let pre = Arc::new(MeshPrecompute::new(self.mesh));
-        let campaign = self.campaign(&pre);
-        let t = Instant::now();
-        let stats = if self.pooled {
-            campaign.run_pooled()
-        } else {
-            self.figures
-                .iter()
-                .flatten()
-                .flat_map(|exp| campaign.run_experiment(exp).points)
-                .fold(PointStats::default(), |acc, (_, s)| acc.merge(s))
+        let campaign = Campaign {
+            mesh: &self.mesh,
+            model: &self.model,
+            trials: TRIALS,
+            seed: p.exp_seed,
+            shard: ShardSpec::FULL,
+            pre: Some(pre),
+            engine: EngineConfig::LIVE,
         };
+        let t = Instant::now();
+        let stats = campaign.run_point(p.index, p.point);
         let wall = secs(t);
         rayon::set_num_threads(0);
         (black_box(stats), wall)
     }
 
-    /// `Campaign::run_point` timed point by point at `threads` threads.
-    fn point_pass(&self, threads: usize) -> (PointStats, Vec<f64>) {
-        rayon::set_num_threads(threads);
-        let pre = Arc::new(MeshPrecompute::new(self.mesh));
-        let mut pooled = PointStats::default();
-        let mut walls = Vec::new();
-        for p in self.points() {
-            let campaign = Campaign {
-                seed: p.exp_seed,
-                ..self.campaign(&pre)
-            };
-            let t = Instant::now();
-            let stats = campaign.run_point(p.index, p.point);
-            walls.push(secs(t));
-            pooled = pooled.merge(stats);
-        }
-        rayon::set_num_threads(0);
-        (pooled, walls)
-    }
-
-    /// The stepwise replay at one thread. `beside` additionally times
-    /// `MeshPrecompute::customize` on a shadow precompute that sees the
-    /// same instance sequence; that time is kept out of the replay's wall.
-    fn replay(&self, beside: bool) -> Replay {
+    /// The stepwise replay of one point at one thread. With a `shadow`
+    /// precompute that sees the same instance sequence,
+    /// `MeshPrecompute::customize` is timed beside the pipeline; that time
+    /// is kept out of the replay's wall.
+    fn replay_point(
+        &self,
+        p: &PointRef,
+        pre: &Arc<MeshPrecompute>,
+        shadow: Option<&MeshPrecompute>,
+        spans: &mut Spans,
+    ) -> PointReplay {
         let start = Instant::now();
-        let pre = Arc::new(MeshPrecompute::new(self.mesh));
-        let shadow = MeshPrecompute::new(self.mesh);
-        let mut spans = Spans::default();
-        let mut instance_us = Vec::new();
-        let mut read_us = Vec::new();
-        let mut bound_ratio = Vec::new();
-        let mut pooled = PointStats::default();
-        for p in self.points() {
-            let mut chunks = Vec::new();
-            for chunk_start in (0..self.trials).step_by(POOL_CHUNK) {
-                let mut acc = PointStats::default();
-                let mut scratch = RouteScratch::with_engine(EngineConfig::LIVE);
-                scratch.attach_precompute(Arc::clone(&pre));
-                for trial in chunk_start..(chunk_start + POOL_CHUNK).min(self.trials) {
-                    let t0 = Instant::now();
-                    let cs = self.instance(&p, trial);
-                    let t1 = Instant::now();
-                    spans.generate += (t1 - t0).as_secs_f64();
-                    if beside {
-                        let c = Instant::now();
-                        black_box(shadow.customize(&cs));
-                        spans.customize += secs(c);
-                    }
-                    let lower_bound = (self.quality == Quality::BoundOverBest).then(|| {
-                        let c = Instant::now();
-                        let lb = ideal_power_lower_bound(&cs, &self.model);
-                        spans.side += secs(c);
-                        lb
-                    });
-                    let t1 = Instant::now();
-                    let mut results = Vec::with_capacity(HeuristicKind::ALL.len());
-                    let mut best: Option<(HeuristicKind, f64)> = None;
-                    let mut read = 0.0;
-                    for (k, kind) in HeuristicKind::ALL.into_iter().enumerate() {
-                        let a = Instant::now();
-                        let routing: Routing = kind.route_with(&cs, &self.model, &mut scratch);
-                        let b = Instant::now();
-                        let power = routing.power(&cs, &self.model);
-                        let c = Instant::now();
-                        spans.route[k] += (b - a).as_secs_f64();
-                        spans.power += (c - b).as_secs_f64();
-                        read += (c - b).as_secs_f64();
-                        spans.power_calls += 1;
-                        let (feasible, power, breakdown) = match power {
-                            Ok(br) => (true, br.total(), Some(br)),
-                            Err(_) => (false, f64::INFINITY, None),
-                        };
-                        if feasible {
-                            spans.feasible[k] += 1;
-                        }
-                        if feasible && best.is_none_or(|(_, bp)| power < bp) {
-                            best = Some((kind, power));
-                        }
-                        results.push(HeurResult {
-                            kind,
-                            feasible,
-                            power,
-                            breakdown,
-                            micros: (b - a).as_micros() as u64,
-                        });
-                    }
-                    let outcome = InstanceOutcome {
-                        results,
-                        best_power: best.map(|(_, p)| p),
-                        best_kind: best.map(|(k, _)| k),
-                    };
-                    if let Some(lb) = lower_bound {
-                        let dynamic = outcome
-                            .best_kind
-                            .and_then(|k| outcome.of(k).breakdown)
-                            .map_or(f64::INFINITY, |b| b.dynamic);
-                        bound_ratio.push(lb / dynamic);
-                    }
-                    let a = Instant::now();
-                    acc.add(&outcome);
-                    let add = secs(a);
-                    spans.add += add;
-                    read += add;
-                    spans.instances += 1;
-                    instance_us.push(((t1 - t0).as_secs_f64() + secs(t1)) * 1e6);
-                    read_us.push(read * 1e6);
+        let mut customize = 0.0;
+        let mut instance_us = Vec::with_capacity(TRIALS);
+        let mut read_us = Vec::with_capacity(TRIALS);
+        let mut chunks = Vec::new();
+        for chunk_start in (0..TRIALS).step_by(POOL_CHUNK) {
+            let mut acc = PointStats::default();
+            let mut scratch = RouteScratch::with_engine(EngineConfig::LIVE);
+            scratch.attach_precompute(Arc::clone(pre));
+            for trial in chunk_start..(chunk_start + POOL_CHUNK).min(TRIALS) {
+                let t0 = Instant::now();
+                let cs = self.instance(p, trial);
+                let t1 = Instant::now();
+                spans.generate += (t1 - t0).as_secs_f64();
+                if let Some(shadow) = shadow {
+                    let c = Instant::now();
+                    black_box(shadow.customize(&cs));
+                    customize += secs(c);
                 }
-                chunks.push(acc);
+                let t1 = Instant::now();
+                let mut results = Vec::with_capacity(HeuristicKind::ALL.len());
+                let mut best: Option<(HeuristicKind, f64)> = None;
+                let mut read = 0.0;
+                for (k, kind) in HeuristicKind::ALL.into_iter().enumerate() {
+                    let a = Instant::now();
+                    let routing: Routing = kind.route_with(&cs, &self.model, &mut scratch);
+                    let b = Instant::now();
+                    let power = routing.power(&cs, &self.model);
+                    let c = Instant::now();
+                    spans.route[k] += (b - a).as_secs_f64();
+                    spans.power += (c - b).as_secs_f64();
+                    read += (c - b).as_secs_f64();
+                    spans.power_calls += 1;
+                    let (feasible, power, breakdown) = match power {
+                        Ok(br) => (true, br.total(), Some(br)),
+                        Err(_) => (false, f64::INFINITY, None),
+                    };
+                    if feasible {
+                        spans.feasible[k] += 1;
+                    }
+                    if feasible && best.is_none_or(|(_, bp)| power < bp) {
+                        best = Some((kind, power));
+                    }
+                    results.push(HeurResult {
+                        kind,
+                        feasible,
+                        power,
+                        breakdown,
+                        micros: (b - a).as_micros() as u64,
+                    });
+                }
+                let outcome = InstanceOutcome {
+                    results,
+                    best_power: best.map(|(_, p)| p),
+                    best_kind: best.map(|(k, _)| k),
+                };
+                let a = Instant::now();
+                acc.add(&outcome);
+                let add = secs(a);
+                spans.add += add;
+                read += add;
+                spans.instances += 1;
+                instance_us.push(((t1 - t0).as_secs_f64() + secs(t1)) * 1e6);
+                read_us.push(read * 1e6);
             }
-            let point = pool_reduce(chunks);
-            let m = Instant::now();
-            pooled = pooled.merge(point);
-            spans.merge += secs(m);
-            spans.merges += 1;
+            chunks.push(acc);
         }
-        spans.wall = secs(start) - spans.customize - spans.side;
-        spans.interner = pre.cache_stats();
-        Replay {
-            stats: pooled,
+        let m = Instant::now();
+        let stats = pool_reduce(chunks);
+        spans.merge += secs(m);
+        spans.merges += 1;
+        let wall = secs(start) - customize;
+        spans.customize += customize;
+        spans.wall += wall;
+        PointReplay {
+            stats,
+            wall,
             instance_us,
             read_us,
-            bound_ratio,
-            spans,
         }
     }
 
@@ -418,11 +362,9 @@ impl Spec {
         let mut live = RouteScratch::with_engine(EngineConfig::LIVE);
         let mut reference = RouteScratch::with_engine(EngineConfig::REFERENCE);
         let mut mismatches = 0;
-        for _ in 0..self.engine_sample {
+        for _ in 0..ENGINE_SAMPLE {
             let p = &points[rng.gen_range(0..points.len())];
-            let full = self.instance(p, rng.gen_range(0..self.trials));
-            let keep = full.len().min(self.engine_comms);
-            let cs = CommSet::new(self.mesh, full.comms()[..keep].to_vec());
+            let cs = self.instance(p, rng.gen_range(0..TRIALS));
             let differs = HeuristicKind::ALL.into_iter().any(|kind| {
                 kind.route_with(&cs, &self.model, &mut live)
                     != kind.route_with(&cs, &self.model, &mut reference)
@@ -432,101 +374,135 @@ impl Spec {
         mismatches
     }
 
-    /// Runs the workload: the gates, then rounds of timed passes (1 thread
-    /// and `nproc` threads, alternating which goes first) with a stepwise
-    /// replay and set-up samples between rounds, so every metric's samples
-    /// spread over the whole run.
+    /// Runs the workload: the engine gate, then rounds over the points
+    /// until `--seconds` have passed and every point has been timed at
+    /// least [`MIN_ROUNDS`] times.
     pub fn run(&self, args: &Args, report: &mut Report) -> Measured {
         let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut m = Measured::new();
-        let mut setups: Vec<f64> = (0..SETUP_REPS).map(|_| self.setup_once()).collect();
+        let points = self.points();
+        let n = points.len() * TRIALS;
+        let mut probe = Probe::default();
+        let mut setups = Readings::new(1);
+        let set_up = |probe: &mut Probe, setups: &mut Readings| {
+            let at = probe.len();
+            probe.sample();
+            for _ in 0..SETUP_REPS {
+                setups.record(0, self.setup_once(), at);
+            }
+        };
+        set_up(&mut probe, &mut setups);
 
         let mismatches = self.engine_gate(args.seed);
         report.ops(
-            self.engine_sample as u64,
+            ENGINE_SAMPLE as u64,
             mismatches as u64,
             "LIVE and REFERENCE engines disagree",
         );
 
-        // The first replay's fingerprint is the reference every later
-        // replay and pass must reproduce.
-        let first = self.replay(args.trace);
-        let reference = fingerprint(&first.stats);
-        let n = first.spans.instances;
-        report.ops(n as u64, 0, "stepwise replay");
-        let quality = match self.quality {
-            Quality::BestOverXy => ratio(
-                first.stats.best_mean_inv(),
-                first.stats.mean_inv(HeuristicKind::Xy),
-            ),
-            Quality::BoundOverBest => ratio(
-                first.bound_ratio.iter().sum::<f64>(),
-                first.bound_ratio.len() as f64,
-            ),
-        };
-        let mut check = |stats: &PointStats, what: &str| {
-            let bad = fingerprint(stats) != reference;
-            report.ops(n as u64, if bad { n as u64 } else { 0 }, what);
-        };
-        let (mut instance_us, mut read_us) = (first.instance_us, first.read_us);
-        let mut traced_walls = vec![first.spans.wall];
-        let mut spans = first.spans;
-        let (mut walls_1t, mut walls_nt, mut point_ms) = (Vec::new(), Vec::new(), Vec::new());
+        let mut spans = Spans::default();
+        let mut reference: Vec<Vec<u64>> = Vec::new();
+        let mut pooled = PointStats::default();
+        let (mut t_1t, mut t_nt, mut t_replay) = (
+            Readings::new(points.len()),
+            Readings::new(points.len()),
+            Readings::new(points.len()),
+        );
+        let (mut instance_us, mut read_us) = (Readings::new(n), Readings::new(n));
+        let mut rounds = 0;
         let started = Instant::now();
-        for round in 0.. {
-            let order = if round % 2 == 0 {
+        'rounds: loop {
+            // Fresh precomputes per round and per path, so each sees the
+            // instance sequence of one whole campaign process.
+            let fresh = || Arc::new(MeshPrecompute::new(self.mesh));
+            let (pre_replay, pre_1t, pre_nt) = (fresh(), fresh(), fresh());
+            let shadow = args.trace.then(|| MeshPrecompute::new(self.mesh));
+            let order = if rounds % 2 == 0 {
                 [1, nproc]
             } else {
                 [nproc, 1]
             };
-            for threads in order {
-                let (stats, wall) = self.pass(threads);
-                check(&stats, "pooled stats differ from the replay");
-                if threads == 1 {
-                    walls_1t.push(wall);
+            for (i, p) in points.iter().enumerate() {
+                if rounds >= MIN_ROUNDS && secs(started) >= args.seconds {
+                    break 'rounds;
                 }
-                if threads == nproc {
-                    walls_nt.push(wall);
+                let at = probe.len();
+                probe.sample();
+                let r = self.replay_point(p, &pre_replay, shadow.as_ref(), &mut spans);
+                let print = fingerprint(&r.stats);
+                if rounds == 0 {
+                    let m = Instant::now();
+                    pooled = pooled.merge(r.stats);
+                    spans.merge += secs(m);
+                    reference.push(print);
+                    report.ops(TRIALS as u64, 0, "stepwise replay");
+                } else {
+                    let bad = print != reference[i];
+                    report.ops(
+                        TRIALS as u64,
+                        if bad { TRIALS as u64 } else { 0 },
+                        "replay repeat differs",
+                    );
+                }
+                t_replay.record(i, r.wall, at);
+                for (t, (inst, read)) in r.instance_us.iter().zip(&r.read_us).enumerate() {
+                    instance_us.record(i * TRIALS + t, *inst, at);
+                    read_us.record(i * TRIALS + t, *read, at);
+                }
+                for threads in order {
+                    let pre = if threads == 1 { &pre_1t } else { &pre_nt };
+                    let (stats, wall) = self.run_point(p, pre, threads);
+                    let bad = fingerprint(&stats) != reference[i];
+                    report.ops(
+                        TRIALS as u64,
+                        if bad { TRIALS as u64 } else { 0 },
+                        "run_point statistics differ from the replay",
+                    );
+                    if threads == 1 {
+                        t_1t.record(i, wall, at);
+                    }
+                    if threads == nproc {
+                        t_nt.record(i, wall, at);
+                    }
                 }
             }
-            if args.trace {
-                let (stats, walls) = self.point_pass(nproc);
-                check(&stats, "per-point run differs from the replay");
-                point_ms.extend(walls.iter().map(|w| w * 1e3));
-            }
-            setups.extend((0..SETUP_REPS).map(|_| self.setup_once()));
-            if secs(started) >= args.seconds {
-                break;
-            }
-            let again = self.replay(args.trace);
-            check(&again.stats, "replay repeat differs");
-            instance_us.extend(again.instance_us);
-            read_us.extend(again.read_us);
-            traced_walls.push(again.spans.wall);
-            spans.absorb(&again.spans);
+            let (hits, misses) = pre_replay.cache_stats();
+            spans.interner = (spans.interner.0 + hits, spans.interner.1 + misses);
+            set_up(&mut probe, &mut setups);
+            rounds += 1;
         }
+        // One more reading closes the last visit's neighbourhood.
+        probe.sample();
 
-        let tput_1t = n as f64 / median(&walls_1t);
-        let tput_nt = n as f64 / median(&walls_nt);
-        m.insert("setup_s", (median(&setups), setups.len()));
-        m.insert("ops_per_s", (tput_nt, walls_nt.len()));
-        m.insert("ops_per_s_1t", (tput_1t, walls_1t.len()));
-        m.insert("op_us_p50", (median(&instance_us), instance_us.len()));
+        let scaled = Some(&probe);
+        let sum = |xs: Vec<f64>| xs.iter().sum::<f64>();
+        let (instance, read) = (instance_us.medians(scaled), read_us.medians(scaled));
+        let mut m = Measured::new();
+        let setup = setups.medians(scaled)[0];
+        m.insert("setup_s", (setup, setups.0[0].len()));
+        m.insert("ops_per_s", (n as f64 / sum(t_nt.medians(scaled)), rounds));
         m.insert(
-            "op_us_p99",
-            (quantile(&instance_us, 0.99), instance_us.len()),
+            "ops_per_s_1t",
+            (n as f64 / sum(t_1t.medians(scaled)), rounds),
         );
-        m.insert("read_us_p50", (median(&read_us), read_us.len()));
-        m.insert("quality_ratio", (quality, n));
+        m.insert("op_us_p50", (median(&instance), n));
+        m.insert("read_us_p50", (median(&read), n));
+        m.insert(
+            "quality_ratio",
+            (
+                ratio(pooled.best_mean_inv(), pooled.mean_inv(HeuristicKind::Xy)),
+                n,
+            ),
+        );
         if args.trace {
+            // The per-layer figures are raw wall times.
+            let (raw_1t, raw_nt) = (sum(t_1t.medians(None)), sum(t_nt.medians(None)));
             self.layers(
                 &mut m,
                 &spans,
                 nproc,
-                tput_1t,
-                tput_nt,
-                &walls_1t,
-                &traced_walls,
+                n as f64 / raw_1t,
+                n as f64 / raw_nt,
+                rounds,
             );
             let coverage = m["trace.coverage"].0;
             report.ops(
@@ -534,14 +510,19 @@ impl Spec {
                 u64::from(!COVERAGE_TOLERANCE.contains(&coverage)),
                 &format!("trace.coverage {coverage} outside {COVERAGE_TOLERANCE:?}"),
             );
-            let mean_ms = ratio(point_ms.iter().sum::<f64>(), point_ms.len() as f64);
-            m.insert("campaign.run_point_ms", (mean_ms, point_ms.len()));
+            m.insert(
+                "campaign.run_point_ms",
+                (raw_nt * 1e3 / points.len() as f64, points.len()),
+            );
+            m.insert(
+                "trace.overhead",
+                (sum(t_replay.medians(None)) / raw_1t - 1.0, rounds),
+            );
         }
         m
     }
 
     /// Per-layer metrics from the accumulated replay spans.
-    #[allow(clippy::too_many_arguments)]
     fn layers(
         &self,
         m: &mut Measured,
@@ -549,8 +530,7 @@ impl Spec {
         nproc: usize,
         tput_1t: f64,
         tput_nt: f64,
-        walls_1t: &[f64],
-        traced_walls: &[f64],
+        rounds: usize,
     ) {
         let n = s.instances;
         let per = |t: f64, count: usize| ratio(t * 1e6, count as f64);
@@ -585,42 +565,9 @@ impl Spec {
         m.insert("stats.merge_us", (per(s.merge, s.merges), s.merges));
         m.insert(
             "campaign.parallel_eff",
-            (ratio(tput_nt, nproc as f64 * tput_1t), walls_1t.len()),
+            (ratio(tput_nt, nproc as f64 * tput_1t), rounds),
         );
         let layered = s.generate + s.route.iter().sum::<f64>() + s.power + s.add + s.merge;
-        m.insert(
-            "trace.coverage",
-            (ratio(layered, s.wall), traced_walls.len()),
-        );
-        m.insert(
-            "trace.overhead",
-            (
-                median(traced_walls) / median(walls_1t) - 1.0,
-                traced_walls.len(),
-            ),
-        );
-    }
-}
-
-impl Spans {
-    fn absorb(&mut self, o: &Spans) {
-        self.instances += o.instances;
-        self.generate += o.generate;
-        self.customize += o.customize;
-        for k in 0..6 {
-            self.route[k] += o.route[k];
-            self.feasible[k] += o.feasible[k];
-        }
-        self.power += o.power;
-        self.power_calls += o.power_calls;
-        self.add += o.add;
-        self.merge += o.merge;
-        self.merges += o.merges;
-        self.wall += o.wall;
-        self.side += o.side;
-        self.interner = (
-            self.interner.0 + o.interner.0,
-            self.interner.1 + o.interner.1,
-        );
+        m.insert("trace.coverage", (ratio(layered, s.wall), rounds));
     }
 }

@@ -1,7 +1,7 @@
 //! `pamr-perfbench`: the repository benchmark.
 //!
 //! ```text
-//! pamr-perfbench --workload paper_campaign|large_local|serve_churn
+//! pamr-perfbench --workload paper_campaign|serve_churn
 //!                --seed N --seconds S --trace 0|1 [--pamr-bin PATH]
 //! ```
 //!
@@ -17,21 +17,21 @@
 mod campaign;
 mod report;
 mod serve;
+mod speed;
 
 use report::Report;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// The workloads, in the order `BENCHMARK.json` lists them.
-const WORKLOADS: [&str; 3] = ["paper_campaign", "large_local", "serve_churn"];
+const WORKLOADS: [&str; 2] = ["paper_campaign", "serve_churn"];
 
 /// The end-to-end metrics every workload reports with `--trace 0`.
-pub const END_TO_END: [(&str, &str); 7] = [
+pub const END_TO_END: [(&str, &str); 6] = [
     ("setup_s", "s"),
     ("ops_per_s", "1/s"),
     ("ops_per_s_1t", "1/s"),
     ("op_us_p50", "us"),
-    ("op_us_p99", "us"),
     ("read_us_p50", "us"),
     ("quality_ratio", "1"),
 ];
@@ -181,7 +181,6 @@ fn main() {
         let mut report = Report::default();
         let measured = match args.workload.as_str() {
             "paper_campaign" => campaign::Spec::paper(args.seed).run(&args, &mut report),
-            "large_local" => campaign::Spec::large_local(args.seed).run(&args, &mut report),
             _ => {
                 let bin = args
                     .pamr_bin
@@ -241,26 +240,26 @@ mod tests {
                 "unknown workload",
             ),
             (
-                "--workload large_local --seed -1 --seconds 1 --trace 0",
+                "--workload paper_campaign --seed -1 --seconds 1 --trace 0",
                 "--seed needs",
             ),
             (
-                "--workload large_local --seed 1 --seconds 0 --trace 0",
+                "--workload paper_campaign --seed 1 --seconds 0 --trace 0",
                 "--seconds needs",
             ),
             (
-                "--workload large_local --seed 1 --seconds x --trace 0",
+                "--workload paper_campaign --seed 1 --seconds x --trace 0",
                 "--seconds needs",
             ),
             (
-                "--workload large_local --seed 1 --seconds 1 --trace 2",
+                "--workload paper_campaign --seed 1 --seconds 1 --trace 2",
                 "--trace needs",
             ),
             (
-                "--workload large_local --seed 1 --seconds 1",
+                "--workload paper_campaign --seed 1 --seconds 1",
                 "missing required flag --trace",
             ),
-            ("--workload large_local --seed", "needs a value"),
+            ("--workload paper_campaign --seed", "needs a value"),
             ("--bogus 1", "unknown flag"),
         ] {
             let err = parse_args(&argv(line)).expect_err(line);

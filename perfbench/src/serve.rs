@@ -8,8 +8,14 @@
 //! the round trip, outside the timed window; every response must also be
 //! `"ok":true`. At fixed mutation counts the session's power is compared
 //! with a from-scratch batch XYI routing of the same live set.
+//!
+//! The client and the server share one CPU. The churn is cut into windows
+//! of [`WINDOW`] mutations; every window's end-to-end samples are scaled to
+//! the reference host speed by the probe readings around it (see
+//! [`crate::speed`]). Per-layer figures are raw wall times.
 
-use crate::report::{median, quantile, ratio, secs, Report};
+use crate::report::{median, ratio, secs, Report};
+use crate::speed::Probe;
 use crate::{Args, Measured};
 use pamr_mesh::Mesh;
 use pamr_power::PowerModel;
@@ -23,6 +29,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::Arc;
@@ -33,8 +40,17 @@ const MESH: (usize, usize) = (64, 64);
 const RESIDENT: usize = 1000;
 /// Mutations between two `power_report` reads.
 const REPORT_EVERY: usize = 16;
-/// Server start-ups per run (`setup_s` is their median).
-const SETUP_REPS: usize = 3;
+/// Server start-ups per run (`setup_s` is their median): one before the
+/// churn, the rest spread over it.
+const SETUP_REPS: usize = 9;
+/// Mutations per timing window: about a tenth of a second of churn. One
+/// host-speed probe reading is taken as each window begins.
+const WINDOW: usize = 128;
+/// Windows a run makes at least, whatever `--seconds` says.
+const MIN_WINDOWS: usize = 96;
+/// A window's samples are scaled by the median of the probe readings up to
+/// this many windows before and after it.
+const PROBE_SPAN: usize = 2;
 /// The session is compared with batch XYI every this many mutations...
 const QUALITY_EVERY: usize = 512;
 /// ...this many times; the churn runs at least until the last of them.
@@ -123,6 +139,42 @@ impl Script {
     }
 }
 
+/// Pins this thread, and every process it spawns from then on, to the last
+/// CPU it may run on.
+///
+/// The client and the server then hand the CPU to each other at every
+/// round trip. Unpinned, each waits for the other on a CPU that went idle,
+/// and on a virtual machine waking an idle CPU can take milliseconds: the
+/// 99th percentile then measures the hypervisor, not the program.
+#[cfg(target_os = "linux")]
+fn pin_to_one_cpu() -> bool {
+    // A `cpu_set_t`: 1024 bits.
+    type CpuSet = [u64; 16];
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut CpuSet) -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const CpuSet) -> i32;
+    }
+    let size = std::mem::size_of::<CpuSet>();
+    let mut allowed: CpuSet = [0; 16];
+    // SAFETY: `allowed` is a writable `cpu_set_t` of `size` bytes, and pid
+    // 0 names the calling thread.
+    if unsafe { sched_getaffinity(0, size, &mut allowed) } != 0 {
+        return false;
+    }
+    let Some(word) = allowed.iter().rposition(|&w| w != 0) else {
+        return false;
+    };
+    let mut one: CpuSet = [0; 16];
+    one[word] = 1 << (63 - allowed[word].leading_zeros());
+    // SAFETY: as above; `one` is a readable `cpu_set_t` of `size` bytes.
+    unsafe { sched_setaffinity(0, size, &one) == 0 }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn pin_to_one_cpu() -> bool {
+    false
+}
+
 /// A running `pamr serve --stdin` child; killed and reaped on drop.
 struct ServeProc {
     child: Child,
@@ -198,6 +250,33 @@ struct Samples {
     quality: Vec<f64>,
 }
 
+/// One timing window of the churn: its samples and the host-speed probe
+/// reading taken as it began.
+struct Window {
+    mutations: Range<usize>,
+    reports: Range<usize>,
+    probe_at: usize,
+}
+
+impl Samples {
+    /// The samples of every window, each scaled to the reference host
+    /// speed by the probe readings around its window: mutation round trips,
+    /// report round trips, and their handler times.
+    fn scaled(&self, windows: &[Window], probe: &Probe) -> [Vec<f64>; 4] {
+        let mut out: [Vec<f64>; 4] = Default::default();
+        for w in windows {
+            let k = w.probe_at;
+            let f = probe.scale(k.saturating_sub(PROBE_SPAN), k + PROBE_SPAN + 1);
+            let scale = |xs: &[f64]| xs.iter().map(|x| x * f).collect::<Vec<f64>>();
+            out[0].extend(scale(&self.mutation_rtt[w.mutations.clone()]));
+            out[1].extend(scale(&self.report_rtt[w.reports.clone()]));
+            out[2].extend(scale(&self.mutation_handler[w.mutations.clone()]));
+            out[3].extend(scale(&self.report_handler[w.reports.clone()]));
+        }
+        out
+    }
+}
+
 impl Churn {
     pub fn new(seed: u64, bin: PathBuf) -> Churn {
         Churn {
@@ -249,6 +328,11 @@ impl Churn {
     }
 
     pub fn run(&self, args: &Args, report: &mut Report) -> Measured {
+        if !pin_to_one_cpu() {
+            eprintln!(
+                "perfbench: could not pin serve_churn to one CPU; round trips will be noisier"
+            );
+        }
         let mut m = Measured::new();
         let mut script = Script::new(self.mesh, self.seed);
         let preload_reqs = script.preload();
@@ -256,19 +340,24 @@ impl Churn {
         let mut oracle = self.oracle();
         let expected: Vec<String> = preload.iter().map(|l| oracle.handle_line(l)).collect();
 
+        let mut probe = Probe::default();
         let mut setups = Vec::new();
-        let mut proc = None;
-        for _ in 0..SETUP_REPS {
-            let (p, s) = self.start(&preload, &expected, report);
-            setups.push(s);
-            proc = Some(p);
-        }
-        m.insert("setup_s", (median(&setups), setups.len()));
-        let mut proc = proc.expect("at least one start-up");
+        let start = |probe: &mut Probe, setups: &mut Vec<f64>, report: &mut Report| {
+            let at = probe.len();
+            probe.sample();
+            let (proc, setup) = self.start(&preload, &expected, report);
+            probe.sample();
+            setups.push(setup * probe.scale(at, at + 2));
+            proc
+        };
+        let mut proc = start(&mut probe, &mut setups, report);
 
         let mut batch_scratch = RouteScratch::with_engine(EngineConfig::LIVE);
         batch_scratch.attach_precompute(Arc::new(MeshPrecompute::new(self.mesh)));
         let mut s = Samples::default();
+        let mut windows: Vec<Window> = Vec::new();
+        let mut window_from = (0, 0, probe.len());
+        probe.sample();
         let mut sent = Vec::new();
         let (mut attempted, mut failed) = (0u64, 0u64);
         let started = Instant::now();
@@ -289,40 +378,63 @@ impl Churn {
             if let Req::Report = req {
                 s.report_rtt.push(rtt);
                 s.report_handler.push(handler);
-            } else {
-                s.mutation_rtt.push(rtt);
-                s.mutation_handler.push(handler);
-                let done = s.mutation_rtt.len();
-                if done.is_multiple_of(QUALITY_EVERY) && s.quality.len() < QUALITY_POINTS {
-                    match self.batch_ratio(&oracle, &mut batch_scratch) {
-                        Some(q) => s.quality.push(q),
-                        None => {
-                            failed += 1;
-                            s.quality.push(0.0);
-                        }
+                continue;
+            }
+            s.mutation_rtt.push(rtt);
+            s.mutation_handler.push(handler);
+            let done = s.mutation_rtt.len();
+            if done.is_multiple_of(QUALITY_EVERY) && s.quality.len() < QUALITY_POINTS {
+                match self.batch_ratio(&oracle, &mut batch_scratch) {
+                    Some(q) => s.quality.push(q),
+                    None => {
+                        failed += 1;
+                        s.quality.push(0.0);
                     }
                 }
             }
-            if secs(started) >= args.seconds && s.quality.len() >= QUALITY_POINTS {
+            if done - window_from.0 < WINDOW {
+                continue;
+            }
+            windows.push(Window {
+                mutations: window_from.0..done,
+                reports: window_from.1..s.report_rtt.len(),
+                probe_at: window_from.2,
+            });
+            // A throwaway start-up every few seconds spreads the set-up
+            // samples over the run.
+            let progress = secs(started) / args.seconds;
+            if setups.len() < SETUP_REPS && progress * (SETUP_REPS as f64) >= setups.len() as f64 {
+                drop(start(&mut probe, &mut setups, report));
+            }
+            if progress >= 1.0
+                && s.quality.len() >= QUALITY_POINTS
+                && windows.len() >= MIN_WINDOWS
+                && setups.len() >= SETUP_REPS
+            {
                 break;
             }
+            window_from = (done, s.report_rtt.len(), probe.len());
+            probe.sample();
         }
         drop(proc);
         report.ops(attempted, failed, "churn responses differ from the oracle");
+        // Readings after the last window close its neighbourhood.
+        for _ in 0..PROBE_SPAN {
+            probe.sample();
+        }
 
-        let requests = (s.mutation_rtt.len() + s.report_rtt.len()) as f64;
-        let rtt_total: f64 = s.mutation_rtt.iter().chain(&s.report_rtt).sum();
-        let handler_total: f64 = s.mutation_handler.iter().chain(&s.report_handler).sum();
+        let [mutation_rtt, report_rtt, mutation_handler, report_handler] =
+            s.scaled(&windows, &probe);
         let us = |xs: &[f64]| xs.iter().map(|x| x * 1e6).collect::<Vec<f64>>();
-        let (mut_us, rep_us) = (us(&s.mutation_rtt), us(&s.report_rtt));
-        m.insert("ops_per_s", (requests / rtt_total, requests as usize));
-        m.insert(
-            "ops_per_s_1t",
-            (requests / handler_total, requests as usize),
-        );
-        m.insert("op_us_p50", (median(&mut_us), mut_us.len()));
-        m.insert("op_us_p99", (quantile(&mut_us, 0.99), mut_us.len()));
-        m.insert("read_us_p50", (median(&rep_us), rep_us.len()));
+        let (mutation_us, report_us) = (us(&mutation_rtt), us(&report_rtt));
+        let requests = (mutation_rtt.len() + report_rtt.len()) as f64;
+        let rtt: f64 = mutation_rtt.iter().chain(&report_rtt).sum();
+        let handler: f64 = mutation_handler.iter().chain(&report_handler).sum();
+        m.insert("setup_s", (median(&setups), setups.len()));
+        m.insert("ops_per_s", (requests / rtt, requests as usize));
+        m.insert("ops_per_s_1t", (requests / handler, requests as usize));
+        m.insert("op_us_p50", (median(&mutation_us), mutation_us.len()));
+        m.insert("read_us_p50", (median(&report_us), report_us.len()));
         m.insert("quality_ratio", (median(&s.quality), s.quality.len()));
 
         if args.trace {

@@ -1,34 +1,17 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for two design choices no `pamr-bench` lane times:
 //!
-//! * heuristic cost versus **mesh size** (8×8 → 24×24) at constant traffic
-//!   density;
-//! * discrete versus continuous frequency evaluation cost;
+//! * discrete versus continuous frequency evaluation cost (PR on one 8×8
+//!   instance under each power model);
 //! * the Frank–Wolfe bound's cost per iteration budget.
+//!
+//! Heuristic cost versus mesh size is the `pamr-bench scaling` lane.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pamr_bench::uniform_instance;
 use pamr_mesh::Mesh;
 use pamr_power::PowerModel;
-use pamr_routing::{frank_wolfe, Heuristic, PathRemover, XyImprover};
+use pamr_routing::{frank_wolfe, Heuristic, PathRemover};
 use std::hint::black_box;
-
-fn mesh_scaling(c: &mut Criterion) {
-    let model = PowerModel::kim_horowitz();
-    let mut group = c.benchmark_group("mesh_scaling");
-    for side in [8usize, 16, 24] {
-        let mesh = Mesh::new(side, side);
-        // Constant density: ~0.6 communications per core.
-        let n = side * side * 6 / 10;
-        let cs = uniform_instance(&mesh, n, 100.0, 1500.0, side as u64);
-        group.bench_with_input(BenchmarkId::new("PR", side), &cs, |b, cs| {
-            b.iter(|| black_box(PathRemover.route(black_box(cs), &model)))
-        });
-        group.bench_with_input(BenchmarkId::new("XYI", side), &cs, |b, cs| {
-            b.iter(|| black_box(XyImprover::default().route(black_box(cs), &model)))
-        });
-    }
-    group.finish();
-}
 
 fn frequency_model_ablation(c: &mut Criterion) {
     let mesh = Mesh::new(8, 8);
@@ -61,6 +44,6 @@ fn frank_wolfe_budget(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = pamr_bench::quick();
-    targets = mesh_scaling, frequency_model_ablation, frank_wolfe_budget
+    targets = frequency_model_ablation, frank_wolfe_budget
 }
 criterion_main!(benches);

@@ -1,16 +1,14 @@
-//! # pamr-bench — shared fixtures for the Criterion benchmark harness
+//! # pamr-bench — shared fixtures for the benchmark runner and targets
 //!
-//! One bench target per paper artefact (see `benches/`):
+//! The `pamr-bench` binary (`src/bin/pamr_bench.rs`) is the measured
+//! benchmark: campaign wall times, the paired optimized-vs-baseline lanes
+//! (whose engine lanes also answer §6.4's runtime claim), the `scaling`
+//! grid and the multi-process `shard` lane. The Criterion targets in
+//! `benches/` cover only the code no lane times:
 //!
-//! * `heuristic_runtime` — §6.4's runtime claim (XYI ≈ 24 ms, PR ≈ 38 ms on
-//!   the authors' hardware): per-heuristic wall time on campaign-distribution
-//!   instances;
-//! * `fig7_sweep` / `fig8_sweep` / `fig9_sweep` — the cost of one trial at
-//!   representative sweep points of each figure (the data itself is
-//!   regenerated by the `pamr-sim` binaries);
 //! * `theory_ratios` — Theorem 1 / Lemma 2 construction and evaluation cost;
-//! * `scaling` — ablation: heuristic cost versus mesh size and instance
-//!   size, and discrete- versus continuous-frequency model cost;
+//! * `scaling` — discrete- versus continuous-frequency model cost and the
+//!   Frank–Wolfe iteration budget;
 //! * `nocsim_throughput` — packet-simulator event throughput.
 
 #![forbid(unsafe_code)]

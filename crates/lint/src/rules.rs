@@ -21,11 +21,6 @@
 //! * **V001** — vendor hygiene: vendored stand-ins must not reach
 //!   `std::process`, `std::net` or wall-clock APIs except where waived
 //!   (criterion's own timing loop).
-//! * **G001** — calls of the deprecated `set_implementation` engine
-//!   globals. PR 10 replaced the four mutable process-global switches with
-//!   an explicit `EngineConfig` threaded through scratch/session/campaign
-//!   state; only the deprecated shims themselves (definition sites and
-//!   their own tests) may still touch them.
 //!
 //! Scoping is path-based (workspace-relative, forward slashes). Unit-test
 //! modules (`#[cfg(test)] mod`) are skipped by every rule.
@@ -69,10 +64,6 @@ pub const REGISTRY: &[RuleInfo] = &[
     RuleInfo {
         id: "V001",
         summary: "vendored code reaching std::process/std::net/wall-clock APIs",
-    },
-    RuleInfo {
-        id: "G001",
-        summary: "call of a deprecated set_implementation engine global (thread an EngineConfig)",
     },
     RuleInfo {
         id: "W000",
@@ -329,30 +320,6 @@ pub fn check_file(path: &str, tokens: &[Token], config: &Config, out: &mut Vec<D
         }
     }
 
-    if first_party(path) {
-        // G001: a *call* of one of the deprecated engine globals — the
-        // ident followed by `(`. The definition sites (preceded by `fn`)
-        // stay clean, and the shims' own unit tests sit in `#[cfg(test)]`
-        // regions, which every rule skips.
-        for i in 0..code.len() {
-            let t = code[i];
-            if t.text == "set_implementation"
-                && matches!(code.get(i + 1), Some(n) if n.kind == crate::lexer::TokKind::Punct('('))
-                && !(i > 0 && code[i - 1].text == "fn")
-            {
-                push(
-                    "G001",
-                    t,
-                    "set_implementation mutates a deprecated process-global engine switch; \
-                     thread an explicit EngineConfig (RouteScratch::with_engine / \
-                     SessionConfig.engine / Campaign.engine) instead"
-                        .to_string(),
-                    &mut diags,
-                );
-            }
-        }
-    }
-
     if v001_scope(path) {
         for i in 0..code.len() {
             let t = code[i];
@@ -466,30 +433,6 @@ mod tests {
         let ds = run(path, bare);
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].rule, "W000");
-    }
-
-    #[test]
-    fn g001_flags_calls_but_not_definitions() {
-        // A call — qualified or bare — is a violation anywhere first-party.
-        let call = "fn f() { pr::set_implementation(PrImpl::Reference); }";
-        let ds = run("crates/sim/src/x.rs", call);
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].rule, "G001");
-        assert_eq!(
-            run("src/bin/x.rs", "fn f() { set_implementation(i); }").len(),
-            1
-        );
-        // The shim's definition site is not a call.
-        assert!(run(
-            "crates/routing/src/pr.rs",
-            "pub fn set_implementation(imp: PrImpl) { DEFAULT.store(imp as u8); }"
-        )
-        .is_empty());
-        // Test modules keep exercising the shims without diagnostics.
-        let test_use = "#[cfg(test)]\nmod tests {\n fn t() { set_implementation(i); }\n}\n";
-        assert!(run("crates/sim/src/x.rs", test_use).is_empty());
-        // Out of first-party scope: nothing fires.
-        assert!(run("vendor/fake/src/lib.rs", call).is_empty());
     }
 
     #[test]

@@ -79,17 +79,15 @@ pub use heuristic::{
     surrogate_link_cost, Best, BestRoute, EmptyPortfolio, Heuristic, HeuristicKind,
     SURROGATE_PENALTY,
 };
-pub use ig::{IgImpl, ImprovedGreedy, ReferenceImprovedGreedy};
+pub use ig::{ImprovedGreedy, ReferenceImprovedGreedy};
 pub use loadq::LoadQueue;
 pub use multipath::{FwMp, SplitMp};
-pub use pr::{PathRemover, PrError, PrImpl, ReferencePathRemover};
-pub use precompute::{
-    CostLadder, CustomizedInstance, EndpointTables, MeshPrecompute, PrecomputeImpl,
-};
+pub use pr::{PathRemover, PrError, ReferencePathRemover};
+pub use precompute::{CostLadder, CustomizedInstance, EndpointTables, MeshPrecompute};
 pub use routing::Routing;
 pub use rules::{xy_routing, yx_routing};
 pub use scratch::RouteScratch;
 pub use session::{RepairMode, RoutingSession, SessionConfig, SessionStats, SlotId};
 pub use tables::{FlowId, RoutingTables};
 pub use two_bend::TwoBend;
-pub use xyi::{ReferenceXyImprover, XyImprover, XyiImpl};
+pub use xyi::{ReferenceXyImprover, XyImprover};

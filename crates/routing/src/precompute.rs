@@ -29,8 +29,7 @@
 //! and load maps are bit-identical with the cache on or off. The literal
 //! rebuild-per-trial path survives behind the `Reference` engine selection
 //! (`EngineConfig::LIVE.with_precompute(EngineSel::Reference)`, mirroring
-//! `pr`/`xyi`/`ig`; the deprecated [`set_implementation`] shim moves the
-//! process default), and `tests/precompute_differential.rs` pins the
+//! `pr`/`xyi`/`ig`), and `tests/precompute_differential.rs` pins the
 //! equivalence: identical routings, bit-identical loads, and a
 //! byte-identical seeded §6.4 campaign report.
 //!
@@ -62,7 +61,6 @@
 //! ```
 
 use crate::comm::{Comm, CommSet, SortOrder};
-use crate::engine::{self, EngineSel, ProcessBit};
 use crate::heuristic::SURROGATE_PENALTY;
 use pamr_mesh::{Band, Coord, LinkId, Mesh, Path, Step};
 use pamr_power::model::CAPACITY_EPS;
@@ -70,50 +68,6 @@ use pamr_power::{FrequencyScale, PowerModel};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
-
-/// Which table-sourcing strategy backs the routing engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrecomputeImpl {
-    /// Interned per-`(src, snk)` tables shared across trials, heuristics
-    /// and sessions (the default).
-    Cached,
-    /// The literal rebuild-per-trial path: every `route_with` call
-    /// reconstructs bands, intervals and seed paths from scratch — the
-    /// differential oracle's side of `tests/precompute_differential.rs`.
-    Rebuild,
-}
-
-/// Sets the *process-default* table-sourcing strategy.
-///
-/// Deprecated shim over [`engine::EngineConfig`]: it updates only the
-/// fallback used by scratches built without an explicit config. Pass
-/// `RouteScratch::with_engine(EngineConfig::LIVE.with_precompute(…))`
-/// instead.
-#[deprecated(
-    since = "0.10.0",
-    note = "pass an explicit engine::EngineConfig via RouteScratch::with_engine"
-)]
-pub fn set_implementation(imp: PrecomputeImpl) {
-    let sel = match imp {
-        PrecomputeImpl::Cached => EngineSel::Live,
-        PrecomputeImpl::Rebuild => EngineSel::Reference,
-    };
-    engine::set_process_bit(ProcessBit::Precompute, sel);
-}
-
-/// The *process-default* table-sourcing strategy (deprecated shim; a
-/// scratch pinned by [`RouteScratch::with_engine`](crate::RouteScratch::with_engine)
-/// ignores it).
-#[deprecated(
-    since = "0.10.0",
-    note = "read the engine::EngineConfig carried by the RouteScratch instead"
-)]
-pub fn implementation() -> PrecomputeImpl {
-    match engine::process_default().precompute {
-        EngineSel::Live => PrecomputeImpl::Cached,
-        EngineSel::Reference => PrecomputeImpl::Rebuild,
-    }
-}
 
 /// The metric-independent tables of one `(src, snk)` endpoint pair:
 /// everything the engines need that does not depend on communication

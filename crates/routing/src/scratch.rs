@@ -11,7 +11,7 @@
 
 use crate::comm::CommSet;
 use crate::csr::CrossingIndex;
-use crate::engine::{self, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::loadq::LoadQueue;
 use crate::precompute::{CostLadder, CustomizedInstance, MeshPrecompute};
 use pamr_mesh::{LinkId, LoadMap};
@@ -42,12 +42,11 @@ pub struct RouteScratch {
     pub(crate) fwd: Vec<bool>,
     /// Backward-reachability flags, one per core (PR's path cleaning).
     pub(crate) bwd: Vec<bool>,
-    /// Per-link list of communications using the link — the reference
-    /// oracles key it by band membership (PR) or by the current path
-    /// crossing the link (XYI). The optimized engines use the flat
-    /// [`CrossingIndex`] in `xusers` instead; this Vec-of-Vec twin survives
-    /// as the oracle-side representation the differential suite compares
-    /// against.
+    /// Per-link list of communications whose band contains the link —
+    /// the PR oracle's table. The optimized engines use the flat
+    /// [`CrossingIndex`] in `xusers` instead; the oracle keeps its own
+    /// Vec-of-Vec representation so it shares no index with the engine it
+    /// checks.
     pub(crate) users: Vec<Vec<usize>>,
     /// Flat CSR crossing-comms index — the optimized engines' counterpart
     /// of `users` (banded PR, queued XYI), rebuilt per route in two
@@ -90,17 +89,14 @@ pub struct RouteScratch {
     /// [`ensure_ladder`](Self::ensure_ladder).
     pub(crate) ladder: Option<CostLadder>,
     /// The engine selection every `route_with` call through this scratch
-    /// dispatches on. `None` (the [`Default`]) falls back to the process
-    /// default ([`engine::process_default`]), which is how the deprecated
-    /// per-subsystem `set_implementation` shims keep working.
-    pub(crate) engine: Option<EngineConfig>,
+    /// dispatches on ([`EngineConfig::LIVE`] by default).
+    pub(crate) engine: EngineConfig,
 }
 
 impl RouteScratch {
-    /// A new, empty scratch. Buffers are grown on first use. Engine
-    /// dispatch follows the process default (all-`Live` unless a deprecated
-    /// shim changed it); use [`RouteScratch::with_engine`] to pin an
-    /// explicit [`EngineConfig`] instead.
+    /// A new, empty scratch on the optimized engines
+    /// ([`EngineConfig::LIVE`]). Buffers are grown on first use; use
+    /// [`RouteScratch::with_engine`] to select another [`EngineConfig`].
     pub fn new() -> Self {
         RouteScratch::default()
     }
@@ -108,21 +104,19 @@ impl RouteScratch {
     /// A new, empty scratch pinned to an explicit engine selection.
     pub fn with_engine(engine: EngineConfig) -> Self {
         RouteScratch {
-            engine: Some(engine),
+            engine,
             ..RouteScratch::default()
         }
     }
 
-    /// Pins this scratch to an explicit engine selection (replacing the
-    /// process-default fallback or a previous pin).
+    /// Replaces this scratch's engine selection.
     pub fn set_engine(&mut self, engine: EngineConfig) {
-        self.engine = Some(engine);
+        self.engine = engine;
     }
 
-    /// The engine selection `route_with` calls through this scratch use:
-    /// the pinned config, or the process default when none was pinned.
+    /// The engine selection `route_with` calls through this scratch use.
     pub fn engine(&self) -> EngineConfig {
-        self.engine.unwrap_or_else(engine::process_default)
+        self.engine
     }
 
     /// Attaches a shared phase-one precompute, replacing any previously
@@ -175,7 +169,7 @@ impl RouteScratch {
     }
 
     /// Resets the per-link `users` table to `n_slots` empty lists, keeping
-    /// every inner allocation (PR and XYI re-key it on every route).
+    /// every inner allocation (the PR oracle re-keys it on every route).
     pub(crate) fn users_fit(&mut self, n_slots: usize) {
         for v in self.users.iter_mut() {
             v.clear();

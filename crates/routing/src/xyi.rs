@@ -30,11 +30,10 @@
 //! randomized §6 workloads plus a byte-identical seeded campaign report,
 //! swapping the engine behind [`HeuristicKind::Xyi`](crate::HeuristicKind)
 //! via an explicit [`EngineConfig`](crate::EngineConfig) (mirroring the
-//! `pr` oracle). The deprecated [`set_implementation`] shim only moves the
-//! process-wide default that unconfigured scratches fall back to.
+//! `pr` oracle).
 
 use crate::comm::CommSet;
-use crate::engine::{self, EngineSel, ProcessBit};
+use crate::engine::EngineSel;
 use crate::heuristic::{link_cost, Heuristic};
 use crate::loadq::Cursor;
 use crate::routing::Routing;
@@ -88,46 +87,6 @@ impl Default for XyImprover {
         XyImprover {
             max_moves: 1_000_000,
         }
-    }
-}
-
-/// Which XY-improver engine [`XyImprover`] (and hence
-/// [`HeuristicKind::Xyi`](crate::HeuristicKind)) dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XyiImpl {
-    /// The queue-driven engine (default).
-    Queued,
-    /// The full-scan oracle ([`mod@reference`]).
-    Reference,
-}
-
-/// Sets the *process-default* XY-improver engine.
-///
-/// Deprecated shim over [`engine::EngineConfig`]: it updates only the
-/// fallback used by scratches built without an explicit config. Pass
-/// `RouteScratch::with_engine(EngineConfig::LIVE.with_xyi(…))` instead.
-#[deprecated(
-    since = "0.10.0",
-    note = "pass an explicit engine::EngineConfig via RouteScratch::with_engine"
-)]
-pub fn set_implementation(imp: XyiImpl) {
-    let sel = match imp {
-        XyiImpl::Queued => EngineSel::Live,
-        XyiImpl::Reference => EngineSel::Reference,
-    };
-    engine::set_process_bit(ProcessBit::Xyi, sel);
-}
-
-/// The *process-default* XY-improver engine (deprecated shim; a scratch
-/// pinned by [`RouteScratch::with_engine`] ignores it).
-#[deprecated(
-    since = "0.10.0",
-    note = "read the engine::EngineConfig carried by the RouteScratch instead"
-)]
-pub fn implementation() -> XyiImpl {
-    match engine::process_default().xyi {
-        EngineSel::Live => XyiImpl::Queued,
-        EngineSel::Reference => XyiImpl::Reference,
     }
 }
 
@@ -279,7 +238,7 @@ fn flip_move(mesh: &Mesh, path: &Path, link: LinkId) -> Option<(Path, [LinkId; 2
 impl XyImprover {
     /// The queue-driven engine, unconditionally — what the differential
     /// suite compares against [`ReferenceXyImprover`] regardless of the
-    /// process-global [`implementation`] selector.
+    /// scratch's engine config.
     pub fn route_queued_with(
         &self,
         cs: &CommSet,

@@ -11,9 +11,7 @@
 //! other: identical routings, bit-identical load maps, byte-identical
 //! campaign reports. Both implementations are compiled unconditionally (no
 //! `#[cfg]`), so the oracle is always available to tests, benchmarks and
-//! the [`EngineConfig`](crate::EngineConfig) `xyi` selection (the
-//! deprecated [`set_implementation`](crate::xyi::set_implementation) shim
-//! moves the process default).
+//! the [`EngineConfig`](crate::EngineConfig) `xyi` selection.
 
 use super::{flip_candidate, IMPROVE_EPS};
 use crate::comm::CommSet;

@@ -2,10 +2,10 @@
 //! multi-path future-work item.
 
 use pamr_sim::ablation::{leak_sweep, order_sweep, smp_sweep};
-use pamr_sim::cli::Options;
+use pamr_sim::cli::{self, Options};
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = Options::from_args().unwrap_or_else(cli::exit_usage);
     let mesh = pamr_sim::paper_mesh();
 
     println!("== leakage ablation: does a lower P_leak/P_0 favour PR over XYI? ==");

@@ -7,6 +7,7 @@ use pamr_power::PowerModel;
 use pamr_routing::{Comm, CommSet, Routing};
 
 fn main() {
+    pamr_sim::cli::no_args().unwrap_or_else(pamr_sim::cli::exit_usage);
     let mesh = Mesh::new(2, 2);
     let src = Coord::new(0, 0);
     let snk = Coord::new(1, 1);

@@ -1,12 +1,12 @@
 //! Regenerates Figure 8: sensitivity to the size (average weight) of
 //! communications, for 10 / 20 / 40 communications.
 
-use pamr_sim::cli::Options;
+use pamr_sim::cli::{self, Options};
 use pamr_sim::experiments::{fig8, run_experiment_sharded};
 use pamr_sim::table::{failure_table, norm_inv_table, write_csv};
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = Options::from_args().unwrap_or_else(cli::exit_usage);
     let mesh = pamr_sim::paper_mesh();
     let model = pamr_sim::paper_model();
     for exp in fig8() {

@@ -9,12 +9,12 @@
 //! the campaign and writes the partial-result JSON for `pamr merge`
 //! (equivalent to `pamr shard`).
 
-use pamr_sim::cli::Options;
+use pamr_sim::cli::{self, Options};
 use pamr_sim::shard::ShardPartial;
 use pamr_sim::summary::Summary;
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = Options::from_args().unwrap_or_else(cli::exit_usage);
     let mesh = pamr_sim::paper_mesh();
     let model = pamr_sim::paper_model();
     if !opts.shard.is_full() {

@@ -10,6 +10,7 @@ use pamr_theory::{
 };
 
 fn main() {
+    pamr_sim::cli::no_args().unwrap_or_else(pamr_sim::cli::exit_usage);
     println!("== Lemma 1: Manhattan path counts C(p+q-2, p-1) ==");
     for (p, q) in [(2, 2), (4, 4), (8, 8), (8, 16)] {
         println!("{p:>3}×{q:<3} → {}", manhattan_path_count(p, q));

@@ -38,9 +38,10 @@ impl Options {
     /// thread override to the work-pool. Results never depend on the
     /// thread count — only wall-clock does.
     ///
-    /// # Panics
-    /// Panics with a usage message on malformed arguments.
-    pub fn from_args() -> Options {
+    /// # Errors
+    /// A one-line message for an unknown flag, a missing or malformed
+    /// value, or a zero count; binaries hand it to [`exit_usage`].
+    pub fn from_args() -> Result<Options, String> {
         Self::parse_from(std::env::args().skip(1))
     }
 
@@ -50,43 +51,25 @@ impl Options {
     /// falling back to a default would only surface at merge time, after
     /// the shard runs complete).
     ///
-    /// # Panics
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Options {
+    /// # Errors
+    /// As [`Options::from_args`].
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
         let mut opts = Options::default();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
             match a.as_str() {
-                "--trials" => {
-                    opts.trials = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--trials needs a positive integer");
-                }
+                "--trials" => opts.trials = count(&a, &value()?)?,
                 "--seed" => {
-                    opts.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer");
+                    let v = value()?;
+                    opts.seed = v
+                        .parse()
+                        .map_err(|_| format!("--seed needs an integer, got {v:?}"))?;
                 }
-                "--csv" => {
-                    opts.csv = Some(args.next().expect("--csv needs a directory").into());
-                }
-                "--shard" => {
-                    let spec = args.next().expect("--shard needs i/N (e.g. 0/2)");
-                    opts.shard = ShardSpec::parse(&spec).unwrap_or_else(|e| panic!("{e}"));
-                }
-                "--out" => {
-                    opts.out = Some(args.next().expect("--out needs a file path").into());
-                }
-                "--threads" => {
-                    let n: usize = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads needs a positive integer");
-                    assert!(n > 0, "--threads must be positive");
-                    opts.threads = Some(n);
-                }
+                "--csv" => opts.csv = Some(value()?.into()),
+                "--shard" => opts.shard = ShardSpec::parse(&value()?)?,
+                "--out" => opts.out = Some(value()?.into()),
+                "--threads" => opts.threads = Some(count(&a, &value()?)?),
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: <bin> [--trials N] [--seed S] [--csv DIR] [--threads N] \
@@ -94,15 +77,52 @@ impl Options {
                     );
                     std::process::exit(0);
                 }
-                other => panic!("unknown argument {other:?} (try --help)"),
+                other => return Err(format!("unknown argument {other:?} (try --help)")),
             }
         }
-        assert!(opts.trials > 0, "--trials must be positive");
         if let Some(n) = opts.threads {
             rayon::set_num_threads(n);
         }
-        opts
+        Ok(opts)
     }
+}
+
+/// A positive integer flag value.
+fn count(flag: &str, v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(0) => Err(format!("{flag} must be positive")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("{flag} needs a positive integer, got {v:?}")),
+    }
+}
+
+/// Refuses any argument — the entry check of the binaries that take none.
+///
+/// # Errors
+/// Names the first argument given.
+pub fn no_args() -> Result<(), String> {
+    match std::env::args().nth(1) {
+        Some(a) => Err(format!(
+            "unexpected argument {a:?} (this binary takes none)"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Prints `<binary>: <message>` to stderr and exits with status 2 — how
+/// every experiment binary answers a bad command line. Generic in its
+/// (never produced) return type so it fits `Result::unwrap_or_else`.
+pub fn exit_usage<T>(msg: String) -> T {
+    let bin = std::env::args()
+        .next()
+        .and_then(|a| {
+            std::path::Path::new(&a)
+                .file_name()
+                .map(|n| n.to_string_lossy().into_owned())
+        })
+        .unwrap_or_else(|| "pamr-sim".into());
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2);
 }
 
 #[cfg(test)]

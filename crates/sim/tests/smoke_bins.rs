@@ -158,3 +158,24 @@ fn seeds_are_reproducible() {
     );
     assert_eq!(a, b, "same seed must reproduce identical output");
 }
+
+#[test]
+fn bad_arguments_exit_2_with_one_message() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fig7"), &["--bogus"][..]),
+        (env!("CARGO_BIN_EXE_summary"), &["--trials", "0"]),
+        (env!("CARGO_BIN_EXE_fig8"), &["--seed", "x"]),
+        (env!("CARGO_BIN_EXE_fig9"), &["--shard", "2/2"]),
+        (env!("CARGO_BIN_EXE_ablation"), &["--trials"]),
+        (env!("CARGO_BIN_EXE_fig2"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_theory"), &["--trials", "3"]),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}:\n{stderr}");
+        assert!(
+            stderr.lines().count() == 1 && !stderr.contains("panicked"),
+            "{bin} {args:?} must print one message, got:\n{stderr}"
+        );
+    }
+}

@@ -378,7 +378,10 @@ fn cmd_frontier(args: &[String]) {
 fn cmd_shard(args: &[String]) {
     // Same strict parsing as the sim binaries: malformed --trials/--seed
     // must fail here, not surface as a mismatch at merge time.
-    let opts = pamr::sim::cli::Options::parse_from(args.iter().cloned());
+    let opts = pamr::sim::cli::Options::parse_from(args.iter().cloned()).unwrap_or_else(|e| {
+        eprintln!("pamr shard: {e}");
+        exit(2);
+    });
     let Some(out) = opts.out.as_deref() else {
         usage()
     };

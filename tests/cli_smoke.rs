@@ -109,3 +109,26 @@ fn demo_runs() {
         "demo output missing BEST line:\n{out}"
     );
 }
+
+#[test]
+fn shard_rejects_bad_flags_with_exit_2() {
+    for args in [
+        &["shard", "--shard", "0/2", "--trials", "x"][..],
+        &[
+            "shard", "--shard", "0/2", "--trials", "0", "--out", "p.json",
+        ],
+        &["shard", "--shard", "2/2", "--out", "p.json"],
+        &["shard", "--bogus"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pamr"))
+            .args(args)
+            .output()
+            .expect("failed to spawn pamr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "pamr {args:?}:\n{stderr}");
+        assert!(
+            stderr.starts_with("pamr shard: ") && !stderr.contains("panicked"),
+            "pamr {args:?} must print one structured error, got:\n{stderr}"
+        );
+    }
+}

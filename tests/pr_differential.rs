@@ -24,7 +24,7 @@ use pamr::sim::testutil;
 use proptest::prelude::*;
 
 /// Routes `cs` with both engines (explicitly, independent of the
-/// process-global selector) and asserts identical outcomes — routings and
+/// scratch's engine config) and asserts identical outcomes — routings and
 /// `PrError`s alike.
 fn assert_engines_agree(cs: &CommSet, label: &str) {
     let model = PowerModel::kim_horowitz();

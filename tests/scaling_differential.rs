@@ -34,7 +34,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Routes `cs` through all three CSR-backed engines and their references
-/// (explicitly, independent of the process-global selectors) and asserts
+/// (explicitly, independent of the scratch's engine config) and asserts
 /// identical outcomes — routings, bit-identical load maps, and powers.
 /// PR may structurally fail (`PrError`); the error must then match too.
 fn assert_all_engines_agree(cs: &CommSet, label: &str) {

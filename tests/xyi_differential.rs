@@ -29,7 +29,7 @@ use pamr::sim::testutil;
 use proptest::prelude::*;
 
 /// Routes `cs` with the rewritten engine and its reference (explicitly,
-/// independent of the process-global selectors) and asserts identical
+/// independent of the scratch's engine config) and asserts identical
 /// outcomes — routings, bit-identical load maps and derived powers.
 fn assert_engines_agree(cs: &CommSet, label: &str) {
     let model = PowerModel::kim_horowitz();

@@ -53,8 +53,9 @@ use pamr_routing::{
     ReferencePathRemover, ReferenceXyImprover, RouteScratch, Routing, RoutingSession,
     SessionConfig, SimpleGreedy, XyImprover,
 };
-use pamr_sim::experiments::{fig7, fig8, fig9, Experiment};
-use pamr_sim::{Campaign, FrontierReport, ShardSpec};
+use pamr_sim::cli::{self, Failure, Flag, Flags, Kind, Outcome, Unset};
+use pamr_sim::experiments::campaign_figures;
+use pamr_sim::{Campaign, FrontierReport};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
@@ -73,147 +74,16 @@ const SUMMARY: &str = "BENCH_summary.json";
 // ---------------------------------------------------------------------------
 // Flags
 
-/// How a flag's value is read.
-#[derive(Debug, Clone, Copy)]
-enum Kind {
-    /// A positive integer: a size or a repeat count (zero is refused).
-    Count,
-    /// A non-negative integer: a seed, or a bound where 0 means "none".
-    Int,
-    /// A positive finite number.
-    Ratio,
-    /// One of a fixed set of names.
-    OneOf(&'static [&'static str]),
-    /// A file path.
-    Path,
-    /// A switch that takes no value.
-    Switch,
-}
-
-/// What a flag holds when the command line does not give it.
-#[derive(Debug, Clone, Copy)]
-enum Unset {
-    /// This default, read exactly like a given value.
-    Default(&'static str),
-    /// Nothing; the command chooses.
-    Optional,
-    /// The command refuses to run.
-    Required,
-}
-
-/// One accepted flag: its name, how its value is read, and its default.
-type Flag = (&'static str, Kind, Unset);
-
-/// A parsed flag value.
-#[derive(Debug, Clone)]
-enum Value {
-    Num(u64),
-    Real(f64),
-    Text(String),
-    On,
-}
-
-/// The parsed flags of one command, defaults filled in.
-struct Flags(BTreeMap<&'static str, Value>);
-
-impl Flags {
-    fn given(&self, name: &str) -> bool {
-        self.0.contains_key(name)
-    }
-
-    fn num(&self, name: &str) -> u64 {
-        match self.0.get(name) {
-            Some(Value::Num(n)) => *n,
-            other => unreachable!("{name} is not a parsed integer flag: {other:?}"),
-        }
-    }
-
-    fn real(&self, name: &str) -> f64 {
-        match self.0.get(name) {
-            Some(Value::Real(r)) => *r,
-            other => unreachable!("{name} is not a parsed number flag: {other:?}"),
-        }
-    }
-
-    fn text(&self, name: &str) -> &str {
-        match self.0.get(name) {
-            Some(Value::Text(t)) => t,
-            other => unreachable!("{name} is not a parsed text flag: {other:?}"),
-        }
-    }
-
-    /// The integer flags, named without their `--` (a lane's `params`).
-    fn params(&self) -> Params {
-        self.0
-            .iter()
-            .filter_map(|(name, v)| match v {
-                Value::Num(n) => Some((name.trim_start_matches("--").to_string(), *n)),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-/// The one flag parser: reads `args` against the union of `specs`,
-/// refusing unknown flags, missing values, non-numbers and zero counts.
+/// The shared flag parser, its messages prefixed with the command.
 fn parse(cmd: &str, specs: &[&[Flag]], args: &[String]) -> Outcome<Flags> {
-    let all = || specs.iter().flat_map(|s| s.iter());
-    let bad = |msg: String| Failure::Usage(format!("{cmd}: {msg}"));
-    let mut given = BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let Some(&(name, kind, _)) = all().find(|f| f.0 == arg.as_str()) else {
-            return Err(bad(format!(
-                "unknown flag {arg:?} (`pamr-bench help` lists them)"
-            )));
-        };
-        let value = match kind {
-            Kind::Switch => Value::On,
-            _ => match it.next() {
-                Some(raw) if !raw.starts_with("--") => read(name, kind, raw).map_err(bad)?,
-                _ => return Err(bad(format!("{name} needs a value"))),
-            },
-        };
-        given.insert(name, value);
-    }
-    for &(name, kind, unset) in all() {
-        if given.contains_key(name) {
-            continue;
-        }
-        match unset {
-            Unset::Default(raw) => {
-                given.insert(name, read(name, kind, raw).map_err(bad)?);
-            }
-            Unset::Optional => {}
-            Unset::Required => return Err(bad(format!("{name} is required"))),
-        }
-    }
-    Ok(Flags(given))
+    cli::parse(specs, args).map_err(|msg| Failure::Usage(format!("{cmd}: {msg}")))
 }
 
-fn read(name: &str, kind: Kind, raw: &str) -> Result<Value, String> {
-    match kind {
-        Kind::Count => match raw.parse::<u64>() {
-            Ok(0) => Err(format!("{name} must be positive")),
-            Ok(n) => Ok(Value::Num(n)),
-            Err(_) => Err(format!("{name} needs a positive integer, got {raw:?}")),
-        },
-        Kind::Int => raw
-            .parse()
-            .map(Value::Num)
-            .map_err(|_| format!("{name} needs a non-negative integer, got {raw:?}")),
-        Kind::Ratio => match raw.parse::<f64>() {
-            Ok(r) if r.is_finite() && r > 0.0 => Ok(Value::Real(r)),
-            _ => Err(format!("{name} needs a positive number, got {raw:?}")),
-        },
-        Kind::OneOf(names) if names.contains(&raw) => Ok(Value::Text(raw.into())),
-        Kind::OneOf(names) => Err(format!(
-            "{name} must be one of {}, got {raw:?}",
-            names.join("|")
-        )),
-        Kind::Path => Ok(Value::Text(raw.into())),
-        Kind::Switch => Ok(Value::On),
-    }
+/// The integer flags, named without their `--` (a lane's `params`).
+fn params(flags: &Flags) -> Params {
+    (flags.ints())
+        .map(|(name, n)| (name.trim_start_matches("--").to_string(), n))
+        .collect()
 }
 
 const RUN_FLAGS: &[Flag] = &[
@@ -224,12 +94,12 @@ const RUN_FLAGS: &[Flag] = &[
     ),
     ("--trials", Kind::Count, Unset::Optional),
     ("--seed", Kind::Int, Unset::Default(SEED)),
-    ("--out", Kind::Path, Unset::Default(SUMMARY)),
+    ("--out", Kind::Text, Unset::Default(SUMMARY)),
 ];
 
 const CHECK_FLAGS: &[Flag] = &[
-    ("--baseline", Kind::Path, Unset::Required),
-    ("--current", Kind::Path, Unset::Required),
+    ("--baseline", Kind::Text, Unset::Required),
+    ("--current", Kind::Text, Unset::Required),
     ("--max-ratio", Kind::Ratio, Unset::Default("2.0")),
 ];
 
@@ -240,7 +110,7 @@ const SCALING_FLAGS: &[Flag] = &[
         Unset::Default("smoke"),
     ),
     ("--seed", Kind::Int, Unset::Default(SEED)),
-    ("--out", Kind::Path, Unset::Default(SUMMARY)),
+    ("--out", Kind::Text, Unset::Default(SUMMARY)),
     ("--check-only", Kind::Switch, Unset::Optional),
 ];
 
@@ -248,14 +118,14 @@ const SHARD_FLAGS: &[Flag] = &[
     ("--shards", Kind::Count, Unset::Default("2")),
     ("--trials", Kind::Count, Unset::Default("10")),
     ("--seed", Kind::Int, Unset::Default(SEED)),
-    ("--pamr", Kind::Path, Unset::Optional),
-    ("--out", Kind::Path, Unset::Default("BENCH_shard.json")),
+    ("--pamr", Kind::Text, Unset::Optional),
+    ("--out", Kind::Text, Unset::Default("BENCH_shard.json")),
 ];
 
 /// The flags every paired lane takes besides its own.
 const LANE_FLAGS: &[Flag] = &[
     ("--seed", Kind::Int, Unset::Default(SEED)),
-    ("--out", Kind::Path, Unset::Default(SUMMARY)),
+    ("--out", Kind::Text, Unset::Default(SUMMARY)),
 ];
 
 fn usage() -> String {
@@ -266,7 +136,7 @@ fn usage() -> String {
                 (Kind::Switch, _) => String::new(),
                 (Kind::OneOf(names), _) => format!(" {}", names.join("|")),
                 (_, Unset::Default(d)) => format!(" {d}"),
-                (Kind::Path, _) => " FILE".into(),
+                (Kind::Text, _) => " FILE".into(),
                 _ => " N".into(),
             };
             s += &match unset {
@@ -285,17 +155,6 @@ fn usage() -> String {
 
 // ---------------------------------------------------------------------------
 // Outcomes, timing and reports
-
-/// Why a command stopped.
-enum Failure {
-    /// Bad flags or an unusable input file (exit status 2).
-    Usage(String),
-    /// A cross-check, a child process or the regression gate failed (exit
-    /// status 1).
-    Failed(String),
-}
-
-type Outcome<T = ()> = Result<T, Failure>;
 
 /// The one timing helper: `f`'s result and its wall time in milliseconds.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -450,12 +309,7 @@ fn merge_into(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(failure) = dispatch(&args) {
-        let (code, msg) = match failure {
-            Failure::Usage(msg) => (2, msg),
-            Failure::Failed(msg) => (1, msg),
-        };
-        eprintln!("pamr-bench: {msg}");
-        std::process::exit(code);
+        cli::exit("pamr-bench", failure);
     }
 }
 
@@ -486,28 +340,16 @@ fn dispatch(args: &[String]) -> Outcome {
     }
 }
 
-/// Runs one figure group at a fixed thread count, returning the wall time.
-fn time_group(exps: &[Experiment], trials: usize, seed: u64, threads: usize) -> Outcome<f64> {
+/// Runs figure group `figure` (0 = fig7) through the campaign runner at a
+/// fixed thread count, returning the wall time.
+fn time_group(figure: usize, trials: usize, seed: u64, threads: usize) -> Outcome<f64> {
     rayon::set_num_threads(threads);
     let mesh = pamr_sim::paper_mesh();
     let model = pamr_sim::paper_model();
-    let campaign = Campaign {
-        mesh: &mesh,
-        model: &model,
-        trials,
-        seed,
-        shard: ShardSpec::FULL,
-        pre: None,
-        engine: EngineConfig::LIVE,
-    };
-    let (complete, ms) = timed(|| {
-        exps.iter().all(|exp| {
-            let res = campaign.run_experiment(exp);
-            res.points.iter().all(|(_, s)| s.trials == trials)
-        })
-    });
+    let campaign = Campaign::new(&mesh, &model, trials, seed);
+    let (points, ms) = timed(|| campaign.run_grid(Some(figure)));
     rayon::set_num_threads(0);
-    if complete {
+    if points.iter().all(|p| p.stats.trials == trials) {
         Ok(ms)
     } else {
         Err(Failure::Failed("the campaign dropped trials".into()))
@@ -527,12 +369,12 @@ fn cmd_run(flags: &Flags) -> Outcome {
         "pamr-bench: profile {profile}, {trials} trials/point, seq (1 thread) vs par ({} threads)",
         report.threads
     );
-    for (id, exps) in [("fig7", fig7()), ("fig8", fig8()), ("fig9", fig9())] {
+    for (figure, exps) in campaign_figures().iter().enumerate() {
         let instances: usize = exps.iter().map(|e| e.points.len() * trials).sum();
-        let wall_ms_seq = time_group(&exps, trials, seed, 1)?;
-        let wall_ms_par = time_group(&exps, trials, seed, 0)?;
+        let wall_ms_seq = time_group(figure, trials, seed, 1)?;
+        let wall_ms_par = time_group(figure, trials, seed, 0)?;
         let fig = FigureBench {
-            id: id.into(),
+            id: format!("fig{}", figure + 7),
             instances,
             wall_ms_seq,
             wall_ms_par,
@@ -540,8 +382,8 @@ fn cmd_run(flags: &Flags) -> Outcome {
             trials_per_sec: instances as f64 / (wall_ms_par / 1e3),
         };
         eprintln!(
-            "  {id}: seq {:.0} ms, par {:.0} ms, speedup {:.2}x, {:.0} instances/s",
-            fig.wall_ms_seq, fig.wall_ms_par, fig.speedup, fig.trials_per_sec
+            "  {}: seq {:.0} ms, par {:.0} ms, speedup {:.2}x, {:.0} instances/s",
+            fig.id, fig.wall_ms_seq, fig.wall_ms_par, fig.speedup, fig.trials_per_sec
         );
         report.figures.push(fig);
     }
@@ -710,7 +552,7 @@ const LANES: &[Lane] = &[
 
 /// Measures one lane and wraps the result in its section.
 fn run_lane(lane: &Lane, flags: &Flags) -> Outcome<LaneSection> {
-    let params = flags.params();
+    let params = params(flags);
     let shown: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
     eprintln!("pamr-bench {}: {}", lane.name, shown.join(" "));
     let (optimized_ms, baseline_ms) = (lane.measure)(&params)

@@ -105,76 +105,96 @@ pub struct SmpRow {
     pub mean_power: f64,
 }
 
+/// Runs `trial` for every trial index on the work pool, one scratch per
+/// pool chunk, and returns the results in trial order.
+fn per_trial<T: Send>(
+    trials: usize,
+    trial: impl Fn(usize, &mut RouteScratch) -> T + Send + Sync,
+) -> Vec<T> {
+    let chunks: Vec<Vec<T>> = (0..trials)
+        .into_par_iter()
+        // pamr-lint: allow(D003, reason = "per-trial results are collected per fixed chunk and flattened in chunk order; no cross-thread float accumulation order is observable")
+        .fold(
+            || (Vec::new(), RouteScratch::new()),
+            |(mut out, mut scratch), t| {
+                out.push(trial(t, &mut scratch));
+                (out, scratch)
+            },
+        )
+        .map(|(out, _)| out)
+        .collect();
+    chunks.into_iter().flatten().collect()
+}
+
+/// Per column of `powers` (one row per trial, `None` on failure): its
+/// success count, and its mean power over the comparable set — the trials
+/// on which every column succeeded — whose trial indices come last.
+fn comparable_means(
+    powers: &[Vec<Option<f64>>],
+    columns: usize,
+) -> (Vec<usize>, Vec<f64>, Vec<usize>) {
+    let (mut successes, mut means, mut set) = (vec![0; columns], vec![0.0; columns], Vec::new());
+    for (t, row) in powers.iter().enumerate() {
+        for (count, p) in successes.iter_mut().zip(row) {
+            *count += p.is_some() as usize;
+        }
+        if row.iter().all(Option::is_some) {
+            set.push(t);
+            for (mean, p) in means.iter_mut().zip(row.iter().flatten()) {
+                *mean += p;
+            }
+        }
+    }
+    if !set.is_empty() {
+        for mean in &mut means {
+            *mean /= set.len() as f64;
+        }
+    }
+    (successes, means, set)
+}
+
 /// Sweeps the split factor of `SplitMp<PathRemover>` on heavy traffic
 /// (12 communications, U\[2000, 3400\] Mb/s) and reports success rates and
 /// mean power, plus the continuous-frequency Frank–Wolfe reference.
 pub fn smp_sweep(mesh: &Mesh, ss: &[usize], trials: usize, seed: u64) -> (Vec<SmpRow>, f64) {
     let gen = UniformWorkload::new(12, 2000.0, 3400.0);
     let model = PowerModel::kim_horowitz();
-    // Per trial, evaluate every s on the same instance (scratch reused
-    // across the trials of a chunk).
-    let chunks: Vec<Vec<(Vec<Option<f64>>, f64)>> = (0..trials)
-        .into_par_iter()
-        // pamr-lint: allow(D003, reason = "per-trial results are collected per fixed chunk and flattened in chunk order; no cross-thread float accumulation order is observable")
-        .fold(
-            || (Vec::new(), RouteScratch::new()),
-            |(mut out, mut scratch), t| {
-                let mut rng = SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0xD1B5_4A33));
-                let cs = gen.generate(mesh, &mut rng);
-                let powers: Vec<Option<f64>> = ss
-                    .iter()
-                    .map(|&s| {
-                        let r = SplitMp::new(PathRemover, s).route_with(&cs, &model, &mut scratch);
-                        r.power(&cs, &model).ok().map(|p| p.total())
-                    })
-                    .collect();
-                let fw = frank_wolfe(
-                    &cs,
-                    &PowerModel {
-                        scale: FrequencyScale::Continuous,
-                        ..model.clone()
-                    },
-                    100,
-                );
-                out.push((powers, fw.lower_bound));
-                (out, scratch)
+    // Per trial, evaluate every s on the same instance.
+    let (powers, fw_lbs): (Vec<Vec<Option<f64>>>, Vec<f64>) = per_trial(trials, |t, scratch| {
+        let mut rng = SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0xD1B5_4A33));
+        let cs = gen.generate(mesh, &mut rng);
+        let powers = ss
+            .iter()
+            .map(|&s| {
+                let r = SplitMp::new(PathRemover, s).route_with(&cs, &model, scratch);
+                r.power(&cs, &model).ok().map(|p| p.total())
+            })
+            .collect();
+        let fw = frank_wolfe(
+            &cs,
+            &PowerModel {
+                scale: FrequencyScale::Continuous,
+                ..model.clone()
             },
-        )
-        .map(|(out, _)| out)
-        .collect();
-    let per_trial: Vec<(Vec<Option<f64>>, f64)> = chunks.into_iter().flatten().collect();
-    let mut rows: Vec<SmpRow> = ss
-        .iter()
-        .map(|&s| SmpRow {
+            100,
+        );
+        (powers, fw.lower_bound)
+    })
+    .into_iter()
+    .unzip();
+    let (successes, means, set) = comparable_means(&powers, ss.len());
+    let mut fw_mean = set.iter().fold(0.0, |sum, &t| sum + fw_lbs[t]);
+    if !set.is_empty() {
+        fw_mean /= set.len() as f64;
+    }
+    let rows = (ss.iter().zip(successes).zip(means))
+        .map(|((&s, successes), mean_power)| SmpRow {
             s,
-            successes: 0,
-            mean_power: 0.0,
+            successes,
+            mean_power,
         })
         .collect();
-    // Comparable mean: instances where every s succeeded.
-    let mut comparable = 0usize;
-    let mut fw_sum = 0.0;
-    for (powers, fw_lb) in &per_trial {
-        for (row, p) in rows.iter_mut().zip(powers) {
-            if p.is_some() {
-                row.successes += 1;
-            }
-        }
-        if powers.iter().all(Option::is_some) {
-            comparable += 1;
-            fw_sum += fw_lb;
-            for (row, p) in rows.iter_mut().zip(powers) {
-                row.mean_power += p.unwrap();
-            }
-        }
-    }
-    if comparable > 0 {
-        for row in &mut rows {
-            row.mean_power /= comparable as f64;
-        }
-        fw_sum /= comparable as f64;
-    }
-    (rows, fw_sum)
+    (rows, fw_mean)
 }
 
 /// One row of the processing-order ablation.
@@ -199,57 +219,24 @@ pub fn order_sweep(mesh: &Mesh, trials: usize, seed: u64) -> Vec<OrderRow> {
         SortOrder::DecreasingLength,
         SortOrder::DecreasingDensity,
     ];
-    let chunks: Vec<Vec<Vec<Option<f64>>>> = (0..trials)
-        .into_par_iter()
-        // pamr-lint: allow(D003, reason = "per-trial results are collected per fixed chunk and flattened in chunk order; no cross-thread float accumulation order is observable")
-        .fold(
-            || (Vec::new(), RouteScratch::new()),
-            |(mut out, mut scratch), t| {
-                let mut rng = SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0xBF58_476D));
-                let cs = gen.generate(mesh, &mut rng);
-                out.push(
-                    orders
-                        .iter()
-                        .map(|&order| {
-                            let r = TwoBend { order }.route_with(&cs, &model, &mut scratch);
-                            r.power(&cs, &model).ok().map(|p| p.total())
-                        })
-                        .collect(),
-                );
-                (out, scratch)
-            },
-        )
-        .map(|(out, _)| out)
-        .collect();
-    let per_trial: Vec<Vec<Option<f64>>> = chunks.into_iter().flatten().collect();
-    let mut rows: Vec<OrderRow> = orders
-        .iter()
-        .map(|&order| OrderRow {
+    let powers = per_trial(trials, |t, scratch| {
+        let mut rng = SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0xBF58_476D));
+        let cs = gen.generate(mesh, &mut rng);
+        (orders.iter())
+            .map(|&order| {
+                let r = TwoBend { order }.route_with(&cs, &model, scratch);
+                r.power(&cs, &model).ok().map(|p| p.total())
+            })
+            .collect()
+    });
+    let (successes, means, _) = comparable_means(&powers, orders.len());
+    (orders.into_iter().zip(successes).zip(means))
+        .map(|((order, successes), mean_power)| OrderRow {
             order,
-            successes: 0,
-            mean_power: 0.0,
+            successes,
+            mean_power,
         })
-        .collect();
-    let mut comparable = 0usize;
-    for powers in &per_trial {
-        for (row, p) in rows.iter_mut().zip(powers) {
-            if p.is_some() {
-                row.successes += 1;
-            }
-        }
-        if powers.iter().all(Option::is_some) {
-            comparable += 1;
-            for (row, p) in rows.iter_mut().zip(powers) {
-                row.mean_power += p.unwrap();
-            }
-        }
-    }
-    if comparable > 0 {
-        for row in &mut rows {
-            row.mean_power /= comparable as f64;
-        }
-    }
-    rows
+        .collect()
 }
 
 #[cfg(test)]

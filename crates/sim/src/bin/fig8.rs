@@ -1,27 +1,6 @@
 //! Regenerates Figure 8: sensitivity to the size (average weight) of
 //! communications, for 10 / 20 / 40 communications.
 
-use pamr_sim::cli::{self, Options};
-use pamr_sim::experiments::{fig8, run_experiment_sharded};
-use pamr_sim::table::{failure_table, norm_inv_table, write_csv};
-
 fn main() {
-    let opts = Options::from_args().unwrap_or_else(cli::exit_usage);
-    let mesh = pamr_sim::paper_mesh();
-    let model = pamr_sim::paper_model();
-    for exp in fig8() {
-        println!("== {} — {} ==", exp.id, exp.title);
-        let res = run_experiment_sharded(&exp, &mesh, &model, opts.trials, opts.seed, opts.shard);
-        println!(
-            "normalised power inverse (x = {}, {} trials/point)",
-            exp.xlabel, opts.trials
-        );
-        print!("{}", norm_inv_table(&res));
-        println!("failure ratio");
-        print!("{}", failure_table(&res));
-        println!();
-        if let Some(dir) = &opts.csv {
-            write_csv(&res, dir).expect("writing CSV");
-        }
-    }
+    pamr_sim::cli::figure_main(1);
 }

@@ -1,6 +1,8 @@
-//! The multi-threaded campaign engine: fans the trials of every sweep
-//! point out over the rayon work-pool, with per-trial seeds and per-worker
-//! scratch reuse.
+//! The multi-threaded campaign engine: [`Campaign::run_grid`] walks the
+//! §6 grid (figure → experiment → point) and fans the trials of every
+//! sweep point out over the rayon work-pool, with per-trial seeds and
+//! per-worker scratch reuse. It is the one runner behind `summary`,
+//! `fig7`–`fig9`, `pamr shard` and `pamr-bench run`.
 //!
 //! The §6 campaign is embarrassingly parallel — every trial draws its own
 //! instance from a seed derived from `(experiment, point, trial)` and folds
@@ -16,8 +18,9 @@
 //!   link lists and reachability buffers across all trials of the chunk
 //!   instead of reallocating them per heuristic call.
 
-use crate::experiments::{campaign_figures, Experiment, ExperimentResult, SweepPoint};
+use crate::experiments::{campaign_figures, grid, SweepPoint};
 use crate::runner::run_instance_with;
+use crate::shard::{merge_partials, PartialPoint, ShardPartial};
 use crate::stats::PointStats;
 use pamr_mesh::Mesh;
 use pamr_power::PowerModel;
@@ -79,11 +82,6 @@ impl ShardSpec {
     pub fn owns(&self, point_index: usize) -> bool {
         point_index % self.count == self.index
     }
-
-    /// Is this the trivial single-process shard?
-    pub fn is_full(&self) -> bool {
-        self.count == 1
-    }
 }
 
 impl std::fmt::Display for ShardSpec {
@@ -108,7 +106,8 @@ pub struct Campaign<'a> {
     pub shard: ShardSpec,
     /// Shared per-mesh precompute handed (as `Arc` clones) to every worker
     /// chunk, so endpoint tables are built once per `(src, snk)` pair for
-    /// the whole campaign. `None` builds a fresh one per sweep point.
+    /// the whole campaign. `None`: [`Campaign::run_point`] builds a fresh
+    /// one per call, [`Campaign::run_grid`] one for the whole grid.
     /// Caching never changes results — the tables are pure functions of
     /// `(mesh, src, snk)` — so determinism and shard/merge byte-identity
     /// are untouched.
@@ -168,6 +167,22 @@ impl Default for ChunkAcc {
     }
 }
 
+impl<'a> Campaign<'a> {
+    /// A single-process campaign on the live engines: every sweep point
+    /// owned, a precompute built per run.
+    pub fn new(mesh: &'a Mesh, model: &'a PowerModel, trials: usize, seed: u64) -> Campaign<'a> {
+        Campaign {
+            mesh,
+            model,
+            trials,
+            seed,
+            shard: ShardSpec::FULL,
+            pre: None,
+            engine: EngineConfig::LIVE,
+        }
+    }
+}
+
 impl Campaign<'_> {
     /// Runs all trials of one sweep point in parallel and merges their
     /// statistics deterministically.
@@ -200,42 +215,45 @@ impl Campaign<'_> {
             .reduce(PointStats::default, PointStats::merge)
     }
 
-    /// Runs one experiment: `trials` instances per sweep point owned by
-    /// this campaign's shard (all points under [`ShardSpec::FULL`]).
-    pub fn run_experiment(&self, exp: &Experiment) -> ExperimentResult {
-        let points = exp
-            .points
-            .iter()
-            .enumerate()
-            .filter(|(pi, _)| self.shard.owns(*pi))
-            .map(|(pi, point)| (point.x, self.run_point(pi, point)))
-            .collect();
-        ExperimentResult { id: exp.id, points }
+    /// The one runner of the §6 grid: every sweep point this campaign's
+    /// shard owns, of figure group `figure` (0 = fig7, 1 = fig8, 2 = fig9)
+    /// or of all three (`None`), in canonical figure → experiment → point
+    /// order. Experiment `(fi, ei)` runs under
+    /// [`experiment_seed`]`(seed, fi, ei)` and each point through
+    /// [`Campaign::run_point`], so `summary`, `pamr shard` and `fig7`–`fig9`
+    /// compute the same per-point statistics. Without a caller's
+    /// precompute, one is built and shared by every point.
+    pub fn run_grid(&self, figure: Option<usize>) -> Vec<PartialPoint> {
+        let pre = self
+            .pre
+            .map_or_else(|| Arc::new(MeshPrecompute::new(*self.mesh)), Arc::clone);
+        let figures = campaign_figures();
+        grid(&figures)
+            .filter(|g| figure.is_none_or(|f| f == g.figure) && self.shard.owns(g.point_index))
+            .map(|g| PartialPoint {
+                figure: g.figure,
+                experiment: g.experiment,
+                exp_id: g.exp.id.to_string(),
+                point_index: g.point_index,
+                x: g.point.x,
+                stats: Campaign {
+                    seed: experiment_seed(self.seed, g.figure, g.experiment),
+                    pre: Some(&pre),
+                    ..*self
+                }
+                .run_point(g.point_index, g.point),
+            })
+            .collect()
     }
 
-    /// Runs the full §6 campaign (all nine sub-figures) and pools every
-    /// trial of every owned sweep point into one accumulator — the summary
-    /// statistics' input.
-    ///
-    /// Under a partial shard this pools only the owned points; recombining
-    /// the per-point partials of all shards in point order (not the pooled
-    /// accumulators!) reproduces the unsharded pooled value bit-for-bit —
-    /// that interleaving is what [`crate::shard::merge_partials`] does.
+    /// The whole §6 campaign pooled into one accumulator: [`merge_partials`]
+    /// over this campaign's one partial, the pooling `pamr merge` does over
+    /// N shards. Needs [`ShardSpec::FULL`]; a partial shard fails the
+    /// merge's completeness check.
     pub fn run_pooled(&self) -> PointStats {
-        let mut pooled = PointStats::default();
-        for (fi, fig) in campaign_figures().into_iter().enumerate() {
-            for (ei, exp) in fig.iter().enumerate() {
-                let sub = Campaign {
-                    seed: experiment_seed(self.seed, fi, ei),
-                    ..*self
-                };
-                let res = sub.run_experiment(exp);
-                for (_, stats) in res.points {
-                    pooled = pooled.merge(stats);
-                }
-            }
-        }
-        pooled
+        merge_partials(std::slice::from_ref(&ShardPartial::of(self)))
+            .expect("run_pooled needs the full shard")
+            .pooled
     }
 }
 
@@ -245,76 +263,36 @@ mod tests {
     use crate::experiments::WorkloadSpec;
     use pamr_workload::UniformWorkload;
 
-    fn tiny_experiment() -> Experiment {
-        Experiment {
-            id: "tiny",
-            title: "tiny",
-            xlabel: "n",
-            points: vec![
-                SweepPoint {
-                    x: 6.0,
-                    workload: WorkloadSpec::Uniform(UniformWorkload::new(6, 100.0, 1500.0)),
-                },
-                SweepPoint {
-                    x: 12.0,
-                    workload: WorkloadSpec::Uniform(UniformWorkload::new(12, 100.0, 2500.0)),
-                },
-            ],
-        }
-    }
-
-    /// Serialises the stats fields that must match bit-for-bit.
-    fn fingerprint(stats: &PointStats) -> String {
-        let mut s = format!(
-            "{}/{}/{}/{}",
-            stats.trials,
-            stats.best_successes,
-            stats.sum_best_inv.to_bits(),
-            stats.sum_best_static_frac.to_bits()
-        );
-        for agg in &stats.per_heur {
-            s.push_str(&format!(
-                "|{}:{}:{}:{}",
-                agg.successes,
-                agg.sum_norm_inv.to_bits(),
-                agg.sum_inv.to_bits(),
-                agg.sum_static_frac.to_bits(),
-            ));
-        }
-        s
+    fn tiny_points() -> Vec<SweepPoint> {
+        [(6, 1500.0), (12, 2500.0)]
+            .map(|(n, w_max)| SweepPoint {
+                x: n as f64,
+                workload: WorkloadSpec::Uniform(UniformWorkload::new(n, 100.0, w_max)),
+            })
+            .to_vec()
     }
 
     #[test]
     fn campaign_bit_identical_across_thread_counts() {
         let mesh = crate::paper_mesh();
         let model = crate::paper_model();
-        let exp = tiny_experiment();
-        let campaign = Campaign {
-            mesh: &mesh,
-            model: &model,
-            trials: 20,
-            seed: 42,
-            shard: ShardSpec::FULL,
-            pre: None,
-            engine: EngineConfig::LIVE,
-        };
+        let points = tiny_points();
+        let campaign = Campaign::new(&mesh, &model, 20, 42);
         let run = |threads: usize| {
             rayon::set_num_threads(threads);
-            let out = campaign.run_experiment(&exp);
+            let out: Vec<Vec<u64>> = (points.iter().enumerate())
+                .map(|(pi, point)| campaign.run_point(pi, point).fingerprint())
+                .collect();
             rayon::set_num_threads(0);
             out
         };
         let one = run(1);
         for threads in [2, 4, 9] {
-            let many = run(threads);
-            for ((xa, sa), (xb, sb)) in one.points.iter().zip(&many.points) {
-                assert_eq!(xa, xb);
-                assert_eq!(
-                    fingerprint(sa),
-                    fingerprint(sb),
-                    "{threads}-thread campaign diverged from 1-thread"
-                );
-            }
+            assert_eq!(
+                run(threads),
+                one,
+                "{threads}-thread campaign diverged from 1-thread"
+            );
         }
     }
 
@@ -376,64 +354,29 @@ mod tests {
     fn sharded_points_are_bit_equal_to_the_full_run() {
         let mesh = crate::paper_mesh();
         let model = crate::paper_model();
-        let exp = tiny_experiment();
-        let full = Campaign {
-            mesh: &mesh,
-            model: &model,
-            trials: 8,
-            seed: 11,
-            shard: ShardSpec::FULL,
-            pre: None,
-            engine: EngineConfig::LIVE,
-        };
-        let all = full.run_experiment(&exp);
+        let full = Campaign::new(&mesh, &model, 2, 11);
+        // Figure 8: its 40 sweep points route at most 40 communications.
+        let key = |p: &PartialPoint| (p.figure, p.experiment, p.point_index, p.x.to_bits());
+        let all = full.run_grid(Some(1));
         for count in [2, 3] {
-            let mut got: Vec<Option<(f64, PointStats)>> = vec![None; exp.points.len()];
-            for index in 0..count {
-                let sharded = Campaign {
-                    shard: ShardSpec::new(index, count),
-                    ..full
-                };
-                let part = sharded.run_experiment(&exp);
-                for (k, (x, stats)) in part.points.into_iter().enumerate() {
-                    let pi = index + k * count;
-                    assert!(got[pi].replace((x, stats)).is_none(), "point {pi} twice");
-                }
-            }
-            for (pi, ((xa, sa), slot)) in all.points.iter().zip(&got).enumerate() {
-                let (xb, sb) = slot
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("point {pi} missing"));
-                assert_eq!(xa, xb);
+            let mut got: Vec<PartialPoint> = (0..count)
+                .flat_map(|index| {
+                    let shard = ShardSpec::new(index, count);
+                    Campaign { shard, ..full }.run_grid(Some(1))
+                })
+                .collect();
+            got.sort_by_key(key);
+            assert_eq!(got.len(), all.len(), "{count} shards do not cover fig8");
+            for (a, b) in all.iter().zip(&got) {
+                assert_eq!(key(a), key(b));
                 assert_eq!(
-                    fingerprint(sa),
-                    fingerprint(sb),
-                    "shard {count}-way diverged at point {pi}"
+                    a.stats.fingerprint(),
+                    b.stats.fingerprint(),
+                    "shard {count}-way diverged at {} point {}",
+                    a.exp_id,
+                    a.point_index
                 );
             }
         }
-    }
-
-    #[test]
-    fn pooled_campaign_counts_every_trial() {
-        let mesh = crate::paper_mesh();
-        let model = crate::paper_model();
-        let campaign = Campaign {
-            mesh: &mesh,
-            model: &model,
-            trials: 1,
-            seed: 3,
-            shard: ShardSpec::FULL,
-            pre: None,
-            engine: EngineConfig::LIVE,
-        };
-        let pooled = campaign.run_pooled();
-        // Nine sub-figures, each with its sweep points, one trial each.
-        let expected: usize = campaign_figures()
-            .iter()
-            .flatten()
-            .map(|e| e.points.len())
-            .sum();
-        assert_eq!(pooled.trials, expected);
     }
 }

@@ -1,10 +1,8 @@
-//! The figure definitions of §6 (the sweep runner lives in
-//! [`crate::campaign`]).
+//! The figure definitions of §6 and the canonical walk over them (the
+//! sweep runner lives in [`crate::campaign`]).
 
-use crate::campaign::{Campaign, ShardSpec};
 use crate::stats::PointStats;
 use pamr_mesh::Mesh;
-use pamr_power::PowerModel;
 use pamr_routing::CommSet;
 use pamr_workload::{LengthTargetedWorkload, UniformWorkload};
 use rand::rngs::SmallRng;
@@ -105,11 +103,8 @@ pub fn fig7() -> Vec<Experiment> {
 
 /// Figure 8: sensitivity to the **size** (weight) of communications.
 ///
-/// The paper's sharp performance cliff at 1750 Mb/s ("as soon as the weight
-/// of every communication reaches 1751 Mb/s, two communications cannot
-/// share the same link") implies a narrow weight distribution per point; we
-/// draw every weight exactly at the swept average (documented in
-/// DESIGN.md).
+/// Every weight is drawn exactly at the swept average; PAPER.md's
+/// "Reproduction notes" give the reason.
 ///
 /// * (a) 10 communications, w̄ ∈ 100..3500;
 /// * (b) 20 communications, same sweep;
@@ -193,50 +188,43 @@ pub fn fig9() -> Vec<Experiment> {
     ]
 }
 
-/// The canonical figure groups of the pooled §6 campaign, in pooling
-/// order. Single source of truth for [`Campaign::run_pooled`] and the
-/// shard merge ([`crate::shard`]): both must walk the identical
-/// figure → experiment → point sequence for the byte-identity contract
-/// to hold.
+/// The canonical figure groups of the §6 campaign, in pooling order:
+/// fig7, fig8, fig9.
 pub fn campaign_figures() -> [Vec<Experiment>; 3] {
     [fig7(), fig8(), fig9()]
 }
 
-/// Runs one experiment: `trials` random instances per sweep point, in
-/// parallel, deterministically derived from `seed` (a thin wrapper over
-/// [`Campaign::run_experiment`]).
-pub fn run_experiment(
-    exp: &Experiment,
-    mesh: &Mesh,
-    model: &PowerModel,
-    trials: usize,
-    seed: u64,
-) -> ExperimentResult {
-    run_experiment_sharded(exp, mesh, model, trials, seed, ShardSpec::FULL)
+/// One sweep point of the campaign grid with its canonical coordinates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GridPoint<'a> {
+    /// Figure group index (0 = fig7, 1 = fig8, 2 = fig9).
+    pub figure: usize,
+    /// Experiment index within the figure group.
+    pub experiment: usize,
+    /// Sweep-point index within the experiment.
+    pub point_index: usize,
+    /// The experiment the point belongs to.
+    pub exp: &'a Experiment,
+    /// The point itself.
+    pub point: &'a SweepPoint,
 }
 
-/// [`run_experiment`] restricted to the sweep points owned by `shard`
-/// (`p % shard.count == shard.index`). Per-point statistics are bit-equal
-/// to the unsharded run's; only the non-owned points are absent.
-pub fn run_experiment_sharded(
-    exp: &Experiment,
-    mesh: &Mesh,
-    model: &PowerModel,
-    trials: usize,
-    seed: u64,
-    shard: ShardSpec,
-) -> ExperimentResult {
-    let pre = std::sync::Arc::new(pamr_routing::MeshPrecompute::new(*mesh));
-    Campaign {
-        mesh,
-        model,
-        trials,
-        seed,
-        shard,
-        pre: Some(&pre),
-        engine: pamr_routing::EngineConfig::LIVE,
-    }
-    .run_experiment(exp)
+/// Walks the [`campaign_figures`] grid in canonical figure → experiment →
+/// point order: the order the runner ([`crate::Campaign::run_grid`]) runs
+/// points in and the shard merge ([`crate::shard`]) pools them in, so the
+/// two agree bit for bit.
+pub(crate) fn grid(figures: &[Vec<Experiment>; 3]) -> impl Iterator<Item = GridPoint<'_>> {
+    figures.iter().enumerate().flat_map(|(figure, fig)| {
+        fig.iter().enumerate().flat_map(move |(experiment, exp)| {
+            (exp.points.iter().enumerate()).map(move |(point_index, point)| GridPoint {
+                figure,
+                experiment,
+                point_index,
+                exp,
+                point,
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -265,27 +253,30 @@ mod tests {
     fn small_sweep_runs_and_is_deterministic() {
         let mesh = crate::paper_mesh();
         let model = crate::paper_model();
-        let exp = Experiment {
-            id: "test",
-            title: "test",
-            xlabel: "n",
-            points: vec![SweepPoint {
-                x: 10.0,
-                workload: WorkloadSpec::Uniform(UniformWorkload::new(10, 100.0, 1500.0)),
-            }],
+        let point = SweepPoint {
+            x: 10.0,
+            workload: WorkloadSpec::Uniform(UniformWorkload::new(10, 100.0, 1500.0)),
         };
-        let a = run_experiment(&exp, &mesh, &model, 8, 42);
-        let b = run_experiment(&exp, &mesh, &model, 8, 42);
-        let (x, sa) = &a.points[0];
-        let (_, sb) = &b.points[0];
-        assert_eq!(*x, 10.0);
+        let campaign = crate::Campaign::new(&mesh, &model, 8, 42);
+        let sa = campaign.run_point(0, &point);
+        let sb = campaign.run_point(0, &point);
         assert_eq!(sa.trials, 8);
+        assert_eq!(sa.fingerprint(), sb.fingerprint(), "non-deterministic");
         for k in HeuristicKind::ALL {
-            assert_eq!(sa.norm_inv(k), sb.norm_inv(k), "{k} non-deterministic");
             assert!(sa.norm_inv(k) <= 1.0 + 1e-12);
         }
         // With 10 small comms, Manhattan heuristics should essentially
         // always find a solution.
         assert!(sa.best_failure_ratio() < 0.5);
+    }
+
+    #[test]
+    fn grid_walks_every_point_once_in_canonical_order() {
+        let figures = campaign_figures();
+        let coords: Vec<_> = grid(&figures)
+            .map(|g| (g.figure, g.experiment, g.point_index))
+            .collect();
+        assert_eq!(coords.len(), 122);
+        assert!(coords.windows(2).all(|w| w[0] < w[1]));
     }
 }

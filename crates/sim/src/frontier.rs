@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 use crate::campaign::ShardSpec;
-use crate::shard::MergeError;
+use crate::shard::{check_shard_set, MergeError, ShardedPartial};
 
 /// On-disk format version of [`FrontierPartial`]. Bump on any change to
 /// the partial's shape so stale files fail loudly at merge time.
@@ -107,90 +107,50 @@ impl FrontierPartial {
     }
 }
 
+impl ShardedPartial for FrontierPartial {
+    type Item = SegmentPoints;
+    type Key = usize;
+    const SCHEMA: u32 = FRONTIER_SCHEMA;
+
+    fn header(&self) -> (u32, usize, usize) {
+        (self.schema, self.shard_index, self.shard_count)
+    }
+
+    fn params(&self) -> [(&'static str, u64); 2] {
+        [
+            ("segments", self.segments as u64),
+            ("split", self.split as u64),
+        ]
+    }
+
+    fn items(&self) -> &[SegmentPoints] {
+        &self.owned
+    }
+
+    fn locate(sp: &SegmentPoints) -> (usize, usize, String) {
+        let index = sp.segment.index;
+        (index, index, format!("segment {index}"))
+    }
+}
+
 /// Recombines the partials of a sharded frontier sweep into the report the
 /// single-process run prints.
 ///
-/// Validates that the partials form one complete, consistent sweep (same
-/// schema/segments/split/shard count, every shard present exactly once,
-/// every segment covered exactly once by its owning shard, budgets
-/// bit-consistent across shards), then concatenates the per-segment points
-/// in ascending segment order — the exact order
-/// [`frontier_points`](pamr_routing::frontier_points) uses —
-/// and dominance-filters, so the result is bit-identical to the unsharded
+/// After the shard-set check every segment must lie in `0..segments` and,
+/// unless every shard found the instance infeasible, be present. The
+/// per-segment points are concatenated in ascending segment order — the
+/// order [`frontier_points`](pamr_routing::frontier_points) uses — and
+/// dominance-filtered, so the result is bit-identical to the unsharded
 /// sweep.
 pub fn merge_frontier(partials: &[FrontierPartial]) -> Result<FrontierReport, MergeError> {
-    let first = partials.first().ok_or(MergeError::Empty)?;
-    for p in partials {
-        if p.schema != FRONTIER_SCHEMA {
-            return Err(MergeError::Schema { found: p.schema });
-        }
-        if p.segments != first.segments {
-            return Err(MergeError::Inconsistent(format!(
-                "segments {} vs {}",
-                p.segments, first.segments
-            )));
-        }
-        if p.split != first.split {
-            return Err(MergeError::Inconsistent(format!(
-                "split {} vs {}",
-                p.split, first.split
-            )));
-        }
-        if p.shard_count != first.shard_count {
-            return Err(MergeError::Inconsistent(format!(
-                "shard count {} vs {}",
-                p.shard_count, first.shard_count
-            )));
-        }
-        if p.shard_index >= p.shard_count {
-            return Err(MergeError::Inconsistent(format!(
-                "shard index {} out of range 0..{}",
-                p.shard_index, p.shard_count
-            )));
-        }
+    let by_index = check_shard_set(partials)?;
+    let first = &partials[0];
+    if let Some(&stray) = by_index.keys().find(|&&i| i >= first.segments) {
+        return Err(MergeError::BadPoint(format!(
+            "segment {stray} out of range 0..{}",
+            first.segments
+        )));
     }
-    let count = first.shard_count;
-    let mut present = vec![false; count];
-    for p in partials {
-        if std::mem::replace(&mut present[p.shard_index], true) {
-            return Err(MergeError::DuplicateShard(p.shard_index));
-        }
-    }
-    let missing: Vec<usize> = (0..count).filter(|&i| !present[i]).collect();
-    if !missing.is_empty() {
-        return Err(MergeError::MissingShards(missing));
-    }
-
-    // Index the delivered segments by index, validating ownership and
-    // uniqueness; budgets must agree bit-for-bit where shards overlap in
-    // provenance (they recompute the same linear spacing).
-    let mut by_index: std::collections::BTreeMap<usize, &SegmentPoints> =
-        std::collections::BTreeMap::new();
-    for p in partials {
-        let shard = ShardSpec::new(p.shard_index, count);
-        for sp in &p.owned {
-            if sp.segment.index >= first.segments {
-                return Err(MergeError::BadPoint(format!(
-                    "segment {} out of range 0..{}",
-                    sp.segment.index, first.segments
-                )));
-            }
-            if !shard.owns(sp.segment.index) {
-                return Err(MergeError::BadPoint(format!(
-                    "segment {} delivered by shard {} which does not own it",
-                    sp.segment.index, p.shard_index
-                )));
-            }
-            if by_index.insert(sp.segment.index, sp).is_some() {
-                return Err(MergeError::BadPoint(format!(
-                    "segment {} delivered twice",
-                    sp.segment.index
-                )));
-            }
-        }
-    }
-    // Either the sweep was empty for every shard (infeasible instance) or
-    // every segment must be present.
     let mut all = Vec::new();
     if !by_index.is_empty() {
         for index in 0..first.segments {
@@ -203,7 +163,7 @@ pub fn merge_frontier(partials: &[FrontierPartial]) -> Result<FrontierReport, Me
     Ok(FrontierReport {
         segments: first.segments,
         split: first.split,
-        shard_count: count,
+        shard_count: first.shard_count,
         pareto: pareto_filter(all),
     })
 }

@@ -6,7 +6,7 @@
 //! A merge step ([`merge_partials`], `pamr merge part_*.json`) recombines
 //! the partials and renders the identical §6.4 report.
 //!
-//! **Byte-determinism.** Two properties make the recombination exact, the
+//! **Byte-determinism.** Three properties make the recombination exact, the
 //! same associative-merge structure Pettersson & Ozlen (arXiv:1701.08920)
 //! exploit for parallel bi-objective sweeps:
 //!
@@ -19,17 +19,21 @@
 //!   mathematically equivalent;
 //! * the JSON round trip is exact (shortest round-trip float formatting).
 //!
-//! Hence `pamr shard` × N + `pamr merge` reproduces `summary`'s stdout
-//! byte-for-byte, which the CI `shard-merge` job enforces with `diff`.
+//! `summary` is [`merge_partials`] over one full partial, so `summary` and
+//! `pamr shard` × N + `pamr merge` share one pooling loop and print the
+//! same bytes, which the CI `shard-merge` job enforces with `diff`.
+//! [`merge_figures`] recombines the same partials into the Figure 7–9
+//! tables `fig7`–`fig9` print.
 
-use crate::campaign::{experiment_seed, Campaign, ShardSpec};
-use crate::experiments::{campaign_figures, ExperimentResult};
+use crate::campaign::{Campaign, ShardSpec};
+use crate::experiments::{campaign_figures, grid, ExperimentResult};
 use crate::stats::PointStats;
 use crate::summary::Summary;
 use pamr_mesh::Mesh;
 use pamr_power::PowerModel;
 use pamr_routing::HeuristicKind;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Format version of the partial-result JSON.
@@ -80,43 +84,22 @@ impl ShardPartial {
         seed: u64,
         shard: ShardSpec,
     ) -> ShardPartial {
-        let mut points = Vec::new();
-        // One shared precompute across every figure/experiment this shard
-        // owns — same sharing as the pooled campaign, with no effect on the
-        // bit-identity of the partials (tables are pure per-endpoint data).
-        let pre = std::sync::Arc::new(pamr_routing::MeshPrecompute::new(*mesh));
-        for (fi, fig) in campaign_figures().into_iter().enumerate() {
-            for (ei, exp) in fig.iter().enumerate() {
-                let sub = Campaign {
-                    mesh,
-                    model,
-                    trials,
-                    seed: experiment_seed(seed, fi, ei),
-                    shard,
-                    pre: Some(&pre),
-                    engine: pamr_routing::EngineConfig::LIVE,
-                };
-                for (pi, point) in exp.points.iter().enumerate() {
-                    if shard.owns(pi) {
-                        points.push(PartialPoint {
-                            figure: fi,
-                            experiment: ei,
-                            exp_id: exp.id.to_string(),
-                            point_index: pi,
-                            x: point.x,
-                            stats: sub.run_point(pi, point),
-                        });
-                    }
-                }
-            }
-        }
+        ShardPartial::of(&Campaign {
+            shard,
+            ..Campaign::new(mesh, model, trials, seed)
+        })
+    }
+
+    /// The partial of `campaign`: [`Campaign::run_grid`] over all three
+    /// figure groups, under the campaign's header.
+    pub(crate) fn of(campaign: &Campaign) -> ShardPartial {
         ShardPartial {
             schema: PARTIAL_SCHEMA,
-            shard_index: shard.index,
-            shard_count: shard.count,
-            trials,
-            seed,
-            points,
+            shard_index: campaign.shard.index,
+            shard_count: campaign.shard.count,
+            trials: campaign.trials,
+            seed: campaign.seed,
+            points: campaign.run_grid(None),
         }
     }
 
@@ -198,169 +181,166 @@ impl MergedCampaign {
     }
 }
 
-/// One sweep point of the fully-validated canonical campaign grid, in
-/// figure → experiment → point order.
-struct GridPoint<'a> {
-    figure: usize,
-    experiment: usize,
-    x: f64,
-    stats: &'a PointStats,
+/// A partial format the shard-set check reads: the campaign partials of
+/// `pamr shard` and the frontier partials of `pamr frontier --shard`.
+pub(crate) trait ShardedPartial {
+    /// One delivered item: a sweep point or a segment.
+    type Item;
+    /// Where an item sits in the whole run.
+    type Key: Ord;
+    /// The format version this build reads and writes.
+    const SCHEMA: u32;
+    /// `(schema, shard index, shard count)` as the file states them.
+    fn header(&self) -> (u32, usize, usize);
+    /// The run parameters every partial of one set must share, by name.
+    fn params(&self) -> [(&'static str, u64); 2];
+    /// The delivered items.
+    fn items(&self) -> &[Self::Item];
+    /// An item's key, the index that picks its owning shard, and its name
+    /// in error messages.
+    fn locate(item: &Self::Item) -> (Self::Key, usize, String);
 }
 
-/// Campaign header of a validated partial set: `(trials, seed, shard
-/// count)`.
-type CampaignHeader = (usize, u64, usize);
+impl ShardedPartial for ShardPartial {
+    type Item = PartialPoint;
+    type Key = (usize, usize, usize);
+    const SCHEMA: u32 = PARTIAL_SCHEMA;
 
-/// Validates a set of shard partials (same checks as [`merge_partials`])
-/// and returns every sweep point of the campaign grid in canonical
-/// figure → experiment → point order, together with the campaign header.
-fn validate_and_order(
-    partials: &[ShardPartial],
-) -> Result<(CampaignHeader, Vec<GridPoint<'_>>), MergeError> {
-    let first = partials.first().ok_or(MergeError::Empty)?;
-    for p in partials {
-        if p.schema != PARTIAL_SCHEMA {
-            return Err(MergeError::Schema { found: p.schema });
-        }
-        if p.trials != first.trials {
-            return Err(MergeError::Inconsistent(format!(
-                "trials {} vs {}",
-                p.trials, first.trials
-            )));
-        }
-        if p.seed != first.seed {
-            return Err(MergeError::Inconsistent(format!(
-                "seed {} vs {}",
-                p.seed, first.seed
-            )));
-        }
-        if p.shard_count != first.shard_count {
-            return Err(MergeError::Inconsistent(format!(
-                "shard count {} vs {}",
-                p.shard_count, first.shard_count
-            )));
-        }
-        if p.shard_index >= p.shard_count {
-            return Err(MergeError::Inconsistent(format!(
-                "shard index {} out of range 0..{}",
-                p.shard_index, p.shard_count
-            )));
-        }
+    fn header(&self) -> (u32, usize, usize) {
+        (self.schema, self.shard_index, self.shard_count)
     }
-    let count = first.shard_count;
+
+    fn params(&self) -> [(&'static str, u64); 2] {
+        [("trials", self.trials as u64), ("seed", self.seed)]
+    }
+
+    fn items(&self) -> &[PartialPoint] {
+        &self.points
+    }
+
+    fn locate(pt: &PartialPoint) -> (Self::Key, usize, String) {
+        let label = format!("{} point {}", pt.exp_id, pt.point_index);
+        (
+            (pt.figure, pt.experiment, pt.point_index),
+            pt.point_index,
+            label,
+        )
+    }
+}
+
+/// The one shard-set check behind [`merge_partials`], [`merge_figures`]
+/// and [`merge_frontier`](crate::frontier::merge_frontier): every partial
+/// carries this build's schema and the first partial's run parameters and
+/// shard count, every shard index in `0..count` appears exactly once, and
+/// every item comes once, from the shard that owns it. Returns the items
+/// by key.
+pub(crate) fn check_shard_set<P: ShardedPartial>(
+    partials: &[P],
+) -> Result<BTreeMap<P::Key, &P::Item>, MergeError> {
+    let first = partials.first().ok_or(MergeError::Empty)?;
+    let (_, _, count) = first.header();
     let mut present = vec![false; count];
     for p in partials {
-        if std::mem::replace(&mut present[p.shard_index], true) {
-            return Err(MergeError::DuplicateShard(p.shard_index));
+        let (schema, index, n) = p.header();
+        if schema != P::SCHEMA {
+            return Err(MergeError::Schema { found: schema });
+        }
+        for ((name, want), (_, got)) in first.params().into_iter().zip(p.params()) {
+            if got != want {
+                return Err(MergeError::Inconsistent(format!("{name} {got} vs {want}")));
+            }
+        }
+        if n != count {
+            return Err(MergeError::Inconsistent(format!(
+                "shard count {n} vs {count}"
+            )));
+        }
+        if index >= count {
+            return Err(MergeError::Inconsistent(format!(
+                "shard index {index} out of range 0..{count}"
+            )));
+        }
+        if std::mem::replace(&mut present[index], true) {
+            return Err(MergeError::DuplicateShard(index));
         }
     }
     let missing: Vec<usize> = (0..count).filter(|&i| !present[i]).collect();
     if !missing.is_empty() {
         return Err(MergeError::MissingShards(missing));
     }
-
-    // Index every delivered point by its canonical coordinates. Ordered so
-    // the stray-point error below always names the smallest coordinate.
-    let mut by_coord: std::collections::BTreeMap<(usize, usize, usize), &PartialPoint> =
-        std::collections::BTreeMap::new();
+    let mut items = BTreeMap::new();
     for p in partials {
-        let shard = ShardSpec::new(p.shard_index, count);
-        for pt in &p.points {
-            if !shard.owns(pt.point_index) {
+        let (_, index, _) = p.header();
+        for item in p.items() {
+            let (key, owner, label) = P::locate(item);
+            if !ShardSpec::new(index, count).owns(owner) {
                 return Err(MergeError::BadPoint(format!(
-                    "{} point {} delivered by shard {} which does not own it",
-                    pt.exp_id, pt.point_index, p.shard_index
+                    "{label} delivered by shard {index} which does not own it"
                 )));
             }
-            // Validate the statistics payload itself: a hand-edited or
-            // version-skewed partial with the wrong policy count (or a
-            // trial count disagreeing with the header) would otherwise
-            // merge silently into a wrong report, because
-            // `PointStats::merge` zips per-policy slots positionally.
-            if pt.stats.per_heur.len() != HeuristicKind::ALL.len() {
-                return Err(MergeError::BadPoint(format!(
-                    "{} point {} carries {} per-policy aggregates, expected {}",
-                    pt.exp_id,
-                    pt.point_index,
-                    pt.stats.per_heur.len(),
-                    HeuristicKind::ALL.len()
-                )));
-            }
-            if pt.stats.trials != first.trials {
-                return Err(MergeError::BadPoint(format!(
-                    "{} point {} accumulated {} trials, expected {}",
-                    pt.exp_id, pt.point_index, pt.stats.trials, first.trials
-                )));
-            }
-            if by_coord
-                .insert((pt.figure, pt.experiment, pt.point_index), pt)
-                .is_some()
-            {
-                return Err(MergeError::BadPoint(format!(
-                    "{} point {} delivered twice",
-                    pt.exp_id, pt.point_index
-                )));
+            if items.insert(key, item).is_some() {
+                return Err(MergeError::BadPoint(format!("{label} delivered twice")));
             }
         }
     }
+    Ok(items)
+}
 
-    // Walk the canonical grid, consuming every delivered point.
+/// Validates a set of campaign partials and returns every sweep point of
+/// the grid in canonical figure → experiment → point order. Besides the
+/// shard-set check, each point must sit where the grid puts it (id and x)
+/// and carry one aggregate per policy over the header's trial count:
+/// [`PointStats::merge`] zips per-policy slots positionally, so a skewed
+/// payload would otherwise merge silently into a wrong report.
+fn validate_and_order(partials: &[ShardPartial]) -> Result<Vec<&PartialPoint>, MergeError> {
+    let mut by_coord = check_shard_set(partials)?;
+    let (trials, policies) = (partials[0].trials, HeuristicKind::ALL.len());
+    let figures = campaign_figures();
     let mut ordered = Vec::with_capacity(by_coord.len());
-    for (fi, fig) in campaign_figures().into_iter().enumerate() {
-        for (ei, exp) in fig.iter().enumerate() {
-            for (pi, point) in exp.points.iter().enumerate() {
-                let pt = by_coord.remove(&(fi, ei, pi)).ok_or_else(|| {
-                    MergeError::BadPoint(format!("{} point {pi} missing", exp.id))
-                })?;
-                if pt.exp_id != exp.id {
-                    return Err(MergeError::BadPoint(format!(
-                        "coordinate ({fi},{ei}) labelled {:?}, expected {:?}",
-                        pt.exp_id, exp.id
-                    )));
-                }
-                if pt.x.to_bits() != point.x.to_bits() {
-                    return Err(MergeError::BadPoint(format!(
-                        "{} point {pi} has x = {}, expected {}",
-                        exp.id, pt.x, point.x
-                    )));
-                }
-                ordered.push(GridPoint {
-                    figure: fi,
-                    experiment: ei,
-                    x: pt.x,
-                    stats: &pt.stats,
-                });
-            }
+    for g in grid(&figures) {
+        let (id, pi, x) = (g.exp.id, g.point_index, g.point.x);
+        let bad = |what: String| MergeError::BadPoint(format!("{id} point {pi} {what}"));
+        let pt = (by_coord.remove(&(g.figure, g.experiment, pi)))
+            .ok_or_else(|| bad("missing".into()))?;
+        if pt.exp_id != id || pt.x.to_bits() != x.to_bits() {
+            return Err(bad(format!(
+                "arrived as {} at x = {}, expected x = {x}",
+                pt.exp_id, pt.x
+            )));
         }
+        let (found, n) = (pt.stats.per_heur.len(), pt.stats.trials);
+        if found != policies || n != trials {
+            return Err(bad(format!(
+                "carries {found} per-policy aggregates over {n} trials, expected {policies} over {trials}"
+            )));
+        }
+        ordered.push(pt);
     }
-    if let Some(stray) = by_coord.keys().next() {
-        return Err(MergeError::BadPoint(format!(
+    match by_coord.keys().next() {
+        Some(stray) => Err(MergeError::BadPoint(format!(
             "unknown sweep point at coordinate {stray:?}"
-        )));
+        ))),
+        None => Ok(ordered),
     }
-    Ok(((first.trials, first.seed, count), ordered))
 }
 
 /// Recombines the partials of a sharded campaign.
 ///
-/// Validates that the partials form one complete, consistent campaign
-/// (same schema/trials/seed/shard count, every shard present exactly once,
-/// every sweep point of every experiment covered exactly once by its
-/// owning shard), then pools the per-point statistics in the canonical
-/// figure → experiment → point order — the exact addition sequence of
-/// [`Campaign::run_pooled`], so the result is bit-identical to the
-/// single-process run.
+/// Validates that the partials form one complete, consistent campaign,
+/// then pools the per-point statistics in the canonical figure →
+/// experiment → point order. This is the campaign's one pooling loop:
+/// [`Campaign::run_pooled`] (and so `summary`) is this merge over one full
+/// partial, so N shards recombine bit-identically to one process.
 pub fn merge_partials(partials: &[ShardPartial]) -> Result<MergedCampaign, MergeError> {
-    let ((trials, seed, shard_count), ordered) = validate_and_order(partials)?;
-    let mut pooled = PointStats::default();
-    for pt in ordered {
-        pooled = pooled.merge(pt.stats.clone());
-    }
+    let ordered = validate_and_order(partials)?;
+    let first = &partials[0];
     Ok(MergedCampaign {
-        trials,
-        seed,
-        shard_count,
-        pooled,
+        trials: first.trials,
+        seed: first.seed,
+        shard_count: first.shard_count,
+        pooled: (ordered.into_iter()).fold(PointStats::default(), |pooled, pt| {
+            pooled.merge(pt.stats.clone())
+        }),
     })
 }
 
@@ -369,36 +349,34 @@ pub fn merge_partials(partials: &[ShardPartial]) -> Result<MergedCampaign, Merge
 /// instead of the pooled §6.4 accumulator.
 ///
 /// Returns one `Vec<ExperimentResult>` per figure group, in the canonical
-/// fig7 → fig8 → fig9 order, after the same completeness and consistency
-/// validation as [`merge_partials`]. Every per-point statistic is the
-/// bit-exact value the unsharded campaign computes (per-point trial seeds
-/// depend only on indices), so tables rendered from the recombined results
-/// equal the unsharded tables byte for byte — `crates/sim/tests/
-/// shard_figures.rs` gates this for 2- and 3-shard runs.
-///
-/// Note the pooled-campaign seeding: experiment `(fi, ei)` runs under
-/// [`experiment_seed`]`(seed, fi, ei)`, exactly like `pamr shard` /
-/// [`Campaign::run_pooled`] — not like the standalone `fig7` binary, which
-/// feeds its master seed to every experiment unchanged.
+/// fig7 → fig8 → fig9 order, after the same validation as
+/// [`merge_partials`]. Every per-point statistic is the bit-exact value
+/// `fig7`–`fig9` compute, so `pamr merge --figures` prints exactly what
+/// those binaries print (`crates/sim/tests/shard_figures.rs` gates this).
 pub fn merge_figures(partials: &[ShardPartial]) -> Result<Vec<Vec<ExperimentResult>>, MergeError> {
-    let (_, ordered) = validate_and_order(partials)?;
-    let mut figures: Vec<Vec<ExperimentResult>> = campaign_figures()
-        .into_iter()
-        .map(|fig| {
-            fig.iter()
-                .map(|exp| ExperimentResult {
-                    id: exp.id,
-                    points: Vec::with_capacity(exp.points.len()),
-                })
-                .collect()
+    let ordered = validate_and_order(partials)?;
+    Ok((0..3)
+        .map(|fi| figure_results(fi, ordered.iter().copied()))
+        .collect())
+}
+
+/// Gathers the points of figure group `figure` (canonical order) into one
+/// [`ExperimentResult`] per sub-figure.
+pub(crate) fn figure_results<'a>(
+    figure: usize,
+    points: impl IntoIterator<Item = &'a PartialPoint>,
+) -> Vec<ExperimentResult> {
+    let mut results: Vec<ExperimentResult> = campaign_figures()[figure]
+        .iter()
+        .map(|exp| ExperimentResult {
+            id: exp.id,
+            points: Vec::new(),
         })
         .collect();
-    for pt in ordered {
-        figures[pt.figure][pt.experiment]
-            .points
-            .push((pt.x, pt.stats.clone()));
+    for pt in points.into_iter().filter(|pt| pt.figure == figure) {
+        results[pt.experiment].points.push((pt.x, pt.stats.clone()));
     }
-    Ok(figures)
+    results
 }
 
 #[cfg(test)]

@@ -126,6 +126,29 @@ impl PointStats {
         }
     }
 
+    /// Every deterministic field, bit for bit, in the order the golden
+    /// §6.4 fixture stores them: trials, BEST's counters, then per policy
+    /// successes, `sum_norm_inv`, `sum_inv` and `sum_static_frac`. The
+    /// wall-clock `sum_micros` is left out. Equal fingerprints mean equal
+    /// statistics; the determinism and shard tests compare these.
+    pub fn fingerprint(&self) -> Vec<u64> {
+        let mut out = vec![
+            self.trials as u64,
+            self.best_successes as u64,
+            self.sum_best_inv.to_bits(),
+            self.sum_best_static_frac.to_bits(),
+        ];
+        for agg in &self.per_heur {
+            out.extend([
+                agg.successes as u64,
+                agg.sum_norm_inv.to_bits(),
+                agg.sum_inv.to_bits(),
+                agg.sum_static_frac.to_bits(),
+            ]);
+        }
+        out
+    }
+
     /// Mean routing time of a policy in milliseconds.
     pub fn mean_millis(&self, kind: HeuristicKind) -> f64 {
         if self.trials == 0 {

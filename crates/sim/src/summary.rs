@@ -1,7 +1,7 @@
 //! The §6.4 aggregate statistics: success rates, inverse-power ratios
 //! versus XY, static-power fraction, mean runtimes.
 
-use crate::campaign::{Campaign, ShardSpec};
+use crate::campaign::Campaign;
 use crate::stats::PointStats;
 use pamr_mesh::Mesh;
 use pamr_power::PowerModel;
@@ -24,7 +24,9 @@ impl Summary {
 
     /// [`Summary::run`] with an explicit engine selection — the handle the
     /// differential suites use to replay the whole campaign on the
-    /// reference engines and diff the reports byte-for-byte.
+    /// reference engines and diff the reports byte-for-byte. The pooling is
+    /// [`crate::shard::merge_partials`] over one full partial, as
+    /// `pamr merge` does over N.
     pub fn run_with(
         mesh: &Mesh,
         model: &PowerModel,
@@ -32,17 +34,9 @@ impl Summary {
         seed: u64,
         engine: EngineConfig,
     ) -> Summary {
-        // One shared precompute for the whole campaign: the endpoint tables
-        // built by fig7's trials are cache hits for fig8's and fig9's.
-        let pre = std::sync::Arc::new(pamr_routing::MeshPrecompute::new(*mesh));
         let pooled = Campaign {
-            mesh,
-            model,
-            trials,
-            seed,
-            shard: ShardSpec::FULL,
-            pre: Some(&pre),
             engine,
+            ..Campaign::new(mesh, model, trials, seed)
         }
         .run_pooled();
         Summary { pooled }

@@ -14,7 +14,6 @@
 //! ```
 
 use pamr_sim::summary::Summary;
-use pamr_sim::PointStats;
 use serde::{Deserialize, Serialize};
 
 /// The campaign the fixture pins: small enough for CI, big enough to pool
@@ -35,22 +34,6 @@ struct Golden {
     report: String,
 }
 
-fn fingerprint(s: &PointStats) -> Vec<u64> {
-    let mut out = vec![
-        s.trials as u64,
-        s.best_successes as u64,
-        s.sum_best_inv.to_bits(),
-        s.sum_best_static_frac.to_bits(),
-    ];
-    for agg in &s.per_heur {
-        out.push(agg.successes as u64);
-        out.push(agg.sum_norm_inv.to_bits());
-        out.push(agg.sum_inv.to_bits());
-        out.push(agg.sum_static_frac.to_bits());
-    }
-    out
-}
-
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/summary_golden.json")
 }
@@ -64,7 +47,7 @@ fn summary_pipeline_reproduces_the_committed_golden_report() {
         schema: 1,
         trials: TRIALS,
         seed: SEED,
-        fingerprint: fingerprint(&summary.pooled),
+        fingerprint: summary.pooled.fingerprint(),
         report: summary.render_report(),
     };
 

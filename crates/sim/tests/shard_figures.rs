@@ -1,96 +1,51 @@
-//! Sharded figure recombination: `merge_figures` must rebuild the
-//! Figure 7–9 `ExperimentResult` tables from 2- and 3-shard runs so that
-//! the rendered text tables equal the unsharded ones byte for byte — the
-//! per-figure counterpart of the pooled §6.4 byte-identity gate in
-//! `shard_merge.rs`.
+//! The figure identity: for any trials, seed and shard count,
+//! `pamr merge --figures` prints exactly the concatenated stdout of
+//! `fig7`, `fig8` and `fig9` — the per-figure counterpart of the pooled
+//! §6.4 byte-identity gate in `shard_merge.rs`. The merge side is the
+//! library path `pamr merge --figures` prints (`merge_figures`, then
+//! `render_figure` per group); the other side runs the three binaries.
 
-use pamr_sim::campaign::{experiment_seed, Campaign};
-use pamr_sim::experiments::campaign_figures;
-use pamr_sim::shard::{merge_figures, merge_partials, MergeError, ShardPartial};
-use pamr_sim::table::{failure_table, norm_inv_table};
+use pamr_sim::shard::{merge_figures, MergeError, ShardPartial};
+use pamr_sim::table::render_figure;
 use pamr_sim::ShardSpec;
+use std::process::Command;
+
+/// What `pamr merge --figures` prints over `count` shard partials.
+fn merged_figures(trials: usize, seed: u64, count: usize) -> String {
+    let mesh = pamr_sim::paper_mesh();
+    let model = pamr_sim::paper_model();
+    let partials: Vec<ShardPartial> = (0..count)
+        .map(|i| ShardPartial::run(&mesh, &model, trials, seed, ShardSpec::new(i, count)))
+        .collect();
+    let figures = merge_figures(&partials).expect("complete shard set merges");
+    (figures.iter().enumerate())
+        .map(|(figure, results)| render_figure(figure, results, trials))
+        .collect()
+}
 
 #[test]
 fn sharded_figures_render_identically_to_the_unsharded_run() {
-    let mesh = pamr_sim::paper_mesh();
-    let model = pamr_sim::paper_model();
     let (trials, seed) = (1, 42);
-
-    // The unsharded reference: one full partial, recombined trivially.
-    let single = ShardPartial::run(&mesh, &model, trials, seed, ShardSpec::FULL);
-    let reference = merge_figures(std::slice::from_ref(&single)).expect("full partial merges");
-    assert_eq!(reference.len(), 3, "fig7, fig8, fig9");
-
-    // The recombined tables must also equal a direct (non-shard-pipeline)
-    // campaign run under the pooled-campaign seeding — the ground truth
-    // the shard pipeline is supposed to reproduce.
-    for (fi, fig) in campaign_figures().into_iter().enumerate() {
-        for (ei, exp) in fig.iter().enumerate() {
-            let direct = Campaign {
-                mesh: &mesh,
-                model: &model,
-                trials,
-                seed: experiment_seed(seed, fi, ei),
-                shard: ShardSpec::FULL,
-                pre: None,
-                engine: pamr_routing::EngineConfig::LIVE,
-            }
-            .run_experiment(exp);
-            assert_eq!(direct.id, reference[fi][ei].id);
-            assert_eq!(
-                norm_inv_table(&direct),
-                norm_inv_table(&reference[fi][ei]),
-                "direct {} norm-inv table diverged from the recombined one",
-                exp.id
-            );
-            assert_eq!(
-                failure_table(&direct),
-                failure_table(&reference[fi][ei]),
-                "direct {} failure table diverged from the recombined one",
-                exp.id
-            );
-        }
-    }
-
-    // 2- and 3-shard runs recombine to byte-identical tables.
-    for count in [2, 3] {
-        let partials: Vec<ShardPartial> = (0..count)
-            .map(|i| ShardPartial::run(&mesh, &model, trials, seed, ShardSpec::new(i, count)))
-            .collect();
-        let merged = merge_figures(&partials).expect("complete shard set merges");
-        for (fi, group) in merged.iter().enumerate() {
-            for (ei, res) in group.iter().enumerate() {
-                let expect = &reference[fi][ei];
-                assert_eq!(res.id, expect.id);
-                assert_eq!(
-                    res.points.len(),
-                    expect.points.len(),
-                    "{}-shard {} lost sweep points",
-                    count,
-                    res.id
-                );
-                assert_eq!(
-                    norm_inv_table(res),
-                    norm_inv_table(expect),
-                    "{}-shard {} norm-inv table diverged",
-                    count,
-                    res.id
-                );
-                assert_eq!(
-                    failure_table(res),
-                    failure_table(expect),
-                    "{}-shard {} failure table diverged",
-                    count,
-                    res.id
-                );
-            }
-        }
-        // The same partials still pool to the same §6.4 accumulator, so
-        // one shard run serves both the summary and the figures.
-        let pooled = merge_partials(&partials).expect("pooled merge");
+    let binaries = [
+        env!("CARGO_BIN_EXE_fig7"),
+        env!("CARGO_BIN_EXE_fig8"),
+        env!("CARGO_BIN_EXE_fig9"),
+    ];
+    let direct: String = (binaries.iter())
+        .map(|bin| {
+            let out = Command::new(bin)
+                .args(["--trials", &trials.to_string(), "--seed", &seed.to_string()])
+                .output()
+                .expect("spawn a figure binary");
+            assert!(out.status.success(), "{bin} failed");
+            String::from_utf8(out.stdout).expect("figure output is UTF-8")
+        })
+        .collect();
+    for count in [1, 2, 3] {
         assert_eq!(
-            pooled.pooled.trials,
-            merged.iter().flatten().flat_map(|r| &r.points).count() * trials
+            merged_figures(trials, seed, count),
+            direct,
+            "{count}-shard `pamr merge --figures` diverged from fig7 ‖ fig8 ‖ fig9"
         );
     }
 }

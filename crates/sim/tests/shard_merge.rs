@@ -5,25 +5,7 @@
 
 use pamr_sim::shard::{merge_partials, ShardPartial};
 use pamr_sim::summary::Summary;
-use pamr_sim::{PointStats, ShardSpec};
-
-/// Every deterministic field of the pooled accumulator, bit for bit.
-fn fingerprint(s: &PointStats) -> Vec<u64> {
-    let mut out = vec![
-        s.trials as u64,
-        s.best_successes as u64,
-        s.sum_best_inv.to_bits(),
-        s.sum_best_static_frac.to_bits(),
-    ];
-    for agg in &s.per_heur {
-        out.push(agg.successes as u64);
-        out.push(agg.sum_norm_inv.to_bits());
-        out.push(agg.sum_inv.to_bits());
-        out.push(agg.sum_static_frac.to_bits());
-        // sum_micros is wall-clock-dependent and deliberately excluded.
-    }
-    out
-}
+use pamr_sim::ShardSpec;
 
 #[test]
 fn sharded_campaign_is_byte_identical_to_single_process() {
@@ -44,8 +26,8 @@ fn sharded_campaign_is_byte_identical_to_single_process() {
         );
         let merged = merge_partials(&partials).expect("complete shard set merges");
         assert_eq!(
-            fingerprint(&merged.pooled),
-            fingerprint(&single.pooled),
+            merged.pooled.fingerprint(),
+            single.pooled.fingerprint(),
             "{count}-shard merge diverged from the single-process pooled stats"
         );
         // The rendered §6.4 report is the user-facing byte-identity.
@@ -78,8 +60,8 @@ fn partial_json_round_trips_exactly() {
         );
         assert_eq!(a.x.to_bits(), b.x.to_bits(), "x of {}", a.exp_id);
         assert_eq!(
-            fingerprint(&a.stats),
-            fingerprint(&b.stats),
+            a.stats.fingerprint(),
+            b.stats.fingerprint(),
             "stats of {} point {} did not round-trip bit-exactly",
             a.exp_id,
             a.point_index

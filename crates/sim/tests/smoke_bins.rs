@@ -86,51 +86,6 @@ fn summary_runs() {
 }
 
 #[test]
-fn summary_shard_mode_writes_partial_json() {
-    let dir = std::env::temp_dir().join("pamr_smoke_summary_shard");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let out_file = dir.join("part0.json");
-    let stdout = run(
-        env!("CARGO_BIN_EXE_summary"),
-        &[
-            "--trials",
-            "1",
-            "--seed",
-            "64",
-            "--shard",
-            "0/3",
-            "--out",
-            out_file.to_str().unwrap(),
-        ],
-    );
-    // Shard mode prints nothing deterministic to stdout; the partial
-    // lands in the output file instead.
-    assert!(stdout.is_empty(), "shard mode wrote to stdout: {stdout}");
-    let text = std::fs::read_to_string(&out_file).expect("partial written");
-    assert!(text.contains("\"shard_index\": 0"), "{text}");
-    assert!(text.contains("\"shard_count\": 3"), "{text}");
-    assert!(text.contains("\"exp_id\": \"fig7a\""), "{text}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn fig7_shard_renders_only_owned_points() {
-    let all = run(
-        env!("CARGO_BIN_EXE_fig7"),
-        &["--trials", "1", "--seed", "7"],
-    );
-    let owned = run(
-        env!("CARGO_BIN_EXE_fig7"),
-        &["--trials", "1", "--seed", "7", "--shard", "1/2"],
-    );
-    // Shard 1/2 of fig7a owns the even x-rows 20, 40, ... (indices 1, 3,
-    // ...) — fewer lines than the full sweep, drawn from the same table.
-    assert!(owned.len() < all.len(), "sharded output not smaller");
-    assert!(owned.contains("fig7a"), "{owned}");
-}
-
-#[test]
 fn ablation_runs() {
     let out = run(
         env!("CARGO_BIN_EXE_ablation"),
@@ -159,23 +114,53 @@ fn seeds_are_reproducible() {
     assert_eq!(a, b, "same seed must reproduce identical output");
 }
 
+/// Runs `bin` on bad input: it must exit with `code` after one stderr
+/// line, without a panic.
+fn assert_one_message(bin: &str, args: &[&str], code: i32) {
+    let out = Command::new(bin).args(args).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{bin} {args:?}:\n{stderr}");
+    assert!(
+        stderr.lines().count() == 1 && !stderr.contains("panicked"),
+        "{bin} {args:?} must print one message, got:\n{stderr}"
+    );
+}
+
 #[test]
 fn bad_arguments_exit_2_with_one_message() {
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_fig7"), &["--bogus"][..]),
         (env!("CARGO_BIN_EXE_summary"), &["--trials", "0"]),
         (env!("CARGO_BIN_EXE_fig8"), &["--seed", "x"]),
-        (env!("CARGO_BIN_EXE_fig9"), &["--shard", "2/2"]),
+        (env!("CARGO_BIN_EXE_fig9"), &["--shard", "0/2"]),
+        (env!("CARGO_BIN_EXE_fig7"), &["--out", "part.json"]),
+        (
+            env!("CARGO_BIN_EXE_summary"),
+            &["--shard", "0/2", "--out", "part.json"],
+        ),
         (env!("CARGO_BIN_EXE_ablation"), &["--trials"]),
         (env!("CARGO_BIN_EXE_fig2"), &["--bogus"]),
         (env!("CARGO_BIN_EXE_theory"), &["--trials", "3"]),
     ] {
-        let out = Command::new(bin).args(args).output().expect("spawn");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}:\n{stderr}");
-        assert!(
-            stderr.lines().count() == 1 && !stderr.contains("panicked"),
-            "{bin} {args:?} must print one message, got:\n{stderr}"
-        );
+        assert_one_message(bin, args, 2);
     }
+}
+
+#[test]
+fn failed_csv_write_exits_1_with_one_message() {
+    // A regular file where the CSV directory should go: no directory can
+    // be created beneath it, on any platform and as any user.
+    let blocker = std::env::temp_dir().join(format!("pamr_smoke_blocker_{}", std::process::id()));
+    std::fs::write(&blocker, "").unwrap();
+    let dir = blocker.join("csv");
+    let args = [
+        "--trials",
+        "1",
+        "--seed",
+        "1",
+        "--csv",
+        dir.to_str().unwrap(),
+    ];
+    assert_one_message(env!("CARGO_BIN_EXE_fig7"), &args, 1);
+    let _ = std::fs::remove_file(&blocker);
 }

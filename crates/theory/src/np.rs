@@ -16,15 +16,13 @@
 //! dedicated columns and send its remaining `a_i` units down column `q−1`
 //! or column `q`, whose residual capacities are exactly `S/2` each.
 //!
-//! ## Erratum (documented in DESIGN.md)
+//! ## Erratum
 //!
-//! The paper's YES-direction ("no link bandwidth is exceeded") checks only
-//! the **vertical** links. The proof's routing also loads the row-1
-//! horizontal links: after the last dedicated column, row 1 carries all the
-//! residual flows at once — `Σ a_i = S` — so the construction additionally
-//! needs `S ≤ BW`, i.e. `S ≤ 2(s−1)n`. [`ReductionInstance::horizontal_headroom_ok`]
-//! exposes the condition; our tests use compliant instances, for which the
-//! equivalence holds exactly as the paper argues.
+//! The paper's YES-direction checks only the vertical links, but the
+//! proof's routing also carries `Σ a_i = S` on the row-1 horizontal links,
+//! so the construction additionally needs `S ≤ BW`.
+//! [`ReductionInstance::horizontal_headroom_ok`] exposes the condition;
+//! PAPER.md ("Reproduction notes") gives the derivation.
 
 use pamr_mesh::{Coord, Mesh, Path, Step};
 use pamr_power::PowerModel;

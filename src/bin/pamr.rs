@@ -15,6 +15,10 @@
 //! pamr demo
 //! ```
 //!
+//! Every subcommand reads its flags through the shared table-driven parser
+//! (`pamr::sim::cli::parse`): a bad flag prints `pamr <cmd>: <message>` and
+//! exits 2, a failed read, write or merge prints one message and exits 1.
+//!
 //! Instances are JSON (`{"mesh": {"p":8,"q":8}, "comms": [{"src":…}]}` —
 //! exactly serde's view of [`CommSet`]); `route` prints per-communication
 //! paths, the power breakdown and the link heatmap, or a machine-readable
@@ -24,9 +28,8 @@
 //! with `p % N == i`) and writes the per-point statistics as JSON; `merge`
 //! recombines the N partials and prints the §6.4 summary — byte-identical
 //! to a single-process `summary` run with the same trials and seed. With
-//! `--figures` it instead renders the recombined Figure 7–9 tables (the
-//! per-point statistics are bit-equal to the unsharded campaign's, so the
-//! tables are byte-identical too).
+//! `--figures` it prints the Figure 7–9 tables instead, exactly what
+//! `fig7`, `fig8` and `fig9` print at the same trials and seed.
 //!
 //! `frontier` sweeps the bi-objective power × max-hop-latency plane of one
 //! instance (ε-constraint over latency budgets) and prints the
@@ -42,14 +45,15 @@
 //! [`RoutingSession`]: pamr::routing::RoutingSession
 
 use pamr::prelude::*;
-use pamr::sim::shard::{merge_figures, merge_partials, ShardPartial};
-use pamr::sim::table::{failure_table, norm_inv_table};
+use pamr::sim::cli::{self, Failure, Flag, Flags, Kind, Outcome, Unset};
+use pamr::sim::frontier::{merge_frontier, FrontierPartial, FrontierReport};
+use pamr::sim::shard::{merge_figures, merge_partials, MergeError, ShardPartial};
+use pamr::sim::table::render_figure;
 use pamr::sim::viz::render_heatmap;
+use pamr::sim::ShardSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use std::collections::HashMap;
-use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
@@ -64,54 +68,168 @@ fn usage() -> ! {
          [--repair bounded|full] [--max-moves N] [--stdin | --tcp ADDR]\n  \
          pamr demo"
     );
-    exit(2);
+    std::process::exit(2);
 }
+
+const MESH: Flag = ("--mesh", Kind::Text, Unset::Default("8x8"));
+const MODEL: Flag = (
+    "--model",
+    Kind::OneOf(&["kim-horowitz", "kh", "continuous", "fig2", "theory"]),
+    Unset::Default("kim-horowitz"),
+);
+
+const RANDOM_FLAGS: &[Flag] = &[
+    MESH,
+    ("--n", Kind::Int, Unset::Default("20")),
+    ("--wmin", Kind::Ratio, Unset::Default("100")),
+    ("--wmax", Kind::Ratio, Unset::Default("2500")),
+    ("--seed", Kind::Int, Unset::Default("1")),
+];
+
+const ROUTE_FLAGS: &[Flag] = &[
+    ("--instance", Kind::Text, Unset::Required),
+    ("--heuristic", Kind::Text, Unset::Default("BEST")),
+    MODEL,
+    ("--split", Kind::Int, Unset::Default("1")),
+    ("--json", Kind::Switch, Unset::Optional),
+];
+
+const FRONTIER_FLAGS: &[Flag] = &[
+    ("--instance", Kind::Text, Unset::Optional),
+    MESH,
+    ("--n", Kind::Int, Unset::Default("20")),
+    ("--seed", Kind::Int, Unset::Default("1")),
+    MODEL,
+    ("--segments", Kind::Count, Unset::Default("16")),
+    ("--split", Kind::Int, Unset::Default("2")),
+    ("--shard", Kind::Text, Unset::Optional),
+    ("--out", Kind::Text, Unset::Optional),
+    ("--merge", Kind::Switch, Unset::Optional),
+    ("FILE", Kind::Files, Unset::Optional),
+    ("--csv", Kind::Switch, Unset::Optional),
+    ("--json", Kind::Switch, Unset::Optional),
+    ("--check-only", Kind::Switch, Unset::Optional),
+];
+
+const SHARD_FLAGS: &[Flag] = &[
+    ("--shard", Kind::Text, Unset::Required),
+    ("--out", Kind::Text, Unset::Required),
+];
+
+const MERGE_FLAGS: &[Flag] = &[
+    ("--figures", Kind::Switch, Unset::Optional),
+    ("FILE", Kind::Files, Unset::Required),
+];
+
+const SERVE_FLAGS: &[Flag] = &[
+    MESH,
+    MODEL,
+    ("--heuristic", Kind::Text, Unset::Default("XYI")),
+    (
+        "--repair",
+        Kind::OneOf(&["bounded", "full"]),
+        Unset::Default("bounded"),
+    ),
+    ("--max-moves", Kind::Int, Unset::Default("10000")),
+    ("--stdin", Kind::Switch, Unset::Optional),
+    ("--tcp", Kind::Text, Unset::Optional),
+];
+
+/// One subcommand: its name, its flag tables and what it runs.
+type Command = (
+    &'static str,
+    &'static [&'static [Flag]],
+    fn(&Flags) -> Outcome,
+);
+
+const COMMANDS: &[Command] = &[
+    ("random", &[RANDOM_FLAGS], cmd_random),
+    ("route", &[ROUTE_FLAGS], cmd_route),
+    ("frontier", &[FRONTIER_FLAGS], cmd_frontier),
+    ("shard", &[cli::CAMPAIGN_FLAGS, SHARD_FLAGS], cmd_shard),
+    ("merge", &[MERGE_FLAGS], cmd_merge),
+    ("serve", &[SERVE_FLAGS], cmd_serve),
+    ("demo", &[], cmd_demo),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("random") => cmd_random(&args[1..]),
-        Some("route") => cmd_route(&args[1..]),
-        Some("frontier") => cmd_frontier(&args[1..]),
-        Some("shard") => cmd_shard(&args[1..]),
-        Some("merge") => cmd_merge(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("demo") => cmd_demo(),
-        _ => usage(),
+    let Some((cmd, rest)) = args.split_first() else {
+        usage()
+    };
+    let Some(&(name, specs, run)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        usage()
+    };
+    let outcome = cli::parse(specs, rest).map_err(Failure::Usage);
+    if let Err(failure) = outcome.and_then(|flags| run(&flags)) {
+        cli::exit(&format!("pamr {name}"), failure);
     }
 }
 
-fn opt(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The one `--mesh PxQ` reader.
+fn mesh(flags: &Flags) -> Outcome<Mesh> {
+    let spec = flags.text("--mesh");
+    let dims = spec.split_once('x').and_then(|(p, q)| {
+        let (p, q): (usize, usize) = (p.parse().ok()?, q.parse().ok()?);
+        (p.checked_mul(q)? >= 2).then_some((p, q))
+    });
+    match dims {
+        Some((p, q)) => Ok(Mesh::new(p, q)),
+        None => Err(Failure::Usage(format!(
+            "--mesh needs PxQ with at least two cores, got {spec:?}"
+        ))),
+    }
 }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+fn model(flags: &Flags) -> PowerModel {
+    match flags.text("--model") {
+        "continuous" => PowerModel::kim_horowitz_continuous(),
+        "fig2" => PowerModel::fig2(),
+        "theory" => PowerModel::theory(3.0),
+        _ => PowerModel::kim_horowitz(),
+    }
 }
 
-fn cmd_random(args: &[String]) {
-    let mesh_spec = opt(args, "--mesh").unwrap_or_else(|| "8x8".into());
-    let (p, q) = mesh_spec
-        .split_once('x')
-        .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-        .unwrap_or_else(|| usage());
-    let n: usize = opt(args, "--n").and_then(|v| v.parse().ok()).unwrap_or(20);
-    let w_min: f64 = opt(args, "--wmin")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100.0);
-    let w_max: f64 = opt(args, "--wmax")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2500.0);
-    let seed: u64 = opt(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let mesh = Mesh::new(p, q);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let cs = UniformWorkload::new(n, w_min, w_max).generate(&mesh, &mut rng);
+fn policy(name: &str) -> Outcome<HeuristicKind> {
+    (HeuristicKind::ALL.into_iter())
+        .find(|k| k.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| Failure::Usage(format!("unknown heuristic {name:?} (XY SG IG TB XYI PR)")))
+}
+
+/// A seeded uniform instance on `--mesh` with `--n` communications.
+fn draw(flags: &Flags, w_min: f64, w_max: f64) -> Outcome<CommSet> {
+    let mesh = mesh(flags)?;
+    let mut rng = SmallRng::seed_from_u64(flags.num("--seed"));
+    let n = flags.num("--n") as usize;
+    Ok(UniformWorkload::new(n, w_min, w_max).generate(&mesh, &mut rng))
+}
+
+/// The one file loader: an instance or a shard partial.
+fn load<T, E: std::fmt::Display>(path: &str, parse: impl Fn(&str) -> Result<T, E>) -> Outcome<T> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Failure::Failed(format!("cannot read {path}: {e}")))?;
+    parse(&text).map_err(|e| Failure::Failed(format!("{path}: {e}")))
+}
+
+/// Writes `text` to `path`.
+fn write(path: &str, text: &str) -> Outcome {
+    std::fs::write(path, text).map_err(|e| Failure::Failed(format!("writing {path}: {e}")))
+}
+
+fn cannot_merge(e: MergeError) -> Failure {
+    Failure::Failed(format!("cannot merge: {e}"))
+}
+
+fn cmd_random(flags: &Flags) -> Outcome {
+    let (w_min, w_max) = (flags.real("--wmin"), flags.real("--wmax"));
+    if w_min > w_max {
+        return Err(Failure::Usage(format!(
+            "--wmin {w_min} exceeds --wmax {w_max}"
+        )));
+    }
+    let cs = draw(flags, w_min, w_max)?;
     println!("{}", serde_json::to_string_pretty(&cs).expect("serialise"));
+    Ok(())
 }
 
 #[derive(Serialize)]
@@ -126,38 +244,11 @@ struct RouteReport {
     paths: Vec<Vec<String>>,
 }
 
-fn build_model(name: &str, mesh_capacity_hint: f64) -> PowerModel {
-    match name {
-        "kim-horowitz" | "kh" => PowerModel::kim_horowitz(),
-        "continuous" => PowerModel::kim_horowitz_continuous(),
-        "fig2" => PowerModel::fig2(),
-        "theory" => PowerModel::theory(3.0),
-        other => {
-            let _ = mesh_capacity_hint;
-            eprintln!("unknown model {other:?} (kim-horowitz | continuous | fig2 | theory)");
-            exit(2);
-        }
-    }
-}
-
-fn cmd_route(args: &[String]) {
-    let path = opt(args, "--instance").unwrap_or_else(|| usage());
-    let data = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    let cs: CommSet = serde_json::from_str(&data).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        exit(1);
-    });
-    let model = build_model(
-        &opt(args, "--model").unwrap_or_else(|| "kim-horowitz".into()),
-        0.0,
-    );
-    let name = opt(args, "--heuristic").unwrap_or_else(|| "BEST".into());
-    let split: usize = opt(args, "--split")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+fn cmd_route(flags: &Flags) -> Outcome {
+    let cs = load(flags.text("--instance"), serde_json::from_str::<CommSet>)?;
+    let model = model(flags);
+    let name = flags.text("--heuristic");
+    let split = flags.num("--split") as usize;
 
     let (label, routing): (String, Routing) = if name.eq_ignore_ascii_case("best") {
         let best = Best::default().route(&cs, &model);
@@ -168,13 +259,7 @@ fn cmd_route(args: &[String]) {
             (format!("BEST=none({} shown)", best.kind), best.routing)
         }
     } else {
-        let kind = HeuristicKind::ALL
-            .into_iter()
-            .find(|k| k.name().eq_ignore_ascii_case(&name))
-            .unwrap_or_else(|| {
-                eprintln!("unknown heuristic {name:?} (XY SG IG TB XYI PR BEST)");
-                exit(2);
-            });
+        let kind = policy(name)?;
         if split > 1 {
             // s-MP lift of the chosen single-path heuristic.
             struct ByKind(HeuristicKind);
@@ -221,12 +306,12 @@ fn cmd_route(args: &[String]) {
             .collect(),
     };
 
-    if flag(args, "--json") {
+    if flags.given("--json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&report).expect("serialise")
         );
-        return;
+        return Ok(());
     }
     println!("routed {} communications with {label}", cs.len());
     match breakdown {
@@ -242,279 +327,148 @@ fn cmd_route(args: &[String]) {
             loads.max_load()
         ),
     }
-    // Per-heuristic comparison footer.
-    let mut comparison: HashMap<&str, Option<f64>> = HashMap::new();
-    for kind in HeuristicKind::ALL {
-        let r = kind.route(&cs, &model);
-        comparison.insert(kind.name(), r.power(&cs, &model).ok().map(|b| b.total()));
-    }
     println!("\nall policies:");
-    for kind in HeuristicKind::ALL {
-        match comparison[kind.name()] {
-            Some(p) => println!("  {:<4} {p:>10.1} mW", kind.name()),
-            None => println!("  {:<4} {:>10}", kind.name(), "failed"),
-        }
-    }
+    print_policies(&cs, &model);
     println!("\nutilisation heatmap:");
     print!("{}", render_heatmap(cs.mesh(), &loads, model.capacity));
+    Ok(())
 }
 
-fn cmd_frontier(args: &[String]) {
-    use pamr::sim::frontier::{merge_frontier, FrontierPartial, FrontierReport};
-
-    // Merge mode: recombine shard partials into the 1-process report.
-    let merge_files: Vec<&String> = args
-        .iter()
-        .position(|a| a == "--merge")
-        .map(|i| {
-            args[i + 1..]
-                .iter()
-                .take_while(|a| !a.starts_with("--"))
-                .collect()
-        })
-        .unwrap_or_default();
-    if args.iter().any(|a| a == "--merge") && merge_files.is_empty() {
-        usage();
-    }
-
-    let segments: usize = opt(args, "--segments")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let split: usize = opt(args, "--split")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-
-    let report = if !merge_files.is_empty() {
-        let partials: Vec<FrontierPartial> = merge_files
-            .iter()
-            .map(|path| {
-                let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    eprintln!("cannot read {path}: {e}");
-                    exit(1);
-                });
-                FrontierPartial::from_json(&text).unwrap_or_else(|e| {
-                    eprintln!("{path}: {e}");
-                    exit(1);
-                })
-            })
-            .collect();
-        merge_frontier(&partials).unwrap_or_else(|e| {
-            eprintln!("cannot merge: {e}");
-            exit(1);
-        })
-    } else {
-        // The instance: a file, or a seeded uniform draw (as `pamr random`).
-        let cs: CommSet = if let Some(path) = opt(args, "--instance") {
-            let data = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                exit(1);
-            });
-            serde_json::from_str(&data).unwrap_or_else(|e| {
-                eprintln!("cannot parse {path}: {e}");
-                exit(1);
-            })
-        } else {
-            let mesh_spec = opt(args, "--mesh").unwrap_or_else(|| "8x8".into());
-            let (p, q) = mesh_spec
-                .split_once('x')
-                .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-                .unwrap_or_else(|| usage());
-            let n: usize = opt(args, "--n").and_then(|v| v.parse().ok()).unwrap_or(20);
-            let seed: u64 = opt(args, "--seed")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1);
-            let mut rng = SmallRng::seed_from_u64(seed);
-            UniformWorkload::new(n, 100.0, 2500.0).generate(&Mesh::new(p, q), &mut rng)
-        };
-        let model = build_model(
-            &opt(args, "--model").unwrap_or_else(|| "kim-horowitz".into()),
-            0.0,
-        );
-
-        // Shard mode: solve the owned segments and write the partial.
-        if let Some(spec) = opt(args, "--shard") {
-            let shard = pamr::sim::ShardSpec::parse(&spec).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                exit(2);
-            });
-            let Some(out) = opt(args, "--out") else {
-                usage();
-            };
-            let partial = FrontierPartial::run(&cs, &model, segments, split, shard);
-            std::fs::write(&out, partial.to_json()).unwrap_or_else(|e| {
-                eprintln!("writing {out}: {e}");
-                exit(1);
-            });
-            eprintln!(
-                "wrote {} segment(s) to {out} (recombine with `pamr frontier --merge`)",
-                partial.owned.len()
-            );
-            return;
+fn cmd_frontier(flags: &Flags) -> Outcome {
+    let report = if flags.given("--merge") {
+        if flags.files().is_empty() {
+            return Err(Failure::Usage("--merge needs partial files".into()));
         }
-        FrontierReport::compute(&cs, &model, segments, split)
+        let partials: Vec<FrontierPartial> = (flags.files().iter())
+            .map(|path| load(path, FrontierPartial::from_json))
+            .collect::<Outcome<_>>()?;
+        merge_frontier(&partials).map_err(cannot_merge)?
+    } else {
+        if let Some(file) = flags.files().first() {
+            return Err(Failure::Usage(format!(
+                "unexpected argument {file:?} (partials need --merge)"
+            )));
+        }
+        // The instance: a file, or a seeded uniform draw (as `pamr random`).
+        let cs = match flags.opt_text("--instance") {
+            Some(path) => load(path, serde_json::from_str::<CommSet>)?,
+            None => draw(flags, 100.0, 2500.0)?,
+        };
+        let model = model(flags);
+        let (segments, split) = (
+            flags.num("--segments") as usize,
+            flags.num("--split") as usize,
+        );
+        match (flags.opt_text("--shard"), flags.opt_text("--out")) {
+            (None, None) => FrontierReport::compute(&cs, &model, segments, split),
+            (Some(spec), Some(out)) => {
+                // Shard mode: solve the owned segments and write the partial.
+                let shard = ShardSpec::parse(spec).map_err(Failure::Usage)?;
+                let partial = FrontierPartial::run(&cs, &model, segments, split, shard);
+                write(out, &partial.to_json())?;
+                eprintln!(
+                    "wrote {} segment(s) to {out} (recombine with `pamr frontier --merge`)",
+                    partial.owned.len()
+                );
+                return Ok(());
+            }
+            _ => return Err(Failure::Usage("--shard and --out go together".into())),
+        }
     };
 
-    if let Err(e) = report.check() {
-        eprintln!("frontier check failed: {e}");
-        exit(1);
-    }
-    if flag(args, "--check-only") {
+    report
+        .check()
+        .map_err(|e| Failure::Failed(format!("frontier check failed: {e}")))?;
+    if flags.given("--check-only") {
         eprintln!(
             "frontier check ok ({} Pareto point(s), {} segments)",
             report.pareto.len(),
             report.segments
         );
-        return;
-    }
-    if flag(args, "--json") {
+    } else if flags.given("--json") {
         println!("{}", report.to_json());
-    } else if flag(args, "--csv") {
+    } else if flags.given("--csv") {
         print!("{}", report.to_csv());
     } else {
         print!("{}", report.render());
     }
+    Ok(())
 }
 
-fn cmd_shard(args: &[String]) {
-    // Same strict parsing as the sim binaries: malformed --trials/--seed
-    // must fail here, not surface as a mismatch at merge time.
-    let opts = pamr::sim::cli::Options::parse_from(args.iter().cloned()).unwrap_or_else(|e| {
-        eprintln!("pamr shard: {e}");
-        exit(2);
-    });
-    let Some(out) = opts.out.as_deref() else {
-        usage()
-    };
+fn cmd_shard(flags: &Flags) -> Outcome {
+    let opts = cli::Options::from_flags(flags);
+    let shard = ShardSpec::parse(flags.text("--shard")).map_err(Failure::Usage)?;
+    let out = flags.text("--out");
     let mesh = pamr::sim::paper_mesh();
     let model = pamr::sim::paper_model();
     eprintln!(
-        "running shard {} of the §6 campaign ({} trials per sweep point, {} worker thread(s)) ...",
-        opts.shard,
+        "running shard {shard} of the §6 campaign ({} trials per sweep point, {} worker thread(s)) ...",
         opts.trials,
         rayon::current_num_threads()
     );
-    let partial = ShardPartial::run(&mesh, &model, opts.trials, opts.seed, opts.shard);
-    std::fs::write(out, partial.to_json()).unwrap_or_else(|e| {
-        eprintln!("writing {}: {e}", out.display());
-        exit(1);
-    });
+    let partial = ShardPartial::run(&mesh, &model, opts.trials, opts.seed, shard);
+    write(out, &partial.to_json())?;
     eprintln!(
-        "wrote {} sweep points to {} (recombine with `pamr merge`)",
-        partial.points.len(),
-        out.display()
+        "wrote {} sweep points to {out} (recombine with `pamr merge`)",
+        partial.points.len()
     );
+    Ok(())
 }
 
-fn cmd_merge(args: &[String]) {
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if files.is_empty() {
-        usage();
-    }
-    let partials: Vec<ShardPartial> = files
-        .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                exit(1);
-            });
-            ShardPartial::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("{path}: {e}");
-                exit(1);
-            })
-        })
-        .collect();
-    if flag(args, "--figures") {
-        // Recombine the per-figure tables instead of the pooled summary.
-        let figures = merge_figures(&partials).unwrap_or_else(|e| {
-            eprintln!("cannot merge: {e}");
-            exit(1);
-        });
-        for res in figures.iter().flatten() {
-            println!("== {} ==", res.id);
-            println!("normalised power inverse");
-            print!("{}", norm_inv_table(res));
-            println!("failure ratio");
-            print!("{}", failure_table(res));
-            println!();
+fn cmd_merge(flags: &Flags) -> Outcome {
+    let partials: Vec<ShardPartial> = (flags.files().iter())
+        .map(|path| load(path, ShardPartial::from_json))
+        .collect::<Outcome<_>>()?;
+    if flags.given("--figures") {
+        // The Figure 7–9 tables instead of the pooled summary.
+        let figures = merge_figures(&partials).map_err(cannot_merge)?;
+        for (figure, results) in figures.iter().enumerate() {
+            print!("{}", render_figure(figure, results, partials[0].trials));
         }
-        return;
+        return Ok(());
     }
-    let merged = merge_partials(&partials).unwrap_or_else(|e| {
-        eprintln!("cannot merge: {e}");
-        exit(1);
-    });
+    let merged = merge_partials(&partials).map_err(cannot_merge)?;
     eprintln!(
         "merged {} shard(s), {} trials per sweep point, seed {}",
         merged.shard_count, merged.trials, merged.seed
     );
     print!("{}", merged.summary().render_report());
+    Ok(())
 }
 
-fn cmd_serve(args: &[String]) {
-    let mesh_spec = opt(args, "--mesh").unwrap_or_else(|| "8x8".into());
-    let (p, q) = mesh_spec
-        .split_once('x')
-        .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-        .unwrap_or_else(|| usage());
-    let mesh = Mesh::new(p, q);
-    let model = build_model(
-        &opt(args, "--model").unwrap_or_else(|| "kim-horowitz".into()),
-        0.0,
-    );
-    let heur_name = opt(args, "--heuristic").unwrap_or_else(|| "XYI".into());
-    let heuristic = HeuristicKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(&heur_name))
-        .unwrap_or_else(|| {
-            eprintln!("unknown heuristic {heur_name:?} (XY SG IG TB XYI PR)");
-            exit(2);
-        });
-    let repair = match opt(args, "--repair").as_deref().unwrap_or("bounded") {
+fn cmd_serve(flags: &Flags) -> Outcome {
+    let mesh = mesh(flags)?;
+    let heuristic = policy(flags.text("--heuristic"))?;
+    let repair = match flags.text("--repair") {
         "full" => pamr::routing::RepairMode::Full,
-        "bounded" => {
-            let max_moves = opt(args, "--max-moves")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(10_000);
-            pamr::routing::RepairMode::Bounded { max_moves }
-        }
-        other => {
-            eprintln!("unknown repair mode {other:?} (bounded | full)");
-            exit(2);
-        }
+        _ => pamr::routing::RepairMode::Bounded {
+            max_moves: flags.num("--max-moves") as usize,
+        },
     };
     let config = pamr::routing::SessionConfig {
         heuristic,
         repair,
         ..Default::default()
     };
-    let mut server = pamr::sim::serve::Server::new(mesh, model, config);
-    let result = match opt(args, "--tcp") {
-        Some(addr) if !flag(args, "--stdin") => pamr::sim::serve::serve_tcp(&mut server, &addr),
+    let mut server = pamr::sim::serve::Server::new(mesh, model(flags), config);
+    let result = match flags.opt_text("--tcp") {
+        Some(addr) if !flags.given("--stdin") => pamr::sim::serve::serve_tcp(&mut server, addr),
         _ => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
             pamr::sim::serve::serve_lines(&mut server, stdin.lock(), stdout.lock())
         }
     };
-    if let Err(e) = result {
-        eprintln!("pamr serve: {e}");
-        exit(1);
-    }
+    result.map_err(|e| Failure::Failed(e.to_string()))
 }
 
-fn cmd_demo() {
+fn cmd_demo(_: &Flags) -> Outcome {
     let mesh = Mesh::new(8, 8);
     let mut rng = SmallRng::seed_from_u64(7);
     let cs = UniformWorkload::new(25, 100.0, 2500.0).generate(&mesh, &mut rng);
     let model = PowerModel::kim_horowitz();
     println!("demo: 25 random communications on an 8×8 CMP\n");
-    for kind in HeuristicKind::ALL {
-        let r = kind.route(&cs, &model);
-        match r.power(&cs, &model) {
-            Ok(b) => println!("  {:<4} {:>10.1} mW", kind.name(), b.total()),
-            Err(_) => println!("  {:<4} {:>10}", kind.name(), "failed"),
-        }
-    }
+    print_policies(&cs, &model);
     let best = Best::default().route(&cs, &model);
     if let Some(power) = best.power {
         println!("\nBEST = {} at {power:.1} mW", best.kind);
@@ -522,5 +476,16 @@ fn cmd_demo() {
             "{}",
             render_heatmap(&mesh, &best.routing.loads(&cs), model.capacity)
         );
+    }
+    Ok(())
+}
+
+/// One line per policy: its power, or `failed`.
+fn print_policies(cs: &CommSet, model: &PowerModel) {
+    for kind in HeuristicKind::ALL {
+        match kind.route(cs, model).power(cs, model) {
+            Ok(b) => println!("  {:<4} {:>10.1} mW", kind.name(), b.total()),
+            Err(_) => println!("  {:<4} {:>10}", kind.name(), "failed"),
+        }
     }
 }

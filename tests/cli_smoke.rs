@@ -97,6 +97,17 @@ fn shard_merge_round_trip_matches_single_process() {
     assert!(merged.contains("§6.4 summary statistics"), "{merged}");
     assert!(merged.contains("BEST inv-power ratio"), "{merged}");
     assert!(merged.contains("pooled over"), "{merged}");
+    // `--figures` prints the fig7–fig9 tables instead: one header per
+    // sub-figure, with the trial budget.
+    let (figures, stderr, ok) = pamr(&[
+        "merge",
+        "--figures",
+        part(0).to_str().unwrap(),
+        part(1).to_str().unwrap(),
+    ]);
+    assert!(ok, "pamr merge --figures failed: {stderr}");
+    assert_eq!(figures.matches(", 1 trials/point)").count(), 9, "{figures}");
+    assert!(figures.starts_with("== fig7a — "), "{figures}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -131,4 +142,46 @@ fn shard_rejects_bad_flags_with_exit_2() {
             "pamr {args:?} must print one structured error, got:\n{stderr}"
         );
     }
+}
+
+#[test]
+fn bad_input_gets_one_message_and_no_panic() {
+    // A regular file where a directory should go: every read or write
+    // beneath it fails.
+    let blocker = std::env::temp_dir().join(format!("pamr_cli_blocker_{}", std::process::id()));
+    std::fs::write(&blocker, "").unwrap();
+    let unusable = blocker.join("part.json").display().to_string();
+    for (line, code) in [
+        ("random --mesh 0x4".to_string(), 2),
+        ("random --mesh 1x1".into(), 2),
+        ("serve --stdin --mesh 0x4".into(), 2),
+        ("random --mesh 3x3 --n 2 --wmin 5000 --wmax 10".into(), 2),
+        ("random --mesh 4x4 --n 3 --bogus 1".into(), 2),
+        (
+            "frontier --mesh 4x4 --n 3 --segments x --check-only".into(),
+            2,
+        ),
+        ("frontier --mesh 4x4 --shard 0/2".into(), 2),
+        ("serve --stdin --max-moves abc --bogus".into(), 2),
+        ("route --heuristic XY".into(), 2),
+        ("merge --figures".into(), 2),
+        ("demo extra".into(), 2),
+        (format!("route --instance {unusable}"), 1),
+        (format!("frontier --n 3 --shard 0/2 --out {unusable}"), 1),
+    ] {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let out = Command::new(env!("CARGO_BIN_EXE_pamr"))
+            .args(&args)
+            .output()
+            .expect("failed to spawn pamr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "pamr {line}:\n{stderr}");
+        assert!(
+            stderr.starts_with(&format!("pamr {}: ", args[0]))
+                && stderr.lines().count() == 1
+                && !stderr.contains("panicked"),
+            "pamr {line} must print one structured error, got:\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&blocker);
 }

@@ -22,7 +22,7 @@
 //! | `xyi` | queue-driven XY improver | `xyi::reference` full scan | instance |
 //! | `ig` | indexed Improved greedy | `ig::reference` full scan | instance |
 //! | `serve` | resident `RoutingSession` | XYI re-route of the live set | request |
-//! | `precompute` | shared precompute tables (SG + IG) | rebuild per trial | trial |
+//! | `precompute` | one shared precompute (SG + IG) | fresh scratch per trial | trial |
 //! | `frontier` | pooled ε-constraint sweep | sequential `frontier_points` | sweep |
 //!
 //! `pamr-bench <lane>` reruns one lane with flag overrides and merges its
@@ -48,10 +48,10 @@
 
 use pamr_power::PowerModel;
 use pamr_routing::{
-    frontier_points, CommSet, EngineConfig, EngineSel, FrontierProblem, Heuristic as _,
-    HeuristicKind, ImprovedGreedy, MeshPrecompute, PathRemover, PrError, ReferenceImprovedGreedy,
-    ReferencePathRemover, ReferenceXyImprover, RouteScratch, Routing, RoutingSession,
-    SessionConfig, SimpleGreedy, XyImprover,
+    frontier_points, CommSet, FrontierProblem, Heuristic as _, HeuristicKind, ImprovedGreedy,
+    MeshPrecompute, PathRemover, PrError, ReferenceImprovedGreedy, ReferencePathRemover,
+    ReferenceXyImprover, RouteScratch, Routing, RoutingSession, SessionConfig, SimpleGreedy,
+    XyImprover,
 };
 use pamr_sim::cli::{self, Failure, Flag, Flags, Kind, Outcome, Unset};
 use pamr_sim::experiments::campaign_figures;
@@ -597,21 +597,23 @@ fn draw_instances(p: &Params, w_max: f64) -> Vec<CommSet> {
 type RouteFn = fn(&CommSet, &PowerModel, &mut RouteScratch) -> Result<Routing, PrError>;
 
 /// The three rewritten engines, each with its full-scan oracle: the
-/// `pr`/`xyi`/`ig` lanes and the scaling grid time the same pairs.
+/// `pr`/`xyi`/`ig` lanes and the scaling grid time the same pairs. The
+/// optimized side dispatches on its scratch, which is always a
+/// `RouteScratch::new()` (the live engines) here.
 const ENGINES: [(&str, RouteFn, RouteFn); 3] = [
     (
         "PR",
-        |cs, m, s| PathRemover.try_route_banded_with(cs, m, s),
+        |cs, m, s| PathRemover.try_route_with(cs, m, s),
         |cs, m, s| ReferencePathRemover.try_route_with(cs, m, s),
     ),
     (
         "XYI",
-        |cs, m, s| Ok(XyImprover::default().route_queued_with(cs, m, s)),
+        |cs, m, s| Ok(XyImprover::default().route_with(cs, m, s)),
         |cs, m, s| Ok(ReferenceXyImprover::default().route_with(cs, m, s)),
     ),
     (
         "IG",
-        |cs, m, s| Ok(ImprovedGreedy::default().route_indexed_with(cs, m, s)),
+        |cs, m, s| Ok(ImprovedGreedy::default().route_with(cs, m, s)),
         |cs, m, s| Ok(ReferenceImprovedGreedy::default().route_with(cs, m, s)),
     ),
 ];
@@ -689,8 +691,10 @@ fn measure_serve(p: &Params) -> Result<(f64, f64), String> {
 }
 
 /// The precompute lane: the IG-heavy campaign trial — SG then indexed IG
-/// over §6.2 uniform instances — with one shared precompute against the
-/// literal rebuild-per-call path, routings compared first.
+/// over §6.2 uniform instances — on one scratch holding a shared
+/// precompute, against a fresh `RouteScratch` per trial, which builds a
+/// private precompute and interns every endpoint pair again. Routings are
+/// compared first.
 ///
 /// The greedy family is the precompute's best customer: SG consumes the
 /// cached decreasing-weight order, and IG the interned bands and the
@@ -704,33 +708,31 @@ fn measure_precompute(p: &Params) -> Result<(f64, f64), String> {
     let trial = |cs: &CommSet, scratch: &mut RouteScratch| {
         (
             SimpleGreedy::default().route_with(cs, &model, scratch),
-            ImprovedGreedy::default().route_indexed_with(cs, &model, scratch),
+            ImprovedGreedy::default().route_with(cs, &model, scratch),
         )
     };
-    let cached = EngineConfig::LIVE;
-    let rebuild = EngineConfig::LIVE.with_precompute(EngineSel::Reference);
-    let outcomes = |engine| {
-        let mut scratch = RouteScratch::with_engine(engine);
-        sets.iter()
-            .map(|cs| trial(cs, &mut scratch))
-            .collect::<Vec<_>>()
-    };
-    if outcomes(cached) != outcomes(rebuild) {
-        return Err("cached tables changed a routing".into());
+    let mut shared = RouteScratch::new();
+    shared.attach_precompute(Arc::new(MeshPrecompute::new(pamr_bench::mesh8())));
+    if let Some(i) = sets
+        .iter()
+        .position(|cs| trial(cs, &mut shared) != trial(cs, &mut RouteScratch::new()))
+    {
+        return Err(format!(
+            "instance {i}: the shared precompute changed a routing"
+        ));
     }
-    let shared = Arc::new(MeshPrecompute::new(pamr_bench::mesh8()));
-    let per_trial = |engine: EngineConfig| {
-        let mut scratch = RouteScratch::with_engine(engine);
-        if !engine.precompute.is_reference() {
-            scratch.attach_precompute(Arc::clone(&shared));
+    let repeats = param(p, "repeats");
+    let warm = mean_ms(repeats, || {
+        for cs in &sets {
+            let _ = trial(cs, &mut shared);
         }
-        mean_ms(param(p, "repeats"), || {
-            for cs in &sets {
-                let _ = trial(cs, &mut scratch);
-            }
-        }) / sets.len() as f64
-    };
-    Ok((per_trial(cached), per_trial(rebuild)))
+    });
+    let fresh = mean_ms(repeats, || {
+        for cs in &sets {
+            let _ = trial(cs, &mut RouteScratch::new());
+        }
+    });
+    Ok((warm / sets.len() as f64, fresh / sets.len() as f64))
 }
 
 /// The frontier lane: the ε-constraint power × latency sweep over an 8×8

@@ -30,18 +30,13 @@ impl Heuristic for SimpleGreedy {
 
     fn route_with(&self, cs: &CommSet, _model: &PowerModel, scratch: &mut RouteScratch) -> Routing {
         let mesh = cs.mesh();
-        let use_cache = scratch.ensure_customized(cs);
+        let cust = scratch.ensure_customized(cs);
         scratch.loads.fit(mesh);
         // The processing order is the only weight-dependent precomputation
-        // SG does; take the customize phase's cached copy when available
-        // (bit-identical — it is CommSet::by_order's own result).
+        // SG does; take the customize phase's cached copy when it caches
+        // this order (bit-identical — it is CommSet::by_order's own result).
         let order_buf;
-        let order: &[usize] = match scratch
-            .cust
-            .as_ref()
-            .filter(|_| use_cache)
-            .and_then(|cu| cu.order(self.order))
-        {
+        let order: &[usize] = match cust.order(self.order) {
             Some(o) => o,
             None => {
                 order_buf = cs.by_order(self.order);

@@ -39,10 +39,9 @@ pub fn surrogate_link_cost(model: &PowerModel, load: f64) -> f64 {
 }
 
 /// One surrogate cost query, answered from the precomputed per-level
-/// [`CostLadder`](crate::precompute::CostLadder) when the cached engine
-/// path customized one for this model (bit-identical by construction), and
-/// by evaluating the power fit through [`surrogate_link_cost`] otherwise —
-/// the literal pre-split path.
+/// [`CostLadder`](crate::precompute::CostLadder) when the model is
+/// discrete (bit-identical by construction), and by evaluating the power
+/// fit through [`surrogate_link_cost`] when it is continuous.
 #[inline]
 pub(crate) fn link_cost(
     model: &PowerModel,

@@ -22,19 +22,18 @@
 //! `min` — same value, same bits — at a fraction of the probes.
 //!
 //! Both engines produce **bit-identical** routings, and
-//! `tests/xyi_differential.rs` enforces it with a differential oracle over
-//! randomized §6 workloads plus a byte-identical seeded campaign report,
-//! swapping the engine behind [`HeuristicKind::Ig`](crate::HeuristicKind)
-//! via an explicit [`EngineConfig`](crate::EngineConfig) (mirroring the
-//! `pr` oracle).
+//! `tests/xyi_differential.rs` enforces it with a differential oracle
+//! over randomized §6 workloads plus a byte-identical seeded campaign
+//! report, swapping the engine behind
+//! [`HeuristicKind::Ig`](crate::HeuristicKind) via
+//! [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 
 use crate::comm::{Comm, CommSet, SortOrder};
-use crate::engine::EngineSel;
 use crate::heuristic::{link_cost, Heuristic};
-use crate::precompute::CostLadder;
+use crate::precompute::{CostLadder, EndpointTables};
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
-use pamr_mesh::{Band, LinkId, LoadMap, Mesh, Path, Rect, Step};
+use pamr_mesh::{Band, LoadMap, Mesh, Path, Rect, Step};
 use pamr_power::PowerModel;
 
 pub mod reference;
@@ -79,17 +78,12 @@ type MinIndexBufs<'a> = (
     &'a mut Vec<(f64, pamr_mesh::Coord, pamr_mesh::Coord)>,
 );
 
-/// The cached twin of [`apply_ideal`]: same shares (`weight /
+/// [`apply_ideal`] over the pair's tables: the same shares (`weight /
 /// group.len() as f64`, the divisor converted once at table-build time),
 /// added over the flat id-sorted link array instead of the nested band
 /// groups. Each link receives exactly one add per call, so the in-group
 /// ordering cannot change any sum — the load map is bit-identical.
-fn apply_ideal_cached(
-    loads: &mut LoadMap,
-    et: &crate::precompute::EndpointTables,
-    weight: f64,
-    sign: f64,
-) {
+fn apply_ideal_flat(loads: &mut LoadMap, et: &EndpointTables, weight: f64, sign: f64) {
     for t in 0..et.band().len() {
         let share = sign * weight / et.ig_div(t);
         for &(l, _, _) in et.ig_group(t) {
@@ -100,11 +94,12 @@ fn apply_ideal_cached(
 
 /// Builds the per-group min-load index of one communication's band into the
 /// reused `keys`/`off`/`info` buffers: `keys[off[t]..off[t + 1]]` holds
-/// group `t`'s links as `(load bits, link id)` pairs sorted ascending, and
-/// `info` carries, in the same order, each entry's surrogate cost at
-/// `load + weight` plus its link endpoints. Loads are non-negative, so the
-/// bit order is the load order with ties towards the smaller link id — the
-/// exact mirror of the max-load queue's key.
+/// group `t`'s links as `(load bits, flat position)` pairs sorted
+/// ascending, and `info` carries, in the same order, each entry's
+/// surrogate cost at `load + weight` plus its link endpoints. Loads are
+/// non-negative and the table lists each group's links id-ascending, so
+/// the key order is the load order with ties towards the smaller link id —
+/// the exact mirror of the max-load queue's key.
 ///
 /// Precomputing the costs here is what moves the expensive power-model
 /// evaluation out of the hop loop: the load map is frozen while the
@@ -112,48 +107,10 @@ fn apply_ideal_cached(
 /// hop — `O(band links)` model calls per communication instead of
 /// `O(path length × band links)`.
 fn build_min_index(
-    mesh: &Mesh,
     loads: &LoadMap,
     model: &PowerModel,
     ladder: Option<&CostLadder>,
-    band: &Band,
-    weight: f64,
-    (keys, off, info): MinIndexBufs<'_>,
-) {
-    keys.clear();
-    off.clear();
-    info.clear();
-    off.push(0);
-    for g in band.groups() {
-        let start = keys.len();
-        keys.extend(
-            g.iter()
-                .map(|&l| (loads.get(l).to_bits(), l.index() as u32)),
-        );
-        keys[start..].sort_unstable();
-        off.push(keys.len());
-    }
-    info.extend(keys.iter().map(|&(bits, l)| {
-        let (a, b) = mesh.link_endpoints(LinkId(l as usize));
-        (
-            link_cost(model, ladder, f64::from_bits(bits) + weight),
-            a,
-            b,
-        )
-    }));
-}
-
-/// The cached twin of [`build_min_index`], fed from the precomputed flat
-/// link array: endpoints come from the table instead of per-entry mesh
-/// lookups, and the sort key's tie-breaker is the flat position — links
-/// are id-ascending within each group, so `(load bits, flat pos)` orders
-/// exactly like `(load bits, link id)` and the resulting index is
-/// bit-identical.
-fn build_min_index_cached(
-    loads: &LoadMap,
-    model: &PowerModel,
-    ladder: Option<&CostLadder>,
-    et: &crate::precompute::EndpointTables,
+    et: &EndpointTables,
     weight: f64,
     (keys, off, info): MinIndexBufs<'_>,
 ) {
@@ -260,60 +217,38 @@ fn ig_route_one_indexed(
 }
 
 impl ImprovedGreedy {
-    /// The indexed engine, unconditionally — what the differential suite
-    /// compares against [`ReferenceImprovedGreedy`] regardless of the
-    /// scratch's engine config.
-    pub fn route_indexed_with(
+    /// The indexed engine.
+    fn route_indexed_with(
         &self,
         cs: &CommSet,
         model: &PowerModel,
         scratch: &mut RouteScratch,
     ) -> Routing {
-        let use_cache = scratch.ensure_customized(cs);
-        let use_ladder = use_cache && scratch.ensure_ladder(model);
+        scratch.ensure_ladder(model);
+        // One interned table per communication, used both for the virtual
+        // pre-routing (Figure 3 ideal sharing) and for the per-hop tail
+        // bound below.
+        let cust = scratch.ensure_customized(cs);
         let mesh = cs.mesh();
         let RouteScratch {
             loads,
             ig_keys,
             ig_off,
             ig_info,
-            cust,
             ladder,
             ..
         } = scratch;
-        let ladder = ladder.as_ref().filter(|_| use_ladder);
+        let ladder = ladder.as_ref();
         loads.fit(mesh);
-        // One band per communication, reused both for the virtual
-        // pre-routing (Figure 3 ideal sharing) and for the per-hop tail
-        // bound below — interned endpoint tables when the precompute cache
-        // is active, rebuilt per call otherwise (the literal pre-split
-        // path; same Band values either way).
-        enum Bands<'a> {
-            Cached(&'a crate::precompute::CustomizedInstance),
-            Owned(Vec<Band>),
-        }
-        let bands = match cust.as_ref().filter(|_| use_cache) {
-            Some(cu) => Bands::Cached(cu),
-            None => Bands::Owned(cs.comms().iter().map(|c| c.band(mesh)).collect()),
-        };
-        for (i, c) in cs.comms().iter().enumerate() {
-            match &bands {
-                Bands::Cached(cu) => apply_ideal_cached(loads, cu.table(i), c.weight, 1.0),
-                Bands::Owned(v) => apply_ideal(loads, &v[i], c.weight, 1.0),
-            }
+        for (c, t) in cs.comms().iter().zip(cust.tables()) {
+            apply_ideal_flat(loads, t, c.weight, 1.0);
         }
         // The decreasing-weight order is cached by the customize phase
         // (bit-identical: it is CommSet::by_order's own result).
         let order_buf;
-        let order: &[usize] = match &bands {
-            Bands::Cached(cu) => match cu.order(self.order) {
-                Some(o) => o,
-                None => {
-                    order_buf = cs.by_order(self.order);
-                    &order_buf
-                }
-            },
-            Bands::Owned(_) => {
+        let order: &[usize] = match cust.order(self.order) {
+            Some(o) => o,
+            None => {
                 order_buf = cs.by_order(self.order);
                 &order_buf
             }
@@ -324,32 +259,18 @@ impl ImprovedGreedy {
             // Remove this communication's own pre-routing before choosing
             // its real path; the load map is then frozen until the path
             // commits, which is what keeps the min-load index valid.
-            match &bands {
-                Bands::Cached(cu) => apply_ideal_cached(loads, cu.table(i), c.weight, -1.0),
-                Bands::Owned(v) => apply_ideal(loads, &v[i], c.weight, -1.0),
-            }
+            apply_ideal_flat(loads, cust.table(i), c.weight, -1.0);
             // Straight and local communications never branch, so their hop
             // loop consults no tail bound: skip the index build outright.
             if c.src.u != c.snk.u && c.src.v != c.snk.v {
-                match &bands {
-                    Bands::Cached(cu) => build_min_index_cached(
-                        loads,
-                        model,
-                        ladder,
-                        cu.table(i),
-                        c.weight,
-                        (&mut *ig_keys, &mut *ig_off, &mut *ig_info),
-                    ),
-                    Bands::Owned(v) => build_min_index(
-                        mesh,
-                        loads,
-                        model,
-                        ladder,
-                        &v[i],
-                        c.weight,
-                        (&mut *ig_keys, &mut *ig_off, &mut *ig_info),
-                    ),
-                }
+                build_min_index(
+                    loads,
+                    model,
+                    ladder,
+                    cust.table(i),
+                    c.weight,
+                    (&mut *ig_keys, &mut *ig_off, &mut *ig_info),
+                );
             } else {
                 ig_keys.clear();
                 ig_off.clear();
@@ -371,11 +292,10 @@ impl Heuristic for ImprovedGreedy {
     }
 
     fn route_with(&self, cs: &CommSet, model: &PowerModel, scratch: &mut RouteScratch) -> Routing {
-        match scratch.engine().ig {
-            EngineSel::Live => self.route_indexed_with(cs, model, scratch),
-            EngineSel::Reference => {
-                ReferenceImprovedGreedy { order: self.order }.route_with(cs, model, scratch)
-            }
+        if scratch.engine().is_reference() {
+            ReferenceImprovedGreedy { order: self.order }.route_with(cs, model, scratch)
+        } else {
+            self.route_indexed_with(cs, model, scratch)
         }
     }
 }
@@ -435,8 +355,9 @@ mod tests {
     #[test]
     fn indexed_matches_reference_on_random_instances() {
         // A compact in-crate differential check (the full oracle lives in
-        // tests/xyi_differential.rs): identical routings on random instances
-        // covering all four quadrants, straight lines and local traffic.
+        // tests/xyi_differential.rs): identical routings on random
+        // instances covering all four quadrants, straight lines and local
+        // traffic.
         let model = PowerModel::kim_horowitz();
         let mut scratch = crate::RouteScratch::new();
         for seed in 0..24u64 {
@@ -454,7 +375,7 @@ mod tests {
                 })
                 .collect();
             let cs = CommSet::new(mesh, comms);
-            let indexed = ImprovedGreedy::default().route_indexed_with(&cs, &model, &mut scratch);
+            let indexed = ImprovedGreedy::default().route_with(&cs, &model, &mut scratch);
             let reference =
                 ReferenceImprovedGreedy::default().route_with(&cs, &model, &mut scratch);
             assert_eq!(

@@ -8,8 +8,8 @@
 //! two implementations against each other: identical routings,
 //! bit-identical load maps, byte-identical campaign reports. Both
 //! implementations are compiled unconditionally (no `#[cfg]`), so the
-//! oracle is always available to tests, benchmarks and the
-//! [`EngineConfig`](crate::EngineConfig) `ig` selection.
+//! oracle is always available to tests, benchmarks and
+//! [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 
 use super::apply_ideal;
 use crate::comm::{Comm, CommSet, SortOrder};

@@ -69,7 +69,7 @@ pub mod xyi;
 
 pub use comm::{Comm, CommSet, SortOrder};
 pub use csr::CrossingIndex;
-pub use engine::{EngineConfig, EngineSel};
+pub use engine::EngineConfig;
 pub use exact::optimal_single_path;
 pub use fractional::{ideal_loads, ideal_power_lower_bound};
 pub use frontier::{frontier_points, FrontierPoint, FrontierProblem, Segment};

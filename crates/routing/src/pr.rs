@@ -23,22 +23,20 @@
 //!
 //! Both implementations produce **bit-identical** routings, errors and load
 //! maps: they kill the same links in the same order and perform the same
-//! floating-point operations per link. `tests/pr_differential.rs` enforces
-//! this with a differential oracle over randomized §6 workloads. Tests and
-//! benchmarks swap the engine behind
-//! [`HeuristicKind::Pr`](crate::HeuristicKind) by threading an explicit
-//! [`EngineConfig`](crate::EngineConfig) (e.g.
-//! `EngineConfig::LIVE.with_pr(EngineSel::Reference)`) through their
-//! scratch, session or campaign state.
+//! floating-point operations per link. `tests/pr_differential.rs`
+//! enforces this with a differential oracle over randomized §6 workloads.
+//! Tests and benchmarks swap the engine behind
+//! [`HeuristicKind::Pr`](crate::HeuristicKind) by threading
+//! [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE) through
+//! their scratch or campaign state.
 
 use crate::comm::CommSet;
-use crate::engine::EngineSel;
 use crate::heuristic::Heuristic;
 use crate::loadq::LoadQueue;
 use crate::precompute::EndpointTables;
 use crate::routing::Routing;
 use crate::scratch::{reset_flags, RouteScratch};
-use pamr_mesh::{Band, Coord, LinkId, LoadMap, Mesh, Path, Step};
+use pamr_mesh::{Band, LinkId, LoadMap, Mesh, Path, Step};
 use pamr_power::PowerModel;
 use std::sync::Arc;
 
@@ -180,12 +178,10 @@ impl BandBufs<'_> {
 
 /// Per-communication removal state of the banded engine.
 ///
-/// `band` and `base_rows` are metric-independent and therefore shareable:
-/// with the precompute cache active they are `Arc` clones of the interned
-/// [`EndpointTables`]; on the rebuild path they are freshly computed —
-/// identical values either way. (They stay plain struct fields, not
-/// accessor calls, so `remove_and_reshare`'s disjoint field borrows keep
-/// compiling.)
+/// `band` and `base_rows` are metric-independent and therefore shared:
+/// they are `Arc` clones of the interned [`EndpointTables`]. (They stay
+/// plain struct fields, not accessor calls, so `remove_and_reshare`'s
+/// disjoint field borrows keep compiling.)
 struct BandedComm {
     band: Arc<Band>,
     /// The pristine per-diagonal useful-row intervals
@@ -218,24 +214,11 @@ struct BandedComm {
 }
 
 impl BandedComm {
-    /// Builds the removal state. `tables` supplies the interned band and
-    /// row intervals when the precompute cache is active; `None` rebuilds
-    /// both from the mesh (the literal pre-split path — same values).
-    fn new(
-        mesh: &Mesh,
-        src: Coord,
-        snk: Coord,
-        weight: f64,
-        tables: Option<&EndpointTables>,
-    ) -> Self {
-        let (band, base_rows) = match tables {
-            Some(t) => (Arc::clone(t.band_arc()), Arc::clone(t.diag_rows_arc())),
-            None => {
-                let band = Band::new(mesh, src, snk);
-                let rows: Vec<Iv> = (0..=band.len()).map(|t| band.diag_rows(mesh, t)).collect();
-                (Arc::new(band), Arc::new(rows))
-            }
-        };
+    /// Builds the removal state from the pair's interned band and row
+    /// intervals.
+    fn new(weight: f64, tables: &EndpointTables) -> Self {
+        let band = Arc::clone(tables.band_arc());
+        let base_rows = Arc::clone(tables.diag_rows_arc());
         let alive: Vec<Vec<bool>> = band.groups().map(|g| vec![true; g.len()]).collect();
         let share: Vec<f64> = band.groups().map(|g| weight / g.len() as f64).collect();
         let counts: Vec<usize> = band.groups().map(|g| g.len()).collect();
@@ -628,40 +611,24 @@ impl PathRemover {
         model: &PowerModel,
         scratch: &mut RouteScratch,
     ) -> Result<Routing, PrError> {
-        match scratch.engine().pr {
-            EngineSel::Live => self.try_route_banded_with(cs, model, scratch),
-            EngineSel::Reference => ReferencePathRemover.try_route_with(cs, model, scratch),
+        if scratch.engine().is_reference() {
+            ReferencePathRemover.try_route_with(cs, model, scratch)
+        } else {
+            self.try_route_banded_with(cs, scratch)
         }
     }
 
-    /// The banded engine, unconditionally — what the differential suite
-    /// compares against [`ReferencePathRemover::try_route_with`] regardless
-    /// of the scratch's engine config.
-    pub fn try_route_banded_with(
+    /// The banded engine.
+    fn try_route_banded_with(
         &self,
         cs: &CommSet,
-        _model: &PowerModel,
         scratch: &mut RouteScratch,
     ) -> Result<Routing, PrError> {
         let mesh = cs.mesh();
-        // Per-comm removal state — band geometry and pristine row
-        // intervals come from the interned endpoint tables when the
-        // precompute cache is active (Arc clones, no Band::new), and are
-        // rebuilt from the mesh otherwise.
-        let use_cache = scratch.ensure_customized(cs);
-        let mut comms: Vec<BandedComm> = match scratch.cust.as_ref().filter(|_| use_cache) {
-            Some(cust) => cs
-                .comms()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| BandedComm::new(mesh, c.src, c.snk, c.weight, Some(cust.table(i))))
-                .collect(),
-            None => cs
-                .comms()
-                .iter()
-                .map(|c| BandedComm::new(mesh, c.src, c.snk, c.weight, None))
-                .collect(),
-        };
+        let cust = scratch.ensure_customized(cs);
+        let mut comms: Vec<BandedComm> = (cs.comms().iter().zip(cust.tables()))
+            .map(|(c, t)| BandedComm::new(c.weight, t))
+            .collect();
         scratch.loads.fit(mesh);
         for c in &comms {
             c.apply_loads(&mut scratch.loads, 1.0);
@@ -804,7 +771,7 @@ mod tests {
     use super::*;
     use crate::comm::Comm;
     use crate::rules::xy_routing;
-    use pamr_mesh::Mesh;
+    use pamr_mesh::{Coord, Mesh};
     use pamr_power::PowerModel;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -934,8 +901,9 @@ mod tests {
     #[test]
     fn banded_matches_reference_on_random_instances() {
         // A compact in-crate differential check (the full oracle lives in
-        // tests/pr_differential.rs): identical routings on random instances
-        // covering all four quadrants, straight lines and local traffic.
+        // tests/pr_differential.rs): identical routings on random
+        // instances covering all four quadrants, straight lines and local
+        // traffic.
         let model = PowerModel::theory(3.0);
         let mut scratch = crate::RouteScratch::new();
         for seed in 0..24u64 {
@@ -953,7 +921,7 @@ mod tests {
                 })
                 .collect();
             let cs = CommSet::new(mesh, comms);
-            let banded = PathRemover.try_route_banded_with(&cs, &model, &mut scratch);
+            let banded = PathRemover.try_route_with(&cs, &model, &mut scratch);
             let reference = ReferencePathRemover.try_route_with(&cs, &model, &mut scratch);
             assert_eq!(
                 banded.unwrap(),
@@ -973,7 +941,7 @@ mod tests {
         // bit-identical throughout.
         let mesh = Mesh::new(4, 4);
         let (src, snk) = (Coord::new(0, 0), Coord::new(3, 3));
-        let mut banded = BandedComm::new(&mesh, src, snk, 2.0, None);
+        let mut banded = BandedComm::new(2.0, &EndpointTables::build(&mesh, src, snk));
         let mut reference = reference::RefComm::new(&mesh, src, snk, 2.0);
         let mut loads_b = pamr_mesh::LoadMap::new(&mesh);
         let mut loads_r = pamr_mesh::LoadMap::new(&mesh);
@@ -1107,8 +1075,6 @@ mod tests {
         let model = PowerModel::theory(3.0);
         let mut live = RouteScratch::with_engine(EngineConfig::LIVE);
         let mut oracle = RouteScratch::with_engine(EngineConfig::REFERENCE);
-        assert_eq!(live.engine().pr, EngineSel::Live);
-        assert_eq!(oracle.engine().pr, EngineSel::Reference);
         let banded = PathRemover.route_with(&cs, &model, &mut live);
         let reference = PathRemover.route_with(&cs, &model, &mut oracle);
         assert_eq!(banded, reference);

@@ -9,8 +9,8 @@
 //! implementations against each other: identical routings, identical
 //! [`PrError`]s, byte-identical campaign reports. Both implementations are
 //! compiled unconditionally (no `#[cfg]`), so the oracle is always
-//! available to tests, benchmarks and the
-//! [`EngineConfig`](crate::EngineConfig) `pr` selection.
+//! available to tests, benchmarks and
+//! [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 
 use super::PrError;
 use crate::comm::CommSet;

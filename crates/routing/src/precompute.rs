@@ -25,13 +25,13 @@
 //! attached precompute lazily builds one for the mesh it sees.
 //!
 //! **Bit-identity.** Cached tables are pure functions of `(mesh, src,
-//! snk)` — the same values the per-trial rebuild computes — so routings
-//! and load maps are bit-identical with the cache on or off. The literal
-//! rebuild-per-trial path survives behind the `Reference` engine selection
-//! (`EngineConfig::LIVE.with_precompute(EngineSel::Reference)`, mirroring
-//! `pr`/`xyi`/`ig`), and `tests/precompute_differential.rs` pins the
-//! equivalence: identical routings, bit-identical loads, and a
-//! byte-identical seeded §6.4 campaign report.
+//! snk)`, and the engines have no other input path. The reference oracles
+//! (`EngineConfig::REFERENCE`) rebuild every band and evaluate the power
+//! fit on every query, so the PR, XYI and scaling differential suites
+//! meet every cached value with a literal rebuild: identical routings,
+//! bit-identical loads, and byte-identical seeded §6.4 campaign reports.
+//! `tests/precompute_differential.rs` routes warm scratches and campaigns
+//! against cold ones.
 //!
 //! ```
 //! use pamr_routing::{MeshPrecompute, Comm, CommSet};
@@ -103,8 +103,8 @@ pub struct EndpointTables {
 }
 
 impl EndpointTables {
-    /// Computes the tables from scratch — exactly the values the
-    /// per-trial rebuild path computes, which is what makes caching them
+    /// Computes the tables from scratch — exactly the values the reference
+    /// oracles rebuild per call, which is what makes caching them
     /// bit-transparent.
     pub fn build(mesh: &Mesh, src: Coord, snk: Coord) -> EndpointTables {
         let band = Band::new(mesh, src, snk);
@@ -377,14 +377,14 @@ impl MeshPrecompute {
 
 /// The metric-dependent half of customization: under a **discrete**
 /// frequency-scaled model the surrogate link cost takes only one value per
-/// frequency level, so the cached engine path evaluates the power fit once
-/// per level up front and answers each per-hop cost query with a level
-/// lookup instead of a `powf`.
+/// frequency level, so the engines evaluate the power fit once per level
+/// up front and answer each per-hop cost query with a level lookup instead
+/// of a `powf`.
 ///
 /// Every stored power is [`surrogate_link_cost`]'s own expression evaluated
 /// once, and the level search replicates the model's capacity slack, so
 /// [`cost`](Self::cost) is **bit-identical** to calling the model — the
-/// rebuild path never consults the ladder, and the differential oracle
+/// reference oracles never consult the ladder, and the differential oracle
 /// pins the equivalence.
 ///
 /// ```
@@ -652,24 +652,5 @@ mod tests {
         // scaling has no ladder.
         assert!(!ladder.matches(&PowerModel::kim_horowitz_continuous()));
         assert!(CostLadder::new(&PowerModel::fig2()).is_none());
-    }
-
-    #[test]
-    fn engine_config_selects_table_sourcing() {
-        // An explicit Reference precompute selection makes the scratch
-        // decline to cache customizations (the rebuild-per-trial oracle
-        // path); the Live default caches them.
-        use crate::engine::{EngineConfig, EngineSel};
-        use crate::scratch::RouteScratch;
-        let mesh = Mesh::new(3, 3);
-        let cs = CommSet::new(
-            mesh,
-            vec![Comm::new(Coord::new(0, 0), Coord::new(2, 2), 1.0)],
-        );
-        let mut live = RouteScratch::with_engine(EngineConfig::LIVE);
-        assert!(live.ensure_customized(&cs));
-        let mut rebuild =
-            RouteScratch::with_engine(EngineConfig::LIVE.with_precompute(EngineSel::Reference));
-        assert!(!rebuild.ensure_customized(&cs));
     }
 }

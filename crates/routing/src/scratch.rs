@@ -26,9 +26,9 @@ use std::sync::Arc;
 /// reused scratch is bit-identical to routing through a fresh one. The one
 /// thing deliberately carried across calls is the attached
 /// [`MeshPrecompute`] and its per-instance [`CustomizedInstance`]: those
-/// cache pure functions of `(mesh, src, snk)` — values the engines would
-/// otherwise recompute to the same bits — so reuse affects speed only
-/// (pinned by `tests/precompute_differential.rs`).
+/// cache pure functions of `(mesh, src, snk)` — values the oracles rebuild
+/// to the same bits on every call — so reuse affects speed only (pinned by
+/// `tests/precompute_differential.rs`).
 ///
 /// [`Heuristic::route_with`]: crate::heuristic::Heuristic::route_with
 #[derive(Debug, Default)]
@@ -83,7 +83,7 @@ pub struct RouteScratch {
     pub(crate) pre: Option<Arc<MeshPrecompute>>,
     /// The phase-two customization of the most recent instance, revalidated
     /// (and rebuilt when stale) by [`ensure_customized`](Self::ensure_customized).
-    pub(crate) cust: Option<CustomizedInstance>,
+    pub(crate) cust: Option<Arc<CustomizedInstance>>,
     /// The metric-dependent customization: the per-level [`CostLadder`] of
     /// the most recent (discrete) power model, revalidated by
     /// [`ensure_ladder`](Self::ensure_ladder).
@@ -131,15 +131,10 @@ impl RouteScratch {
         }
     }
 
-    /// Ensures `self.cust` describes exactly `cs`, building the precompute
-    /// and/or customization as needed. Returns `false` (and caches
-    /// nothing) when this scratch's engine config selects the literal
-    /// rebuild-per-trial reference path — the engines then reconstruct
-    /// bands and seed paths from scratch, as they did before the split.
-    pub(crate) fn ensure_customized(&mut self, cs: &CommSet) -> bool {
-        if self.engine().precompute.is_reference() {
-            return false;
-        }
+    /// The customization of exactly `cs`, building the precompute and/or
+    /// customization as needed. Shared, so an engine can hold it while it
+    /// mutates this scratch's buffers.
+    pub(crate) fn ensure_customized(&mut self, cs: &CommSet) -> Arc<CustomizedInstance> {
         if self.pre.as_ref().is_none_or(|p| p.mesh() != cs.mesh()) {
             // Unattached scratch, or one recycled onto a different mesh:
             // build a private precompute for the mesh actually in use.
@@ -147,25 +142,19 @@ impl RouteScratch {
             self.cust = None;
         }
         let pre = self.pre.as_ref().expect("attached above");
-        if self.cust.as_ref().is_none_or(|c| !c.matches(cs)) {
-            self.cust = Some(pre.customize(cs));
+        match &self.cust {
+            Some(c) if c.matches(cs) => Arc::clone(c),
+            _ => Arc::clone(self.cust.insert(Arc::new(pre.customize(cs)))),
         }
-        true
     }
 
     /// Ensures `self.ladder` tabulates exactly `model`, rebuilding it when
-    /// the model changed. Returns `false` — and the engines fall back to
-    /// per-query power-fit evaluation, the literal pre-split path — when
-    /// the model is continuous (nothing to tabulate) or this scratch's
-    /// engine config selects the rebuild reference path.
-    pub(crate) fn ensure_ladder(&mut self, model: &PowerModel) -> bool {
-        if self.engine().precompute.is_reference() {
-            return false;
-        }
+    /// the model changed. It is `None` for a continuous model (nothing to
+    /// tabulate): the engines then evaluate the power fit per query.
+    pub(crate) fn ensure_ladder(&mut self, model: &PowerModel) {
         if !self.ladder.as_ref().is_some_and(|l| l.matches(model)) {
             self.ladder = CostLadder::new(model);
         }
-        self.ladder.is_some()
     }
 
     /// Resets the per-link `users` table to `n_slots` empty lists, keeping

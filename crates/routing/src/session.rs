@@ -46,7 +46,6 @@
 
 use crate::comm::{Comm, CommSet};
 use crate::csr::CrossingIndex;
-use crate::engine::EngineConfig;
 use crate::heuristic::{surrogate_link_cost, HeuristicKind};
 use crate::loadq::{Cursor, LoadQueue};
 use crate::precompute::MeshPrecompute;
@@ -81,8 +80,9 @@ impl Default for RepairMode {
     }
 }
 
-/// Session configuration: which batch heuristic backs full re-routes, how
-/// mutations are repaired, and which engines dispatch is pinned to.
+/// Session configuration: which batch heuristic backs full re-routes and
+/// how mutations are repaired. Full re-routes run on the optimized
+/// engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
     /// Heuristic used by full re-routes ([`RoutingSession::reroute`],
@@ -90,19 +90,14 @@ pub struct SessionConfig {
     pub heuristic: HeuristicKind,
     /// Repair policy applied after every `add_comm`/`remove_comm`.
     pub repair: RepairMode,
-    /// Engine selection for every route through this session (full
-    /// re-routes and band sourcing). All-`Live` by default.
-    pub engine: EngineConfig,
 }
 
 impl Default for SessionConfig {
-    /// XYI-backed full re-routes with bounded local repair, on the
-    /// production engines.
+    /// XYI-backed full re-routes with bounded local repair.
     fn default() -> Self {
         SessionConfig {
             heuristic: HeuristicKind::Xyi,
             repair: RepairMode::default(),
-            engine: EngineConfig::LIVE,
         }
     }
 }
@@ -201,7 +196,7 @@ impl RoutingSession {
         queue.fit(n_slots);
         let mut repair_queue = LoadQueue::new();
         repair_queue.fit(n_slots);
-        let mut scratch = RouteScratch::with_engine(config.engine);
+        let mut scratch = RouteScratch::new();
         scratch.attach_precompute(Arc::clone(&pre));
         let mut users = CrossingIndex::new();
         users.clear(n_slots);
@@ -231,17 +226,10 @@ impl RoutingSession {
         &self.pre
     }
 
-    /// The band of `comm`, via the shared precompute's interned endpoint
-    /// tables under the default `Live` precompute engine, or rebuilt
-    /// literally when [`SessionConfig::engine`] selects the `Reference`
-    /// precompute (the differential oracle's path). Bit-identical either
-    /// way — the cached band is a pure function of `(mesh, src, snk)`.
+    /// The band of `comm`, from the shared precompute's interned endpoint
+    /// tables.
     fn comm_band(&self, comm: &Comm) -> Arc<Band> {
-        if self.config.engine.precompute.is_reference() {
-            Arc::new(comm.band(&self.mesh))
-        } else {
-            Arc::clone(self.pre.endpoint_tables(comm.src, comm.snk).band_arc())
-        }
+        Arc::clone(self.pre.endpoint_tables(comm.src, comm.snk).band_arc())
     }
 
     /// The mesh.
@@ -702,7 +690,6 @@ mod tests {
             let mut s = kh_session(SessionConfig {
                 heuristic: HeuristicKind::Xyi,
                 repair,
-                ..SessionConfig::default()
             });
             let mut handles = Vec::new();
             for step in 0..60 {
@@ -729,7 +716,6 @@ mod tests {
         let mut s = kh_session(SessionConfig {
             heuristic: HeuristicKind::Xyi,
             repair: RepairMode::Full,
-            ..SessionConfig::default()
         });
         let mut rng = SmallRng::seed_from_u64(7);
         let mut handles = Vec::new();
@@ -836,7 +822,6 @@ mod tests {
         let mut s = kh_session(SessionConfig {
             heuristic: HeuristicKind::Pr,
             repair: RepairMode::Bounded { max_moves: 4 },
-            ..SessionConfig::default()
         });
         let mut rng = SmallRng::seed_from_u64(11);
         for _ in 0..12 {

@@ -26,14 +26,13 @@
 //! Both engines produce **bit-identical** routings: they evaluate the same
 //! flips in the same order with the same floating-point operations (the
 //! skipped communications perform none), accept the same moves, and
-//! `tests/xyi_differential.rs` enforces it with a differential oracle over
-//! randomized §6 workloads plus a byte-identical seeded campaign report,
-//! swapping the engine behind [`HeuristicKind::Xyi`](crate::HeuristicKind)
-//! via an explicit [`EngineConfig`](crate::EngineConfig) (mirroring the
-//! `pr` oracle).
+//! `tests/xyi_differential.rs` enforces it with a differential oracle
+//! over randomized §6 workloads plus a byte-identical seeded campaign
+//! report, swapping the engine behind
+//! [`HeuristicKind::Xyi`](crate::HeuristicKind) via
+//! [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 
 use crate::comm::CommSet;
-use crate::engine::EngineSel;
 use crate::heuristic::{link_cost, Heuristic};
 use crate::loadq::Cursor;
 use crate::routing::Routing;
@@ -236,25 +235,17 @@ fn flip_move(mesh: &Mesh, path: &Path, link: LinkId) -> Option<(Path, [LinkId; 2
 }
 
 impl XyImprover {
-    /// The queue-driven engine, unconditionally — what the differential
-    /// suite compares against [`ReferenceXyImprover`] regardless of the
-    /// scratch's engine config.
-    pub fn route_queued_with(
+    /// The queue-driven engine.
+    fn route_queued_with(
         &self,
         cs: &CommSet,
         model: &PowerModel,
         scratch: &mut RouteScratch,
     ) -> Routing {
         let mesh = cs.mesh();
-        let use_cache = scratch.ensure_customized(cs);
-        let use_ladder = use_cache && scratch.ensure_ladder(model);
-        // Seed paths: the interned XY paths when the precompute cache is
-        // active ([`Path::xy`] is deterministic, so the clone is the value
-        // the rebuild computes), fresh XY construction otherwise.
-        let mut paths: Vec<Path> = match scratch.cust.as_ref().filter(|_| use_cache) {
-            Some(cust) => (0..cs.len()).map(|i| cust.table(i).xy().clone()).collect(),
-            None => cs.comms().iter().map(|c| Path::xy(c.src, c.snk)).collect(),
-        };
+        scratch.ensure_ladder(model);
+        let cust = scratch.ensure_customized(cs);
+        let mut paths: Vec<Path> = cust.tables().iter().map(|t| t.xy().clone()).collect();
         scratch.loads.fit(mesh);
         for (c, p) in cs.comms().iter().zip(&paths) {
             scratch.loads.add_path(mesh, p, c.weight);
@@ -276,11 +267,9 @@ impl XyImprover {
         // Max-load index over every loaded link; an accepted move re-keys
         // only the four links it touched.
         scratch.queue.rebuild(nslots, scratch.loads.iter_active());
-        // The tabulated per-level costs of the cached path (None ⇒ evaluate
-        // the power fit per query, the literal pre-split behaviour). Taken
-        // after the last `&mut self` call so the shared borrow can live
-        // across the improvement loop.
-        let ladder = scratch.ladder.as_ref().filter(|_| use_ladder);
+        // The tabulated per-level costs (None for a continuous model: the
+        // power fit is evaluated per query).
+        let ladder = scratch.ladder.as_ref();
         let mut moves_done = 0;
         'outer: while moves_done < self.max_moves {
             // Loaded links examined in decreasing-load order straight off
@@ -364,12 +353,13 @@ impl Heuristic for XyImprover {
     }
 
     fn route_with(&self, cs: &CommSet, model: &PowerModel, scratch: &mut RouteScratch) -> Routing {
-        match scratch.engine().xyi {
-            EngineSel::Live => self.route_queued_with(cs, model, scratch),
-            EngineSel::Reference => ReferenceXyImprover {
+        if scratch.engine().is_reference() {
+            let oracle = ReferenceXyImprover {
                 max_moves: self.max_moves,
-            }
-            .route_with(cs, model, scratch),
+            };
+            oracle.route_with(cs, model, scratch)
+        } else {
+            self.route_queued_with(cs, model, scratch)
         }
     }
 }
@@ -503,8 +493,9 @@ mod tests {
     #[test]
     fn queued_matches_reference_on_random_instances() {
         // A compact in-crate differential check (the full oracle lives in
-        // tests/xyi_differential.rs): identical routings on random instances
-        // covering all four quadrants, straight lines and local traffic.
+        // tests/xyi_differential.rs): identical routings on random
+        // instances covering all four quadrants, straight lines and local
+        // traffic.
         let model = PowerModel::kim_horowitz();
         let mut scratch = crate::RouteScratch::new();
         for seed in 0..24u64 {
@@ -522,7 +513,7 @@ mod tests {
                 })
                 .collect();
             let cs = CommSet::new(mesh, comms);
-            let queued = XyImprover::default().route_queued_with(&cs, &model, &mut scratch);
+            let queued = XyImprover::default().route_with(&cs, &model, &mut scratch);
             let reference = ReferenceXyImprover::default().route_with(&cs, &model, &mut scratch);
             assert_eq!(
                 queued, reference,

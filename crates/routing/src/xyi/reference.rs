@@ -7,11 +7,11 @@
 //! [`select_max`] scan, then **every** communication is probed for the
 //! corner flip (non-crossing ones structurally decline). It is deliberately
 //! kept simple and independent of the queue-driven fast path so that
-//! `tests/xyi_differential.rs` can pin the two implementations against each
-//! other: identical routings, bit-identical load maps, byte-identical
+//! `tests/xyi_differential.rs` can pin the two implementations against
+//! each other: identical routings, bit-identical load maps, byte-identical
 //! campaign reports. Both implementations are compiled unconditionally (no
 //! `#[cfg]`), so the oracle is always available to tests, benchmarks and
-//! the [`EngineConfig`](crate::EngineConfig) `xyi` selection.
+//! [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 
 use super::{flip_candidate, IMPROVE_EPS};
 use crate::comm::CommSet;

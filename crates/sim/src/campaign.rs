@@ -112,9 +112,9 @@ pub struct Campaign<'a> {
     /// `(mesh, src, snk)` — so determinism and shard/merge byte-identity
     /// are untouched.
     pub pre: Option<&'a Arc<MeshPrecompute>>,
-    /// Engine selection pinned onto every worker's scratch (all-`Live` in
-    /// production; the differential suites run whole campaigns on
-    /// [`EngineConfig::REFERENCE`]).
+    /// Engine selection pinned onto every worker's scratch
+    /// ([`EngineConfig::LIVE`] in production; the differential suites run
+    /// whole campaigns on [`EngineConfig::REFERENCE`]).
     pub engine: EngineConfig,
 }
 

@@ -1,14 +1,23 @@
-//! Shared workload sweeps for the differential-oracle test suites.
+//! Shared workload sweeps and the engine/oracle check for the
+//! differential-oracle test suites.
 //!
-//! The PR, XYI and session oracles all sweep the same §6-style instance
+//! The engine and session oracles all sweep the same §6-style instance
 //! families (uniform draws across mesh shapes and weight regimes, the
 //! Figure 9 length-targeted generator, merged task-graph applications).
 //! This module is the single definition of those sweeps; the seeds and
 //! draw order are part of the oracles' contracts, so changing anything
-//! here intentionally shifts every differential suite at once.
+//! here intentionally shifts every differential suite at once. It also
+//! holds the one comparison of the rewritten engines (PR, XYI, IG)
+//! against their literal oracles, [`assert_engines_agree`], and its
+//! whole-campaign form, [`assert_campaign_matches_reference`].
 
+use crate::summary::Summary;
 use pamr_mesh::Mesh;
-use pamr_routing::CommSet;
+use pamr_power::PowerModel;
+use pamr_routing::{
+    CommSet, EngineConfig, Heuristic, ImprovedGreedy, PathRemover, PrError, RouteScratch, Routing,
+    XyImprover,
+};
 use pamr_workload::taskgraph::merge_applications;
 use pamr_workload::{LengthTargetedWorkload, Mapping, TaskGraph, UniformWorkload};
 use rand::rngs::SmallRng;
@@ -87,6 +96,91 @@ pub fn standard_sweep(mut visit: impl FnMut(&CommSet, &str)) {
     uniform_sweep(&mut visit);
     length_targeted_sweep(&mut visit);
     task_graph_sweep(&mut visit);
+}
+
+/// One rewritten engine, dispatched on its scratch's [`EngineConfig`]:
+/// the optimized engine on [`EngineConfig::LIVE`], its literal oracle on
+/// [`EngineConfig::REFERENCE`]. PR's structured [`PrError`] compares like
+/// a routing; XYI and IG cannot fail.
+pub type RouteFn = fn(&CommSet, &PowerModel, &mut RouteScratch) -> Result<Routing, PrError>;
+
+/// The banded Path-Remover (§5.5) and its full-sweep oracle.
+pub const PR: (&str, RouteFn) = ("PR", |cs, m, s| PathRemover.try_route_with(cs, m, s));
+
+/// The queue-driven XY improver (§5.4) and its full-scan oracle.
+pub const XYI: (&str, RouteFn) = ("XYI", |cs, m, s| {
+    Ok(XyImprover::default().route_with(cs, m, s))
+});
+
+/// The indexed Improved greedy (§5.2) and its full-scan oracle.
+pub const IG: (&str, RouteFn) = ("IG", |cs, m, s| {
+    Ok(ImprovedGreedy::default().route_with(cs, m, s))
+});
+
+/// Routes `cs` through each of `engines` on a [`EngineConfig::LIVE`] and
+/// on a [`EngineConfig::REFERENCE`] scratch and asserts identical
+/// outcomes: routings (a `PrError` compares like one), load bits and
+/// power bits. The oracles rebuild every band and evaluate the power fit
+/// on every query, so every interned table and `CostLadder` value the
+/// live engines read meets a literal rebuild here.
+///
+/// # Panics
+///
+/// On the first divergence, naming `label` and the engine.
+pub fn assert_engines_agree(
+    engines: &[(&str, RouteFn)],
+    cs: &CommSet,
+    model: &PowerModel,
+    label: &str,
+) {
+    let mut live = RouteScratch::with_engine(EngineConfig::LIVE);
+    let mut oracle = RouteScratch::with_engine(EngineConfig::REFERENCE);
+    for &(engine, route) in engines {
+        let fast = route(cs, model, &mut live);
+        let reference = route(cs, model, &mut oracle);
+        assert_eq!(
+            fast, reference,
+            "{label}: {engine} diverged from its oracle"
+        );
+        let (Ok(fast), Ok(reference)) = (fast, reference) else {
+            continue;
+        };
+        // Load maps drive every decision downstream (queue order,
+        // feasibility, §6.4 statistics), so pin them bit for bit.
+        let (lf, lr) = (fast.loads(cs), reference.loads(cs));
+        for l in cs.mesh().links() {
+            assert_eq!(
+                lf.get(l).to_bits(),
+                lr.get(l).to_bits(),
+                "{label}: {engine} load of {l} diverged"
+            );
+        }
+        let pf = fast.power(cs, model).map(|p| p.total().to_bits());
+        let pr = reference.power(cs, model).map(|p| p.total().to_bits());
+        assert_eq!(pf.ok(), pr.ok(), "{label}: {engine} power diverged");
+    }
+}
+
+/// The §6.4 acceptance contract: the whole one-trial campaign seeded
+/// `seed` on the paper's mesh and model, run on
+/// [`EngineConfig::REFERENCE`] — every engine on its oracle at once —
+/// renders the same summary report bytes as on [`EngineConfig::LIVE`].
+/// The selection is pinned per campaign worker, so nothing leaks into
+/// other tests running alongside.
+///
+/// # Panics
+///
+/// If the two reports differ, or the live one is empty.
+pub fn assert_campaign_matches_reference(seed: u64) {
+    let (mesh, model) = (crate::paper_mesh(), crate::paper_model());
+    let run = |engine| Summary::run_with(&mesh, &model, 1, seed, engine).render_report();
+    let live = run(EngineConfig::LIVE);
+    assert!(!live.is_empty());
+    assert_eq!(
+        live,
+        run(EngineConfig::REFERENCE),
+        "campaign summary (seed {seed:#x}) diverged with every engine on its oracle"
+    );
 }
 
 #[cfg(test)]

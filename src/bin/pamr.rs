@@ -445,11 +445,7 @@ fn cmd_serve(flags: &Flags) -> Outcome {
             max_moves: flags.num("--max-moves") as usize,
         },
     };
-    let config = pamr::routing::SessionConfig {
-        heuristic,
-        repair,
-        ..Default::default()
-    };
+    let config = pamr::routing::SessionConfig { heuristic, repair };
     let mut server = pamr::sim::serve::Server::new(mesh, model(flags), config);
     let result = match flags.opt_text("--tcp") {
         Some(addr) if !flags.given("--stdin") => pamr::sim::serve::serve_tcp(&mut server, addr),

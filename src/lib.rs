@@ -66,9 +66,9 @@ pub mod prelude {
     pub use pamr_power::{FrequencyScale, PowerBreakdown, PowerModel};
     pub use pamr_routing::{
         frank_wolfe, frontier_points, optimal_single_path, xy_routing, yx_routing, Best, BestRoute,
-        Comm, CommSet, EngineConfig, EngineSel, FlowId, FrontierPoint, FrontierProblem, FwMp,
-        Heuristic, HeuristicKind, ImprovedGreedy, PathRemover, RouteScratch, Routing,
-        RoutingTables, Segment, SimpleGreedy, SortOrder, SplitMp, TwoBend, XyImprover,
+        Comm, CommSet, EngineConfig, FlowId, FrontierPoint, FrontierProblem, FwMp, Heuristic,
+        HeuristicKind, ImprovedGreedy, PathRemover, RouteScratch, Routing, RoutingTables, Segment,
+        SimpleGreedy, SortOrder, SplitMp, TwoBend, XyImprover,
     };
     pub use pamr_workload::{LengthTargetedWorkload, Mapping, TaskGraph, UniformWorkload};
 }

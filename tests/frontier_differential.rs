@@ -11,38 +11,22 @@
 //!    over `--shard i/N` processes and merging the partials renders and
 //!    serialises byte-for-byte like the single-process run.
 
+mod common;
+
+use common::any_instance;
 use pamr::prelude::*;
 use pamr::routing::frontier::pareto_filter;
 use pamr::sim::{merge_frontier, FrontierPartial, FrontierReport, ShardSpec};
 use proptest::prelude::*;
-
-/// Random instances on meshes up to 5×5, small enough that the multi-path
-/// candidate (a Frank–Wolfe run per instance) stays cheap in debug builds.
-fn any_instance() -> impl Strategy<Value = CommSet> {
-    (1usize..=5, 1usize..=5)
-        .prop_flat_map(|(p, q)| {
-            let comms = prop::collection::vec(((0..p, 0..q), (0..p, 0..q), 1u32..=3500), 1..=8);
-            (Just((p, q)), comms)
-        })
-        .prop_map(|((p, q), comms)| {
-            CommSet::new(
-                Mesh::new(p, q),
-                comms
-                    .into_iter()
-                    .map(|((a, b), (c, d), w)| {
-                        Comm::new(Coord::new(a, b), Coord::new(c, d), w as f64)
-                    })
-                    .collect(),
-            )
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn no_returned_point_is_dominated(
-        cs in any_instance(),
+        // Meshes up to 5×5 keep the multi-path candidate (a Frank–Wolfe
+        // run per instance) cheap in debug builds.
+        cs in any_instance(5, 8),
         // The stub strategy set has no `select`: draw small ints instead.
         multi_path in 0usize..=1,
         discrete in 0usize..=1,

@@ -18,6 +18,9 @@
 //! communication, weights summing to the communication's demand, and a
 //! bit-reproducible routing.
 
+mod common;
+
+use common::any_instance;
 use pamr::prelude::*;
 use pamr::sim::testutil;
 use proptest::prelude::*;
@@ -74,27 +77,6 @@ fn sandwich_holds_on_task_graph_workloads() {
     testutil::task_graph_sweep(assert_sandwich);
 }
 
-/// Random instances mixing all quadrants, straight lines, duplicates and
-/// core-local communications on meshes up to 6×6.
-fn any_instance() -> impl Strategy<Value = CommSet> {
-    (1usize..=6, 1usize..=6)
-        .prop_flat_map(|(p, q)| {
-            let comms = prop::collection::vec(((0..p, 0..q), (0..p, 0..q), 1u32..=3500), 1..=12);
-            (Just((p, q)), comms)
-        })
-        .prop_map(|((p, q), comms)| {
-            CommSet::new(
-                Mesh::new(p, q),
-                comms
-                    .into_iter()
-                    .map(|((a, b), (c, d), w)| {
-                        Comm::new(Coord::new(a, b), Coord::new(c, d), w as f64)
-                    })
-                    .collect(),
-            )
-        })
-}
-
 /// Structural contract shared by both s-MP constructions: ≤ `s` strictly
 /// positive Manhattan-monotone paths per communication, weights summing to
 /// the communication's demand.
@@ -123,7 +105,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn split_mp_paths_are_valid_on_any_instance(cs in any_instance(), s in 1usize..=4) {
+    fn split_mp_paths_are_valid_on_any_instance(cs in any_instance(6, 12), s in 1usize..=4) {
         let model = PowerModel::theory(3.0);
         let r = SplitMp::new(PathRemover, s).route(&cs, &model);
         check_paths(&cs, &r, s)?;
@@ -132,7 +114,7 @@ proptest! {
     }
 
     #[test]
-    fn fw_mp_paths_are_valid_on_any_instance(cs in any_instance(), s in 1usize..=4) {
+    fn fw_mp_paths_are_valid_on_any_instance(cs in any_instance(6, 12), s in 1usize..=4) {
         let model = PowerModel::theory(3.0);
         let fw_mp = || FwMp::new(s).with_iterations(FW_ITERS).route(&cs, &model);
         let r = fw_mp();

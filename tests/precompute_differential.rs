@@ -1,183 +1,145 @@
-//! Differential oracle for the precompute/customize split.
+//! Differential oracle for what the shared precompute carries between
+//! instances.
 //!
-//! The cached engine path (the all-`Live` [`EngineConfig`], the default)
-//! hands SG/IG/XYI/PR interned per-endpoint tables — bands,
-//! diagonal row intervals, XY paths, sorted orders — instead of rebuilding
-//! them per trial. The tables are pure functions of `(mesh, src, snk)`, so
-//! caching may only change *speed*, never results. This suite enforces the
-//! contract three ways, mirroring `pr_differential.rs`:
+//! The live engines read interned per-endpoint tables — bands, diagonal
+//! row intervals, XY paths, sorted orders — from a [`MeshPrecompute`]
+//! shared across trials, plus the per-instance customization a
+//! [`RouteScratch`] keeps for its last instance. The tables are pure
+//! functions of `(mesh, src, snk)` and the customization is revalidated
+//! against every instance, so what a scratch or campaign has cached may
+//! only change *speed*, never results. `tests/pr_differential.rs` and
+//! `tests/xyi_differential.rs` meet every cached value with the oracles'
+//! literal rebuilds; this suite checks the cache *state*, warm against
+//! cold:
 //!
-//! 1. deterministic sweeps over §6-style workloads, asserting bit-identical
-//!    routings and load maps for every heuristic cache-on vs. cache-off;
-//! 2. shrinking property tests over randomized instances (replay any
-//!    failure with `PAMR_PROPTEST_SEED=<seed>`);
-//! 3. a whole-campaign run, asserting the rendered §6.4 summary report
-//!    byte for byte across the two engine selections.
+//! 1. the three §6-style sweeps of [`testutil`], each instance routed by
+//!    every table-consuming heuristic on one scratch reused across the
+//!    whole sweep (its interner already holds the tables of earlier
+//!    instances on the same mesh) and on a fresh scratch;
+//! 2. a shrinking property test whose warm scratch last routed the same
+//!    endpoints with the weights reversed, so its customization must be
+//!    rebuilt, not reused (replay any failure with
+//!    `PAMR_PROPTEST_SEED=<seed>`);
+//! 3. a whole campaign fed a caller's precompute, already warmed by a
+//!    campaign on another seed, asserting the rendered §6.4 summary report
+//!    byte for byte against a campaign that builds its own.
 //!
-//! The engine selection is explicit per [`RouteScratch`] /
-//! [`SessionConfig`] / campaign, so the two passes cannot leak into each
-//! other — no mutex, no restore-on-panic guard.
-//!
-//! [`EngineConfig`]: pamr_routing::EngineConfig
+//! [`MeshPrecompute`]: pamr_routing::MeshPrecompute
 //! [`RouteScratch`]: pamr_routing::RouteScratch
-//! [`SessionConfig`]: pamr_routing::SessionConfig
 
+mod common;
+
+use common::any_instance;
 use pamr::prelude::*;
-use pamr::routing::{EngineConfig, EngineSel, ReferencePathRemover};
+use pamr::routing::{MeshPrecompute, PrError};
+use pamr::sim::campaign::Campaign;
+use pamr::sim::summary::Summary;
 use pamr::sim::testutil;
 use proptest::prelude::*;
+use std::sync::Arc;
 
-/// The two engine selections under test: the production default (shared
-/// precompute) and the literal rebuild-per-trial path.
-const CACHED: EngineConfig = EngineConfig::LIVE;
-const REBUILD: EngineConfig = EngineConfig::LIVE.with_precompute(EngineSel::Reference);
+/// What one instance's routing hands the campaign.
+type Outcome = (Vec<Result<Routing, PrError>>, Vec<u64>);
 
-/// Routes `cs` with every precompute-consuming heuristic under `engine` and
-/// returns the exact artifacts the campaign consumes: per-heuristic
-/// routings (PR's structured error included) and the bit patterns of IG's
-/// load map.
-fn route_all(cs: &CommSet, engine: EngineConfig) -> (Vec<Result<Routing, String>>, Vec<u64>) {
+/// Routes `cs` with every heuristic that reads the precompute — SG (its
+/// cached processing order), IG, XYI and PR — and returns the routings
+/// (PR's structured error included) and the bit patterns of their load
+/// maps.
+fn route_all(cs: &CommSet, scratch: &mut RouteScratch) -> Outcome {
     let model = PowerModel::kim_horowitz();
-    let mut scratch = RouteScratch::with_engine(engine);
-    let mut routings = Vec::new();
-    for h in [
+    let mut routings: Vec<_> = [
         &SimpleGreedy::default() as &dyn Heuristic,
         &ImprovedGreedy::default(),
         &XyImprover::default(),
-    ] {
-        routings.push(Ok(h.route_with(cs, &model, &mut scratch)));
-    }
-    routings.push(
-        PathRemover
-            .try_route_banded_with(cs, &model, &mut scratch)
-            .map_err(|e| e.to_string()),
-    );
-    routings.push(
-        ReferencePathRemover
-            .try_route_with(cs, &model, &mut scratch)
-            .map_err(|e| e.to_string()),
-    );
-    let ig_loads = {
-        let loads = routings[1].as_ref().expect("IG always routes").loads(cs);
-        cs.mesh().links().map(|l| loads.get(l).to_bits()).collect()
-    };
-    (routings, ig_loads)
+    ]
+    .into_iter()
+    .map(|h| Ok(h.route_with(cs, &model, scratch)))
+    .collect();
+    routings.push(PathRemover.try_route_with(cs, &model, scratch));
+    let load_bits = routings
+        .iter()
+        .flatten()
+        .flat_map(|r| {
+            let loads = r.loads(cs);
+            cs.mesh()
+                .links()
+                .map(move |l| loads.get(l).to_bits())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    (routings, load_bits)
 }
 
-/// Routes `cs` cache-on and cache-off and asserts identical outcomes.
-fn assert_cache_is_pure(cs: &CommSet, label: &str) {
-    let cached = route_all(cs, CACHED);
-    let rebuilt = route_all(cs, REBUILD);
+/// Routes `cs` on `warm` and on a fresh scratch and asserts identical
+/// outcomes.
+fn assert_cache_is_pure(warm: &mut RouteScratch, cs: &CommSet, label: &str) {
     assert_eq!(
-        cached.0, rebuilt.0,
-        "{label}: a routing diverged between cached and rebuilt tables"
-    );
-    assert_eq!(
-        cached.1, rebuilt.1,
-        "{label}: IG load bits diverged between cached and rebuilt tables"
+        route_all(cs, warm),
+        route_all(cs, &mut RouteScratch::new()),
+        "{label}: a warm scratch routed differently from a fresh one"
     );
 }
 
 #[test]
 fn uniform_workloads_match_across_mesh_sizes() {
-    testutil::uniform_sweep(assert_cache_is_pure);
+    let mut warm = RouteScratch::new();
+    testutil::uniform_sweep(|cs, label| assert_cache_is_pure(&mut warm, cs, label));
 }
 
 #[test]
 fn length_targeted_workloads_match() {
-    testutil::length_targeted_sweep(assert_cache_is_pure);
+    let mut warm = RouteScratch::new();
+    testutil::length_targeted_sweep(|cs, label| assert_cache_is_pure(&mut warm, cs, label));
 }
 
 #[test]
 fn task_graph_workloads_match() {
-    testutil::task_graph_sweep(assert_cache_is_pure);
-}
-
-/// Random instances mixing all quadrants, straight lines, duplicates and
-/// core-local (zero-length) communications on meshes up to 8×8.
-fn any_instance() -> impl Strategy<Value = CommSet> {
-    (1usize..=8, 1usize..=8)
-        .prop_flat_map(|(p, q)| {
-            let comms = prop::collection::vec(((0..p, 0..q), (0..p, 0..q), 1u32..=3500), 1..=24);
-            (Just((p, q)), comms)
-        })
-        .prop_map(|((p, q), comms)| {
-            CommSet::new(
-                Mesh::new(p, q),
-                comms
-                    .into_iter()
-                    .map(|((a, b), (c, d), w)| {
-                        Comm::new(Coord::new(a, b), Coord::new(c, d), w as f64)
-                    })
-                    .collect(),
-            )
-        })
+    let mut warm = RouteScratch::new();
+    testutil::task_graph_sweep(|cs, label| assert_cache_is_pure(&mut warm, cs, label));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn cached_tables_never_change_results(cs in any_instance()) {
-        let cached = route_all(&cs, CACHED);
-        let rebuilt = route_all(&cs, REBUILD);
-        prop_assert_eq!(cached.0, rebuilt.0);
-        prop_assert_eq!(cached.1, rebuilt.1);
+    fn cached_tables_never_change_results(cs in any_instance(8, 24)) {
+        // Same endpoints, weights reversed: the warm scratch's interner
+        // holds every table `cs` needs, while its customization (SG's
+        // weight order among it) describes another instance.
+        let weights = cs.comms().iter().rev().map(|c| c.weight);
+        let reweighted = CommSet::new(
+            *cs.mesh(),
+            cs.comms().iter().zip(weights).map(|(c, w)| Comm::new(c.src, c.snk, w)).collect(),
+        );
+        let mut warm = RouteScratch::new();
+        route_all(&reweighted, &mut warm);
+        prop_assert_eq!(route_all(&cs, &mut warm), route_all(&cs, &mut RouteScratch::new()));
     }
 }
 
 #[test]
-fn session_state_is_bit_identical_across_implementations() {
-    // The resident session consults the precompute for band links on every
-    // add/remove; the cached band is the literal `Comm::band`, so a whole
-    // mutation script must leave byte-identical state either way.
-    let run = |engine: EngineConfig| {
-        let mesh = Mesh::new(6, 6);
-        let model = PowerModel::kim_horowitz();
-        let mut s = pamr::routing::RoutingSession::new(
-            mesh,
-            model,
-            pamr::routing::SessionConfig {
-                engine,
-                ..Default::default()
-            },
-        );
-        let mut slots = Vec::new();
-        for (i, j) in [(0, 35), (3, 17), (35, 0), (17, 3), (5, 30), (30, 5)] {
-            let src = Coord::new(i / 6, i % 6);
-            let snk = Coord::new(j / 6, j % 6);
-            slots.push(s.add_comm(Comm::new(src, snk, 100.0 + i as f64)));
-        }
-        s.remove_comm(slots[1]);
-        s.remove_comm(slots[4]);
-        s.add_comm(Comm::new(Coord::new(0, 0), Coord::new(5, 5), 777.0));
-        let (cs, routing) = s.live_routing();
-        let lm = routing.loads(&cs);
-        let loads: Vec<u64> = cs.mesh().links().map(|l| lm.get(l).to_bits()).collect();
-        (routing, loads, s.stats())
-    };
-    assert_eq!(
-        run(CACHED),
-        run(REBUILD),
-        "session state diverged between cached and rebuilt bands"
-    );
-}
-
-#[test]
 fn campaign_summary_is_byte_identical_across_implementations() {
-    // The §6.4 acceptance contract: a seeded campaign rendered with the
-    // shared precompute and with literal per-trial rebuilds must print the
-    // same bytes.
-    let mesh = pamr::sim::paper_mesh();
-    let model = pamr::sim::paper_model();
+    // A campaign builds its own precompute unless the caller shares one,
+    // as `pamr-bench` and the repository benchmark do. Share one already
+    // warmed by a campaign on another seed: the tables it serves were
+    // interned while routing other instances, and the report must not
+    // tell.
+    let (mesh, model) = (pamr::sim::paper_mesh(), pamr::sim::paper_model());
     let (trials, seed) = (1, 0xD1FF);
-    let cached =
-        pamr::sim::summary::Summary::run_with(&mesh, &model, trials, seed, CACHED).render_report();
-    let rebuilt =
-        pamr::sim::summary::Summary::run_with(&mesh, &model, trials, seed, REBUILD).render_report();
-    assert!(!cached.is_empty());
+    let own = Summary::run(&mesh, &model, trials, seed).render_report();
+    let warm = Arc::new(MeshPrecompute::new(mesh));
+    let on_warm = |seed| {
+        Campaign {
+            pre: Some(&warm),
+            ..Campaign::new(&mesh, &model, trials, seed)
+        }
+        .run_pooled()
+    };
+    on_warm(seed + 1);
+    let shared = Summary::from_pooled(on_warm(seed)).render_report();
+    assert!(!own.is_empty());
     assert_eq!(
-        cached, rebuilt,
-        "campaign summary diverged between precompute implementations"
+        own, shared,
+        "campaign summary diverged on a precompute warmed by another campaign"
     );
 }

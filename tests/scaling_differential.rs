@@ -1,24 +1,26 @@
-//! Large-mesh differential oracle for the flat-CSR engine family.
+//! All three engine/oracle pairs at once, from the paper's small meshes to
+//! 64×64.
 //!
 //! The CSR-backed hot paths — the banded Path-Remover on the flat band
 //! tables, the queue-driven XY improver with the O(1) diagonal flip
-//! locator, the indexed Improved greedy, and the shared
-//! `CrossingIndex` link→users arena behind all three — promise
-//! **bit-identical** behaviour to the full-scan reference engines not
-//! just on the 8×8 paper mesh but on the large meshes the `pamr-bench
-//! scaling` lane times. This suite pins that contract at both ends of
-//! the grid:
+//! locator, the indexed Improved greedy, and the shared `CrossingIndex`
+//! link→users arena behind all three — promise **bit-identical**
+//! behaviour to the full-scan oracles not just on the 8×8 paper mesh but
+//! on the large meshes the `pamr-bench scaling` lane times. Every
+//! comparison goes through [`testutil::assert_engines_agree`], the check
+//! `tests/pr_differential.rs` and `tests/xyi_differential.rs` run per
+//! engine:
 //!
-//! 1. the full §6-style 8×8-and-below sweeps (the same families
-//!    `tests/pr_differential.rs` and `tests/xyi_differential.rs` replay),
-//!    run through **all three** engines at once;
+//! 1. the full §6-style 8×8-and-below sweeps through all three engines at
+//!    once, under the continuous twin of the paper's model (no cost
+//!    ladder: every link cost comes from the fit evaluated per query; the
+//!    per-engine suites run the same sweeps under the discrete model);
 //! 2. seeded 64×64 instances — length-targeted traffic like the scaling
 //!    lane's, plus a uniform draw — where a band-vs-scan asymmetry that
 //!    stays hidden at 8×8 (wide bands, long diagonals, thousands of
 //!    crossing rows) would surface;
-//! 3. a whole-campaign run with *every* engine flipped to its reference at
-//!    once ([`EngineConfig::REFERENCE`]), asserting the rendered §6.4
-//!    summary report byte for byte.
+//! 3. a whole-campaign run on [`EngineConfig::REFERENCE`], asserting the
+//!    rendered §6.4 summary report byte for byte.
 //!
 //! Replay any failure by its printed label; the sweeps are seeded and
 //! deterministic.
@@ -26,86 +28,35 @@
 //! [`EngineConfig::REFERENCE`]: pamr_routing::EngineConfig::REFERENCE
 
 use pamr::prelude::*;
-use pamr::routing::{
-    EngineConfig, ReferenceImprovedGreedy, ReferencePathRemover, ReferenceXyImprover,
-};
-use pamr::sim::testutil;
+use pamr::sim::testutil::{self, assert_engines_agree, IG, PR, XYI};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Routes `cs` through all three CSR-backed engines and their references
-/// (explicitly, independent of the scratch's engine config) and asserts
-/// identical outcomes — routings, bit-identical load maps, and powers.
-/// PR may structurally fail (`PrError`); the error must then match too.
-fn assert_all_engines_agree(cs: &CommSet, label: &str) {
-    let model = PowerModel::kim_horowitz();
-    let mut scratch = RouteScratch::new();
-
-    let banded = PathRemover.try_route_banded_with(cs, &model, &mut scratch);
-    let reference = ReferencePathRemover.try_route_with(cs, &model, &mut scratch);
-    assert_eq!(
-        banded, reference,
-        "{label}: banded PR diverged from the full-sweep oracle"
-    );
-
-    let pairs: [(Routing, Routing, &str); 2] = [
-        (
-            XyImprover::default().route_queued_with(cs, &model, &mut scratch),
-            ReferenceXyImprover::default().route_with(cs, &model, &mut scratch),
-            "XYI",
-        ),
-        (
-            ImprovedGreedy::default().route_indexed_with(cs, &model, &mut scratch),
-            ReferenceImprovedGreedy::default().route_with(cs, &model, &mut scratch),
-            "IG",
-        ),
-    ];
-    for (fast, reference, engine) in &pairs {
-        assert_eq!(
-            fast, reference,
-            "{label}: {engine} diverged from its full-scan oracle"
-        );
-        // Load maps drive every decision downstream (queue order,
-        // feasibility, §6.4 statistics), so pin them bit for bit, not just
-        // structurally.
-        let lf = fast.loads(cs);
-        let lr = reference.loads(cs);
-        for l in cs.mesh().links() {
-            assert_eq!(
-                lf.get(l).to_bits(),
-                lr.get(l).to_bits(),
-                "{label}: {engine} load of {l} diverged"
-            );
-        }
-        let pf = fast.power(cs, &model).map(|p| p.total().to_bits());
-        let pr_ = reference.power(cs, &model).map(|p| p.total().to_bits());
-        assert_eq!(pf.ok(), pr_.ok(), "{label}: {engine} power diverged");
-    }
-}
-
 #[test]
 fn all_engines_agree_on_standard_sweeps() {
-    testutil::standard_sweep(assert_all_engines_agree);
+    let model = PowerModel::kim_horowitz_continuous();
+    testutil::standard_sweep(|cs, label| assert_engines_agree(&[PR, XYI, IG], cs, &model, label));
 }
 
-/// A 64×64 instance shaped like the scaling lane's: source/sink pairs at
-/// Manhattan distance 8 (bands stay narrow, so memory is linear in the
-/// communication count while diagonals grow to length 127).
-fn large_mesh_instance(n: usize, seed: u64) -> CommSet {
-    let mesh = Mesh::new(64, 64);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    LengthTargetedWorkload::new(n, 100.0, 800.0, 8).generate(&mesh, &mut rng)
+/// All three engines against their oracles under the paper's discrete
+/// model.
+fn assert_all_engines_agree(cs: &CommSet, label: &str) {
+    assert_engines_agree(&[PR, XYI, IG], cs, &PowerModel::kim_horowitz(), label);
 }
 
 #[test]
-#[ignore = "large-mesh oracle (~1 min in release): run by the CI determinism job via --include-ignored"]
+#[ignore = "large-mesh oracle, slow in debug builds: run by the CI determinism job via --include-ignored"]
 fn all_engines_agree_on_64x64_length_targeted() {
-    let cs = large_mesh_instance(300, 0x5CA1E);
+    // The scaling lane's traffic shape: pairs at Manhattan distance 8, so
+    // bands stay narrow while diagonals grow to length 127.
+    let mesh = Mesh::new(64, 64);
+    let mut rng = SmallRng::seed_from_u64(0x5CA1E);
+    let cs = LengthTargetedWorkload::new(300, 100.0, 800.0, 8).generate(&mesh, &mut rng);
     assert_all_engines_agree(&cs, "64x64 length-targeted n=300");
 }
 
 #[test]
-#[ignore = "large-mesh oracle (~30 s in release): run by the CI determinism job via --include-ignored"]
+#[ignore = "large-mesh oracle, slow in debug builds: run by the CI determinism job via --include-ignored"]
 fn all_engines_agree_on_64x64_uniform() {
     // Uniform endpoints on a large mesh produce the *wide* bands the
     // length-targeted draws avoid — the stress case for the CSR band
@@ -120,23 +71,5 @@ fn all_engines_agree_on_64x64_uniform() {
 
 #[test]
 fn campaign_summary_is_byte_identical_with_every_engine_flipped() {
-    // The §6.4 acceptance contract, strongest form: run the whole campaign
-    // on `EngineConfig::REFERENCE` — every engine on its full-scan oracle
-    // at once — and demand the same rendered bytes as the all-`Live` run.
-    // The engine selection is pinned per campaign worker, so nothing leaks
-    // into the other tests in this binary.
-    let mesh = pamr::sim::paper_mesh();
-    let model = pamr::sim::paper_model();
-    let (trials, seed) = (1, 0x5CA_11D6);
-    let fast =
-        pamr::sim::summary::Summary::run_with(&mesh, &model, trials, seed, EngineConfig::LIVE)
-            .render_report();
-    let reference =
-        pamr::sim::summary::Summary::run_with(&mesh, &model, trials, seed, EngineConfig::REFERENCE)
-            .render_report();
-    assert!(!fast.is_empty());
-    assert_eq!(
-        fast, reference,
-        "campaign summary diverged with every engine on its reference"
-    );
+    testutil::assert_campaign_matches_reference(0x5CA_11D6);
 }

@@ -20,6 +20,9 @@
 //! interleaved removals, plus shrinking property tests over arbitrary
 //! instances (replay failures with `PAMR_PROPTEST_SEED=<seed>`).
 
+mod common;
+
+use common::any_instance;
 use pamr::prelude::*;
 use pamr::routing::{RepairMode, RoutingSession, SessionConfig, SlotId};
 use pamr::sim::testutil;
@@ -43,7 +46,6 @@ fn run_script(cs: &CommSet, mode: RepairMode, seed: u64) -> RoutingSession {
     let config = SessionConfig {
         heuristic: HeuristicKind::Xyi,
         repair: mode,
-        ..Default::default()
     };
     let mut session = RoutingSession::new(*cs.mesh(), PowerModel::kim_horowitz(), config);
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -189,33 +191,12 @@ fn explicit_reroute_restores_batch_state_after_bounded_drift() {
     });
 }
 
-/// Random instances mixing all quadrants, straight lines, duplicates and
-/// core-local (zero-length) communications on meshes up to 8×8.
-fn any_instance() -> impl Strategy<Value = CommSet> {
-    (1usize..=8, 1usize..=8)
-        .prop_flat_map(|(p, q)| {
-            let comms = prop::collection::vec(((0..p, 0..q), (0..p, 0..q), 1u32..=3500), 1..=24);
-            (Just((p, q)), comms)
-        })
-        .prop_map(|((p, q), comms)| {
-            CommSet::new(
-                Mesh::new(p, q),
-                comms
-                    .into_iter()
-                    .map(|((a, b), (c, d), w)| {
-                        Comm::new(Coord::new(a, b), Coord::new(c, d), w as f64)
-                    })
-                    .collect(),
-            )
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn full_mode_replay_is_bit_exact_on_any_instance(
-        cs in any_instance(),
+        cs in any_instance(8, 24),
         seed in 0u64..=u64::MAX,
     ) {
         let session = run_script(&cs, RepairMode::Full, seed);
@@ -234,7 +215,7 @@ proptest! {
 
     #[test]
     fn bounded_mode_indices_stay_consistent_on_any_instance(
-        cs in any_instance(),
+        cs in any_instance(8, 24),
         seed in 0u64..=u64::MAX,
     ) {
         let session = run_script(&cs, RepairMode::default(), seed);

@@ -109,11 +109,6 @@ impl RouteScratch {
         }
     }
 
-    /// Replaces this scratch's engine selection.
-    pub fn set_engine(&mut self, engine: EngineConfig) {
-        self.engine = engine;
-    }
-
     /// The engine selection `route_with` calls through this scratch use.
     pub fn engine(&self) -> EngineConfig {
         self.engine

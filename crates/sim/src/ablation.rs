@@ -8,6 +8,7 @@
 //!   single-path baseline and the Frank–Wolfe max-MP bound.
 
 use crate::runner::run_instance_with;
+use crate::stats::fold_in_pool_order;
 use pamr_mesh::Mesh;
 use pamr_power::{FrequencyScale, PowerModel};
 use pamr_routing::{
@@ -44,41 +45,29 @@ pub fn leak_sweep(mesh: &Mesh, leaks: &[f64], trials: usize, seed: u64) -> Vec<L
                 p_leak,
                 ..PowerModel::kim_horowitz()
             };
-            let (pr_wins, xyi_wins, both, ratio_sum) = (0..trials)
-                .into_par_iter()
-                // pamr-lint: allow(D003, reason = "the vendored rayon splits into fixed chunk boundaries and combines in order, so this float accumulation is byte-identical for every thread count")
-                .fold(
-                    || ((0usize, 0usize, 0usize, 0.0f64), RouteScratch::new()),
-                    |(acc, mut scratch), t| {
-                        let mut rng =
-                            SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-                        let cs = gen.generate(mesh, &mut rng);
-                        let out = run_instance_with(&cs, &model, &mut scratch);
-                        let pr = out.of(HeuristicKind::Pr);
-                        let xyi = out.of(HeuristicKind::Xyi);
-                        let d = if pr.feasible && xyi.feasible {
-                            let pr_better = pr.power < xyi.power;
-                            (
-                                pr_better as usize,
-                                !pr_better as usize,
-                                1usize,
-                                pr.power / xyi.power,
-                            )
-                        } else {
-                            (0, 0, 0, 0.0)
-                        };
-                        (
-                            (acc.0 + d.0, acc.1 + d.1, acc.2 + d.2, acc.3 + d.3),
-                            scratch,
-                        )
-                    },
-                )
-                .map(|(acc, _)| acc)
-                // pamr-lint: allow(D003, reason = "fixed-chunk in-order combine (vendored rayon): the sums merge in chunk order, independent of thread count")
-                .reduce(
-                    || (0, 0, 0, 0.0),
-                    |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
-                );
+            let deltas = per_trial(trials, |t, scratch| {
+                let mut rng = SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
+                let cs = gen.generate(mesh, &mut rng);
+                let out = run_instance_with(&cs, &model, scratch);
+                let pr = out.of(HeuristicKind::Pr);
+                let xyi = out.of(HeuristicKind::Xyi);
+                if pr.feasible && xyi.feasible {
+                    let pr_better = pr.power < xyi.power;
+                    (
+                        pr_better as usize,
+                        !pr_better as usize,
+                        1usize,
+                        pr.power / xyi.power,
+                    )
+                } else {
+                    (0, 0, 0, 0.0)
+                }
+            });
+            let add = |a: (usize, usize, usize, f64), b: (usize, usize, usize, f64)| {
+                (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3)
+            };
+            let (pr_wins, xyi_wins, both, ratio_sum) =
+                fold_in_pool_order(&deltas, || (0, 0, 0, 0.0), |a, &d| add(a, d), add);
             LeakRow {
                 p_leak,
                 pr_wins,
@@ -105,25 +94,18 @@ pub struct SmpRow {
     pub mean_power: f64,
 }
 
-/// Runs `trial` for every trial index on the work pool, one scratch per
-/// pool chunk, and returns the results in trial order.
+/// Runs `trial` for every trial index on the work pool, one trial per
+/// claim and one scratch per worker, and returns the results in trial
+/// order.
 fn per_trial<T: Send>(
     trials: usize,
     trial: impl Fn(usize, &mut RouteScratch) -> T + Send + Sync,
 ) -> Vec<T> {
-    let chunks: Vec<Vec<T>> = (0..trials)
+    (0..trials)
         .into_par_iter()
-        // pamr-lint: allow(D003, reason = "per-trial results are collected per fixed chunk and flattened in chunk order; no cross-thread float accumulation order is observable")
-        .fold(
-            || (Vec::new(), RouteScratch::new()),
-            |(mut out, mut scratch), t| {
-                out.push(trial(t, &mut scratch));
-                (out, scratch)
-            },
-        )
-        .map(|(out, _)| out)
-        .collect();
-    chunks.into_iter().flatten().collect()
+        .with_max_len(1)
+        .map_init(RouteScratch::new, |scratch, t| trial(t, scratch))
+        .collect()
 }
 
 /// Per column of `powers` (one row per trial, `None` on failure): its

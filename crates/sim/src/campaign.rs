@@ -5,21 +5,24 @@
 //! `fig7`–`fig9`, `pamr shard` and `pamr-bench run`.
 //!
 //! The §6 campaign is embarrassingly parallel — every trial draws its own
-//! instance from a seed derived from `(experiment, point, trial)` and folds
-//! into a [`PointStats`] accumulator whose merge is associative — the same
-//! structure Pettersson & Ozlen (arXiv:1701.08920) exploit for parallel
-//! bi-objective sweeps. Two properties make the fan-out safe:
+//! instance from a seed derived from `(experiment, point, trial)` — the
+//! same structure Pettersson & Ozlen (arXiv:1701.08920) exploit for
+//! parallel bi-objective sweeps. Workers claim one trial at a time, and
+//! each trial's outcome lands at its index. Two properties make the
+//! fan-out safe:
 //!
 //! * **Determinism.** Seeds depend only on indices, never on scheduling,
-//!   and the work-pool combines chunk results in a fixed order, so the
+//!   and the outcomes fold into a [`PointStats`] afterwards, in an order
+//!   fixed by the trial count alone ([`PointStats::of_trials`]), so the
 //!   campaign output is byte-identical at any thread count.
-//! * **Allocation discipline.** Each fold chunk carries a
-//!   [`RouteScratch`], so the routing hot paths reuse load maps, sorted
-//!   link lists and reachability buffers across all trials of the chunk
-//!   instead of reallocating them per heuristic call.
+//! * **Allocation discipline.** Each worker carries one [`RouteScratch`]
+//!   per sweep point, built on its first trial, so the routing hot paths
+//!   reuse load maps, sorted link lists and reachability buffers across
+//!   all trials the worker claims instead of reallocating them per
+//!   heuristic call.
 
 use crate::experiments::{campaign_figures, grid, SweepPoint};
-use crate::runner::run_instance_with;
+use crate::runner::{run_instance_with, InstanceOutcome};
 use crate::shard::{merge_partials, PartialPoint, ShardPartial};
 use crate::stats::PointStats;
 use pamr_mesh::Mesh;
@@ -104,10 +107,10 @@ pub struct Campaign<'a> {
     pub seed: u64,
     /// The sweep points this process owns ([`ShardSpec::FULL`] = all).
     pub shard: ShardSpec,
-    /// Shared per-mesh precompute handed (as `Arc` clones) to every worker
-    /// chunk, so endpoint tables are built once per `(src, snk)` pair for
-    /// the whole campaign. `None`: [`Campaign::run_point`] builds a fresh
-    /// one per call, [`Campaign::run_grid`] one for the whole grid.
+    /// Shared per-mesh precompute handed (as `Arc` clones) to every
+    /// worker's scratch, so endpoint tables are built once per `(src, snk)`
+    /// pair for the whole campaign. `None`: [`Campaign::run_point`] builds
+    /// a fresh one per call, [`Campaign::run_grid`] one for the whole grid.
     /// Caching never changes results — the tables are pure functions of
     /// `(mesh, src, snk)` — so determinism and shard/merge byte-identity
     /// are untouched.
@@ -151,22 +154,6 @@ pub fn experiment_seed(campaign_seed: u64, figure_index: usize, exp_index: usize
     )
 }
 
-/// Per-chunk fold state: the statistics accumulator plus the reusable
-/// routing buffers (one `RouteScratch` per chunk, reused by all its trials).
-struct ChunkAcc {
-    stats: PointStats,
-    scratch: RouteScratch,
-}
-
-impl Default for ChunkAcc {
-    fn default() -> Self {
-        ChunkAcc {
-            stats: PointStats::default(),
-            scratch: RouteScratch::new(),
-        }
-    }
-}
-
 impl<'a> Campaign<'a> {
     /// A single-process campaign on the live engines: every sweep point
     /// owned, a precompute built per run.
@@ -184,35 +171,33 @@ impl<'a> Campaign<'a> {
 }
 
 impl Campaign<'_> {
-    /// Runs all trials of one sweep point in parallel and merges their
-    /// statistics deterministically.
+    /// Runs all trials of one sweep point in parallel, one trial per
+    /// claim, and folds their statistics deterministically
+    /// ([`PointStats::of_trials`]). The point's outcomes are held until the
+    /// fold.
     pub fn run_point(&self, point_index: usize, point: &SweepPoint) -> PointStats {
         let (mesh, model, seed) = (self.mesh, self.model, self.seed);
         let shared = match self.pre {
             Some(p) => Arc::clone(p),
             None => Arc::new(MeshPrecompute::new(*mesh)),
         };
-        (0..self.trials)
+        let outcomes: Vec<InstanceOutcome> = (0..self.trials)
             .into_par_iter()
-            // pamr-lint: allow(D003, reason = "the vendored rayon splits into fixed chunk boundaries and combines in order, so this float accumulation is byte-identical for every thread count")
-            .fold(
+            .with_max_len(1)
+            .map_init(
                 || {
-                    let mut acc = ChunkAcc::default();
-                    acc.scratch.set_engine(self.engine);
-                    acc.scratch.attach_precompute(Arc::clone(&shared));
-                    acc
+                    let mut scratch = RouteScratch::with_engine(self.engine);
+                    scratch.attach_precompute(Arc::clone(&shared));
+                    scratch
                 },
-                |mut acc, t| {
+                |scratch, t| {
                     let mut rng = SmallRng::seed_from_u64(trial_seed(seed, point_index, t));
                     let cs = point.workload.generate(mesh, &mut rng);
-                    acc.stats
-                        .add(&run_instance_with(&cs, model, &mut acc.scratch));
-                    acc
+                    run_instance_with(&cs, model, scratch)
                 },
             )
-            .map(|acc| acc.stats)
-            // pamr-lint: allow(D003, reason = "fixed-chunk in-order combine (vendored rayon): merge order is the chunk order, independent of thread count")
-            .reduce(PointStats::default, PointStats::merge)
+            .collect();
+        PointStats::of_trials(&outcomes)
     }
 
     /// The one runner of the §6 grid: every sweep point this campaign's
@@ -277,22 +262,26 @@ mod tests {
         let mesh = crate::paper_mesh();
         let model = crate::paper_model();
         let points = tiny_points();
-        let campaign = Campaign::new(&mesh, &model, 20, 42);
-        let run = |threads: usize| {
-            rayon::set_num_threads(threads);
-            let out: Vec<Vec<u64>> = (points.iter().enumerate())
-                .map(|(pi, point)| campaign.run_point(pi, point).fingerprint())
-                .collect();
-            rayon::set_num_threads(0);
-            out
-        };
-        let one = run(1);
-        for threads in [2, 4, 9] {
-            assert_eq!(
-                run(threads),
-                one,
-                "{threads}-thread campaign diverged from 1-thread"
-            );
+        // Eight trials or fewer make one fold run, yet still spread over
+        // the workers.
+        for trials in [1, 5, 10, 20] {
+            let campaign = Campaign::new(&mesh, &model, trials, 42);
+            let run = |threads: usize| {
+                rayon::set_num_threads(threads);
+                let out: Vec<Vec<u64>> = (points.iter().enumerate())
+                    .map(|(pi, point)| campaign.run_point(pi, point).fingerprint())
+                    .collect();
+                rayon::set_num_threads(0);
+                out
+            };
+            let one = run(1);
+            for threads in [2, 4, 9] {
+                assert_eq!(
+                    run(threads),
+                    one,
+                    "{threads}-thread campaign of {trials} trials diverged from 1-thread"
+                );
+            }
         }
     }
 

@@ -1,4 +1,5 @@
-//! Trial accumulators for sweep points.
+//! Trial accumulators for sweep points, and the one order in which a sweep
+//! point's trials fold into them.
 
 use crate::runner::InstanceOutcome;
 use pamr_routing::HeuristicKind;
@@ -85,7 +86,24 @@ impl PointStats {
         }
     }
 
-    /// Merges two accumulators (used by rayon's reduce).
+    /// The statistics of a sweep point's trials, `outcomes[t]` being trial
+    /// `t`'s: [`PointStats::add`] and [`PointStats::merge`] applied in the
+    /// pool order of `fold_in_pool_order`, which depends on the number of
+    /// trials alone.
+    pub fn of_trials(outcomes: &[InstanceOutcome]) -> PointStats {
+        fold_in_pool_order(
+            outcomes,
+            PointStats::default,
+            |mut stats, out| {
+                stats.add(out);
+                stats
+            },
+            PointStats::merge,
+        )
+    }
+
+    /// Merges two accumulators (the combine step of
+    /// [`PointStats::of_trials`] and of the shard merge).
     pub fn merge(mut self, other: PointStats) -> PointStats {
         self.trials += other.trials;
         self.best_successes += other.best_successes;
@@ -206,6 +224,36 @@ impl PointStats {
     }
 }
 
+/// Folds `items` in the association of the vendored rayon's
+/// `into_par_iter().fold(identity, add).reduce(identity, merge)` over them:
+/// `add` over runs of 8 items from `identity()`, `merge` over runs of 8 of
+/// those results from `identity()`, then `merge` over the runs, left to
+/// right.
+///
+/// The two 8s are fixed, not tuned: IEEE sums do not associate, so this
+/// grouping is part of every output. The golden §6.4 fixtures, shard
+/// partials written by earlier builds and the benchmark's stepwise replay
+/// all pin the bits it gives. The grouping depends only on `items.len()`,
+/// so the caller may compute the items on any schedule.
+pub(crate) fn fold_in_pool_order<T, A>(
+    items: &[T],
+    identity: impl Fn() -> A,
+    add: impl Fn(A, &T) -> A,
+    merge: impl Fn(A, A) -> A,
+) -> A {
+    const RUN: usize = 8;
+    let mut runs = items
+        .chunks(RUN)
+        .map(|run| run.iter().fold(identity(), &add))
+        .peekable();
+    let mut total = identity();
+    while runs.peek().is_some() {
+        let group = runs.by_ref().take(RUN).fold(identity(), &merge);
+        total = merge(total, group);
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +261,7 @@ mod tests {
     use pamr_mesh::{Coord, Mesh};
     use pamr_power::PowerModel;
     use pamr_routing::{Comm, CommSet};
+    use rayon::prelude::*;
 
     fn outcome() -> InstanceOutcome {
         let mesh = Mesh::new(2, 2);
@@ -268,6 +317,37 @@ mod tests {
         assert_eq!(m.trials, 3);
         assert_eq!(m.best_successes, 3);
         assert!((m.sum_best_inv - 3.0 / 56.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn pool_order_is_the_vendored_fold_reduce_bit_for_bit() {
+        // Terms over nine decades, so the f64 sum's bits depend on how it
+        // is associated.
+        let term = |i: usize| ((i * 7919) % 1013) as f64 * 10f64.powi((i % 9) as i32 - 4);
+        let mut differs_from_left_fold = false;
+        for len in [0, 1, 7, 8, 9, 64, 65, 512, 513, 700] {
+            let items: Vec<f64> = (0..len).map(term).collect();
+            let ours = fold_in_pool_order(&items, || 0.0, |a, x| a + x, |a, b| a + b);
+            for threads in [1, 3] {
+                rayon::set_num_threads(threads);
+                let pool = (0..len)
+                    .into_par_iter()
+                    .map(term)
+                    .fold(|| 0.0f64, |a, x| a + x)
+                    .reduce(|| 0.0, |a, b| a + b);
+                rayon::set_num_threads(0);
+                assert_eq!(
+                    ours.to_bits(),
+                    pool.to_bits(),
+                    "{len} items at {threads} threads"
+                );
+            }
+            differs_from_left_fold |= ours.to_bits() != items.iter().sum::<f64>().to_bits();
+        }
+        assert!(
+            differs_from_left_fold,
+            "the terms never expose the association"
+        );
     }
 
     #[test]

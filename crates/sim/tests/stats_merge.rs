@@ -1,17 +1,18 @@
 //! Property tests for [`PointStats::merge`] — the reduction operator the
-//! parallel campaign engine relies on.
+//! campaign's statistics fold relies on.
 //!
-//! The work-pool splits a sweep point's trials into chunks, folds each
-//! chunk with [`PointStats::add`]-style accumulation and merges the chunk
-//! accumulators in chunk order. That is sound because `merge` is:
+//! [`PointStats::of_trials`] folds a sweep point's trial outcomes in runs
+//! with [`PointStats::add`]-style accumulation and merges the run
+//! accumulators in order. That is sound because `merge` is:
 //!
 //! * **commutative** — exact, including the floating-point sums (IEEE
 //!   addition commutes bit-for-bit);
 //! * **associative** — exact on every counter, and within floating-point
 //!   tolerance on the `f64` sums (IEEE addition does not associate
-//!   bit-for-bit, which is precisely why the engine also fixes the chunk
-//!   boundaries and the combine order: determinism comes from the fixed
-//!   schedule, statistical correctness from the properties checked here);
+//!   bit-for-bit, which is precisely why the fold also fixes the run
+//!   boundaries and the combine order: determinism comes from that fixed
+//!   order, which depends on the trial count alone, statistical
+//!   correctness from the properties checked here);
 //! * **unital** — the default accumulator is an identity.
 //!
 //! The chunking property puts it together: accumulating any sequence of
@@ -148,7 +149,7 @@ proptest! {
             .fold(PointStats::default(), |acc, t| acc.merge(t.clone()));
         // Chunked: split at arbitrary (sorted, deduplicated) boundaries,
         // fold each chunk independently, merge chunk accumulators in order
-        // — exactly the parallel engine's shape.
+        // — the shape of the statistics fold.
         let mut bounds: Vec<usize> = cuts
             .into_iter()
             .map(|c| c % (trials.len() + 1))

@@ -18,8 +18,18 @@
 //! recomputed, stopping as soon as the recomputed interval matches the
 //! stored one; path cleaning then re-examines only the touched groups. When
 //! a recomputed reachable set is not contiguous (an interval *fragments*),
-//! the communication permanently falls back to the full sweep — a rare,
-//! always-correct escape hatch.
+//! the communication falls back to the full sweep until its useful sets
+//! are contiguous again — a rare, always-correct escape hatch.
+//!
+//! Choosing each removal is cheap too. The oracle scans loaded links in
+//! decreasing load and, per link, its users in decreasing weight, until
+//! one user can give the link up: the link is still alive for it and its
+//! diagonal group keeps another alive link. The banded engine counts those
+//! *removable* users per link and keeps its [`LoadQueue`] to exactly the
+//! loaded links with a non-zero count, updating both wherever a removal or
+//! a cleaned group kills a link or leaves a group with one link. Every link
+//! the oracle's scan would reject is therefore absent, and the removal is
+//! always taken from the top of the queue.
 //!
 //! Both implementations produce **bit-identical** routings, errors and load
 //! maps: they kill the same links in the same order and perform the same
@@ -36,7 +46,7 @@ use crate::loadq::LoadQueue;
 use crate::precompute::EndpointTables;
 use crate::routing::Routing;
 use crate::scratch::{reset_flags, RouteScratch};
-use pamr_mesh::{Band, LinkId, LoadMap, Mesh, Path, Step};
+use pamr_mesh::{Band, Coord, LinkId, LoadMap, Mesh, Path, Step};
 use pamr_power::PowerModel;
 use std::sync::Arc;
 
@@ -147,33 +157,54 @@ fn iv_intersect(a: Iv, b: Iv) -> Iv {
     }
 }
 
-/// The reusable per-removal buffers the banded engine borrows from
-/// [`RouteScratch`], split out so the candidate scan can keep reading
-/// `scratch.xusers` while a removal mutates these.
-struct BandBufs<'a> {
+/// The per-link state every removal updates, kept in sync: the load map,
+/// the per-link removable-user counts and the shared [`LoadQueue`], which
+/// holds exactly the links with strictly positive load and a non-zero
+/// removable count. The load *values* are bit-identical to the full-sweep
+/// oracle's (same operations per link in the same order), so the queue's
+/// descending order is the oracle's loaded-link scan order with the links
+/// it would reject left out.
+struct QueuedLoads<'a> {
     loads: &'a mut LoadMap,
     queue: &'a mut LoadQueue,
-    live: &'a [u32],
+    /// Per link slot: how many communications could give the link up (it
+    /// is alive for them and its group keeps another alive link).
+    removable: &'a mut [u32],
+}
+
+impl QueuedLoads<'_> {
+    /// [`LoadMap::add`] that re-keys `l` in the queue while it is
+    /// removable.
+    fn add_load(&mut self, l: LinkId, delta: f64) {
+        self.loads.add(l, delta);
+        if self.removable[l.index()] > 0 {
+            self.queue.set(l, self.loads.get(l));
+        }
+    }
+
+    /// One communication can no longer give `l` up (the link died for it,
+    /// or its group is down to this one link); the last such communication
+    /// takes the link out of the queue.
+    fn drop_removable(&mut self, l: LinkId) {
+        let n = &mut self.removable[l.index()];
+        *n -= 1;
+        if *n == 0 {
+            self.queue.set(l, 0.0);
+        }
+    }
+}
+
+/// The reusable per-removal buffers the banded engine borrows from
+/// [`RouteScratch`]: the shared per-link state, plus the reachability
+/// buffers, split off so path cleaning can read them while it updates
+/// `links`.
+struct BandBufs<'a> {
+    links: QueuedLoads<'a>,
     fwd_iv: &'a mut Vec<Iv>,
     bwd_iv: &'a mut Vec<Iv>,
     rows: &'a mut Vec<bool>,
     fwd: &'a mut Vec<bool>,
     bwd: &'a mut Vec<bool>,
-}
-
-impl BandBufs<'_> {
-    /// [`LoadMap::add`] that also keeps the shared [`LoadQueue`] in sync:
-    /// the queue holds exactly the links with strictly positive load and at
-    /// least one unresolved user. The load *values* are bit-identical to
-    /// the full-sweep oracle's (same operations per link in the same
-    /// order), so the queue's descending iteration reproduces its
-    /// loaded-link scan order exactly.
-    fn add_load(&mut self, l: LinkId, delta: f64) {
-        self.loads.add(l, delta);
-        if self.live[l.index()] > 0 {
-            self.queue.set(l, self.loads.get(l));
-        }
-    }
 }
 
 /// Per-communication removal state of the banded engine.
@@ -314,9 +345,14 @@ impl BandedComm {
         (t_rm, j_rm): (usize, usize),
         bufs: &mut BandBufs<'_>,
     ) -> Result<(), PrError> {
-        // Subtract the removed link's current share and kill it.
-        bufs.add_load(self.band.group(t_rm)[j_rm], -self.share[t_rm]);
+        // Kill the removed link and subtract its current share. The caller
+        // picked it from a group with another alive link, so until now this
+        // communication could give it up.
+        debug_assert!(self.counts[t_rm] > 1, "removal from a one-link group");
+        let l_rm = self.band.group(t_rm)[j_rm];
         self.alive[t_rm][j_rm] = false;
+        bufs.links.drop_removable(l_rm);
+        bufs.links.add_load(l_rm, -self.share[t_rm]);
 
         if self.fragmented {
             return self.full_reshare(mesh, ci, bufs);
@@ -387,39 +423,9 @@ impl BandedComm {
             } else {
                 self.reach[t + 1]
             };
-            let g = self.band.group(t);
-            let old_share = self.share[t];
-            let old_count = self.counts[t];
-            let mut count = 0usize;
-            for (j, &l) in g.iter().enumerate() {
-                if self.alive[t][j] {
-                    let (from, to) = mesh.link_endpoints(l);
-                    if iv_contains(fwd_t, from.u) && iv_contains(bwd_t1, to.u) {
-                        count += 1;
-                    } else {
-                        self.alive[t][j] = false;
-                        bufs.add_load(l, -old_share);
-                    }
-                }
-            }
-            if count == 0 {
-                return Err(PrError::EmptiedGroup { comm: ci, group: t });
-            }
-            let new_share = self.weight / count as f64;
-            // Exact comparison: an unchanged count reproduces the identical
-            // quotient, so untouched groups skip the load updates entirely.
-            if new_share != old_share {
-                for (j, &l) in g.iter().enumerate() {
-                    if self.alive[t][j] {
-                        bufs.add_load(l, new_share - old_share);
-                    }
-                }
-                self.share[t] = new_share;
-            }
-            self.counts[t] = count;
-            if old_count > 1 && count == 1 {
-                self.multi -= 1;
-            }
+            self.clean_group(mesh, ci, t, &mut bufs.links, |from, to| {
+                iv_contains(fwd_t, from.u) && iv_contains(bwd_t1, to.u)
+            })?;
         }
 
         // Fold the recomputed reachability into the stored useful sets:
@@ -437,13 +443,71 @@ impl BandedComm {
         Ok(())
     }
 
+    /// Path cleaning and re-sharing of diagonal group `t`, the one step
+    /// the banded path and the full sweep both run per group: kills every
+    /// alive link `keep(from, to)` rejects, spreads the weight equally
+    /// over the survivors, and updates `counts`, `multi` and the removable
+    /// counts — a killed link of a multi-link group loses this
+    /// communication as a removable user, and so does the survivor of a
+    /// group cleaned down to one link. The load operations are the
+    /// full-sweep oracle's, in its order; `ci` labels the error of an
+    /// emptied group.
+    fn clean_group(
+        &mut self,
+        mesh: &Mesh,
+        ci: usize,
+        t: usize,
+        links: &mut QueuedLoads<'_>,
+        keep: impl Fn(Coord, Coord) -> bool,
+    ) -> Result<(), PrError> {
+        let g = self.band.group(t);
+        let old_share = self.share[t];
+        let was_multi = self.counts[t] > 1;
+        let (mut count, mut last) = (0usize, 0usize);
+        for (j, &l) in g.iter().enumerate() {
+            if self.alive[t][j] {
+                let (from, to) = mesh.link_endpoints(l);
+                if keep(from, to) {
+                    count += 1;
+                    last = j;
+                } else {
+                    self.alive[t][j] = false;
+                    if was_multi {
+                        links.drop_removable(l);
+                    }
+                    links.add_load(l, -old_share);
+                }
+            }
+        }
+        if count == 0 {
+            return Err(PrError::EmptiedGroup { comm: ci, group: t });
+        }
+        if was_multi && count == 1 {
+            self.multi -= 1;
+            links.drop_removable(g[last]);
+        }
+        let new_share = self.weight / count as f64;
+        // Exact comparison: an unchanged count reproduces the identical
+        // quotient, so untouched groups skip the load updates entirely.
+        if new_share != old_share {
+            for (j, &l) in g.iter().enumerate() {
+                if self.alive[t][j] {
+                    links.add_load(l, new_share - old_share);
+                }
+            }
+            self.share[t] = new_share;
+        }
+        self.counts[t] = count;
+        Ok(())
+    }
+
     /// The full-sweep fallback: identical to the reference engine's
     /// cleaning pass (same operations on the load map, in the same order),
-    /// plus the banded bookkeeping of `counts` and `multi`. Afterwards the
-    /// `reach` intervals are rebuilt from the sweep's reachability flags
-    /// ([`BandedComm::rebuild_reach`]); when every diagonal's useful set is
-    /// a contiguous run again, `fragmented` clears and later removals
-    /// re-enter the fast banded path.
+    /// run through the shared per-group step ([`BandedComm::clean_group`]).
+    /// Afterwards the `reach` intervals are rebuilt from the sweep's
+    /// reachability flags ([`BandedComm::rebuild_reach`]); when every
+    /// diagonal's useful set is a contiguous run again, `fragmented` clears
+    /// and later removals re-enter the fast banded path.
     fn full_reshare(
         &mut self,
         mesh: &Mesh,
@@ -475,39 +539,13 @@ impl BandedComm {
                 }
             }
         }
-        self.multi = 0;
-        for (t, g) in self.band.groups().enumerate() {
-            let old_share = self.share[t];
-            let mut count = 0usize;
-            for (j, &l) in g.iter().enumerate() {
-                if self.alive[t][j] {
-                    let (from, to) = mesh.link_endpoints(l);
-                    if bufs.fwd[mesh.core_index(from)] && bufs.bwd[mesh.core_index(to)] {
-                        count += 1;
-                    } else {
-                        self.alive[t][j] = false;
-                        bufs.add_load(l, -old_share);
-                    }
-                }
-            }
-            if count == 0 {
-                return Err(PrError::EmptiedGroup { comm: ci, group: t });
-            }
-            let new_share = self.weight / count as f64;
-            if new_share != old_share {
-                for (j, &l) in g.iter().enumerate() {
-                    if self.alive[t][j] {
-                        bufs.add_load(l, new_share - old_share);
-                    }
-                }
-                self.share[t] = new_share;
-            }
-            self.counts[t] = count;
-            if count > 1 {
-                self.multi += 1;
-            }
+        let (fwd, bwd) = (&*bufs.fwd, &*bufs.bwd);
+        for t in 0..self.band.len() {
+            self.clean_group(mesh, ci, t, &mut bufs.links, |from, to| {
+                fwd[mesh.core_index(from)] && bwd[mesh.core_index(to)]
+            })?;
         }
-        self.fragmented = !self.rebuild_reach(mesh, bufs.fwd, bufs.bwd);
+        self.fragmented = !self.rebuild_reach(mesh, fwd, bwd);
         Ok(())
     }
 
@@ -654,91 +692,82 @@ impl PathRemover {
             let (a, b) = (a as usize, b as usize);
             comms[b].weight.total_cmp(&comms[a].weight).then(a.cmp(&b))
         });
-        // Per-link unresolved-user counts: a link none of whose users is
-        // unresolved is rejected by the candidate scan without effect, so
-        // skipping it up front cannot change which link hosts the next
-        // removal — it only spares the scan. Decremented for a comm's whole
-        // band when the comm resolves.
-        scratch.live_users.clear();
-        scratch.live_users.resize(nslots, 0);
+        // Per-link removable-user counts: a communication can give a link
+        // up while the link is alive for it and its group keeps another
+        // alive link. Every removal and every cleaned group keeps them
+        // current ([`BandedComm::clean_group`]).
+        scratch.removable.clear();
+        scratch.removable.resize(nslots, 0);
         for c in &comms {
-            if !c.resolved() {
-                for l in c.band.links() {
-                    scratch.live_users[l.index()] += 1;
+            for g in c.band.groups().filter(|g| g.len() > 1) {
+                for l in g {
+                    scratch.removable[l.index()] += 1;
                 }
             }
         }
 
         // Shared loaded-link priority queue ([`LoadQueue`]): exactly the
-        // links with positive load and at least one unresolved user, whose
-        // descending iteration yields decreasing load with ties towards the
-        // smaller link id — the full-sweep oracle's scan order. Maintained
-        // incrementally by [`BandBufs::add_load`] instead of being rebuilt
-        // (and re-scanned, O(links²)) on every removal.
+        // links with positive load and a non-zero removable count, in
+        // decreasing load with ties towards the smaller link id — the
+        // full-sweep oracle's scan order, minus the links its scan rejects
+        // without effect. Maintained incrementally by [`QueuedLoads`]
+        // instead of being rebuilt (and re-scanned, O(links²)) on every
+        // removal.
         {
-            let live = &scratch.live_users;
+            let removable = &scratch.removable;
             scratch.queue.rebuild(
                 nslots,
                 scratch
                     .loads
                     .iter_active()
-                    .filter(|(l, _)| live[l.index()] > 0),
+                    .filter(|(l, _)| removable[l.index()] > 0),
             );
         }
 
         // Iteratively remove the most loaded link from the largest
-        // removable communication crossing it.
+        // communication that can give it up. The oracle's scan settles on
+        // the first loaded link some communication can give up, which is
+        // the top of the queue. An empty queue means no unresolved
+        // communication can lose any link (as would a top no candidate
+        // can give up, which the counts rule out): a structural error in
+        // both builds.
         let mut unresolved = comms.iter().filter(|c| !c.resolved()).count();
         while unresolved > 0 {
-            let mut removed = false;
-            // Examine queued links in decreasing-load order; rejected links
-            // keep their key, so the scan resumes strictly below the
-            // cursor.
-            let mut cursor = scratch.queue.cursor();
-            'links: while let Some((link, _)) = cursor.next(&scratch.queue) {
-                // Candidates in presorted decreasing-weight order.
-                for &i in scratch.xusers.row(link.index()) {
+            let top = scratch.queue.peek_max().and_then(|(link, _)| {
+                // Candidates in presorted decreasing-weight order: the
+                // first that still holds the link in a group with another
+                // alive link takes the removal (every alive link lies on
+                // some path after cleaning, so a sibling link guarantees a
+                // surviving path).
+                scratch.xusers.row(link.index()).iter().find_map(|&i| {
                     let i = i as usize;
                     if comms[i].resolved() {
-                        continue;
+                        return None;
                     }
-                    // Removable iff the link is alive for the communication
-                    // and its group keeps another alive link (every alive
-                    // link lies on some path after cleaning, so a sibling
-                    // link guarantees a surviving path).
-                    if let Some((t, j, count)) = comms[i].locate(mesh, link) {
-                        if count >= 2 {
-                            let mut bufs = BandBufs {
-                                loads: &mut scratch.loads,
-                                queue: &mut scratch.queue,
-                                live: &scratch.live_users,
-                                fwd_iv: &mut scratch.fwd_iv,
-                                bwd_iv: &mut scratch.bwd_iv,
-                                rows: &mut scratch.rows,
-                                fwd: &mut scratch.fwd,
-                                bwd: &mut scratch.bwd,
-                            };
-                            comms[i].remove_and_reshare(mesh, i, (t, j), &mut bufs)?;
-                            if comms[i].resolved() {
-                                unresolved -= 1;
-                                for l in comms[i].band.links() {
-                                    let slot = l.index();
-                                    scratch.live_users[slot] -= 1;
-                                    if scratch.live_users[slot] == 0 {
-                                        scratch.queue.set(l, 0.0);
-                                    }
-                                }
-                            }
-                            removed = true;
-                            break 'links;
-                        }
+                    match comms[i].locate(mesh, link) {
+                        Some((t, j, count)) if count >= 2 => Some((i, t, j)),
+                        _ => None,
                     }
-                }
-            }
-            // An unresolved communication always has a removable link;
-            // failing that is a structural error in both builds.
-            if !removed {
+                })
+            });
+            let Some((i, t, j)) = top else {
                 return Err(PrError::Stuck { unresolved });
+            };
+            let mut bufs = BandBufs {
+                links: QueuedLoads {
+                    loads: &mut scratch.loads,
+                    queue: &mut scratch.queue,
+                    removable: &mut scratch.removable,
+                },
+                fwd_iv: &mut scratch.fwd_iv,
+                bwd_iv: &mut scratch.bwd_iv,
+                rows: &mut scratch.rows,
+                fwd: &mut scratch.fwd,
+                bwd: &mut scratch.bwd,
+            };
+            comms[i].remove_and_reshare(mesh, i, (t, j), &mut bufs)?;
+            if comms[i].resolved() {
+                unresolved -= 1;
             }
         }
 
@@ -931,6 +960,25 @@ mod tests {
         }
     }
 
+    /// A fresh recount of every link slot's removable users among
+    /// `comms`: the communications the link is alive for whose group keeps
+    /// at least two alive links.
+    fn recount_removable(mesh: &Mesh, comms: &[&BandedComm]) -> Vec<u32> {
+        let mut n = vec![0u32; mesh.num_link_slots()];
+        for c in comms {
+            for (t, g) in c.band.groups().enumerate() {
+                if c.alive[t].iter().filter(|&&a| a).count() >= 2 {
+                    for (j, &l) in g.iter().enumerate() {
+                        if c.alive[t][j] {
+                            n[l.index()] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        n
+    }
+
     #[test]
     fn fragmentation_falls_back_to_the_full_sweep() {
         // Drive a banded comm and a reference comm through the identical
@@ -938,82 +986,64 @@ mod tests {
         // a diagonal: the diagonal-2 reachable rows of a 4×4 corner-to-
         // corner band become {0, 2} (not contiguous), which must flip the
         // banded comm to its full-sweep fallback and keep the states
-        // bit-identical throughout.
+        // bit-identical throughout. A second, smaller comm shares part of
+        // the band and is never removed from, so some links keep a
+        // removable user (and their queue entry) after the first comm
+        // gives them up, and others leave the queue.
         let mesh = Mesh::new(4, 4);
         let (src, snk) = (Coord::new(0, 0), Coord::new(3, 3));
+        let (src2, snk2) = (Coord::new(0, 1), Coord::new(2, 3));
         let mut banded = BandedComm::new(2.0, &EndpointTables::build(&mesh, src, snk));
         let mut reference = reference::RefComm::new(&mesh, src, snk, 2.0);
+        let other = BandedComm::new(1.0, &EndpointTables::build(&mesh, src2, snk2));
+        let other_ref = reference::RefComm::new(&mesh, src2, snk2, 1.0);
         let mut loads_b = pamr_mesh::LoadMap::new(&mesh);
         let mut loads_r = pamr_mesh::LoadMap::new(&mesh);
         banded.apply_loads(&mut loads_b, 1.0);
+        other.apply_loads(&mut loads_b, 1.0);
         reference.apply_loads(&mut loads_r, 1.0);
+        other_ref.apply_loads(&mut loads_r, 1.0);
+        // Real removable counts, and the queue the engine seeds from them.
+        let mut removable = recount_removable(&mesh, &[&banded, &other]);
+        assert!(removable.contains(&2), "the bands must overlap");
         let mut scratch = crate::RouteScratch::new();
+        scratch.queue.rebuild(
+            mesh.num_link_slots(),
+            loads_b
+                .iter_active()
+                .filter(|(l, _)| removable[l.index()] > 0),
+        );
         let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
-        // Not testing queue maintenance here: an all-zero live-user table
-        // keeps `add_load` from touching the (unused) queue.
-        let live = vec![0u32; mesh.num_link_slots()];
 
-        // Group 1 holds the four links leaving diagonal 1; find the two
-        // links entering the middle core (1,1) of diagonal 2.
-        let into_middle: Vec<usize> = banded
+        // Group 1 holds the four links leaving diagonal 1; the first two
+        // removals take the two links entering the middle core (1,1) of
+        // diagonal 2. Later removals take the first alive link of the
+        // first multi-link group until the comm resolves.
+        let mut into_middle = banded
             .band
             .group(1)
             .iter()
             .enumerate()
             .filter(|(_, &l)| mesh.link_endpoints(l).1 == Coord::new(1, 1))
-            .map(|(j, _)| j)
-            .collect();
+            .map(|(j, _)| (1, j))
+            .collect::<Vec<_>>()
+            .into_iter();
         assert_eq!(into_middle.len(), 2);
-        for (step, &j) in into_middle.iter().enumerate() {
-            let mut bufs = BandBufs {
-                loads: &mut loads_b,
-                queue: &mut scratch.queue,
-                live: &live,
-                fwd_iv: &mut scratch.fwd_iv,
-                bwd_iv: &mut scratch.bwd_iv,
-                rows: &mut scratch.rows,
-                fwd: &mut scratch.fwd,
-                bwd: &mut scratch.bwd,
-            };
-            banded
-                .remove_and_reshare(&mesh, 0, (1, j), &mut bufs)
-                .unwrap();
-            reference
-                .remove_and_reshare(&mesh, 0, (1, j), &mut loads_r, &mut fwd, &mut bwd)
-                .unwrap();
-            assert_eq!(
-                banded.fragmented,
-                step == 1,
-                "fragmentation must trigger exactly on the second removal"
-            );
-            assert_eq!(banded.alive, reference.alive, "alive sets diverged");
-            for l in mesh.links() {
-                assert_eq!(
-                    loads_b.get(l).to_bits(),
-                    loads_r.get(l).to_bits(),
-                    "load of {l} diverged"
-                );
-            }
-        }
-        // The fragmented comm keeps matching the oracle on later removals —
-        // and the fallback is no longer sticky: each full sweep rebuilds
-        // the per-diagonal intervals, so the communication re-enters the
-        // fast banded path as soon as every useful set is contiguous again.
-        // Drive the removal sequence to full resolution, checking
-        // bit-identity after every step and recording the fragmented flag.
-        let mut flag_history = vec![banded.fragmented];
+        // The fragmented flag after each removal. A removal that starts
+        // fragmented runs the full sweep; one that starts and ends
+        // unfragmented runs the banded path.
+        let mut flag_history = Vec::new();
         while !banded.resolved() {
-            let (t, j) = banded
-                .counts
-                .iter()
-                .enumerate()
-                .find(|&(_, &c)| c >= 2)
-                .map(|(t, _)| (t, banded.alive[t].iter().position(|&a| a).unwrap()))
-                .expect("unresolved comm has a multi-link group");
+            let (t, j) = into_middle.next().unwrap_or_else(|| {
+                let t = banded.counts.iter().position(|&c| c >= 2).unwrap();
+                (t, banded.alive[t].iter().position(|&a| a).unwrap())
+            });
             let mut bufs = BandBufs {
-                loads: &mut loads_b,
-                queue: &mut scratch.queue,
-                live: &live,
+                links: QueuedLoads {
+                    loads: &mut loads_b,
+                    queue: &mut scratch.queue,
+                    removable: &mut removable,
+                },
                 fwd_iv: &mut scratch.fwd_iv,
                 bwd_iv: &mut scratch.bwd_iv,
                 rows: &mut scratch.rows,
@@ -1026,6 +1056,8 @@ mod tests {
             reference
                 .remove_and_reshare(&mesh, 0, (t, j), &mut loads_r, &mut fwd, &mut bwd)
                 .unwrap();
+            flag_history.push(banded.fragmented);
+            let step = flag_history.len();
             assert_eq!(banded.alive, reference.alive, "alive sets diverged");
             for l in mesh.links() {
                 assert_eq!(
@@ -1034,23 +1066,55 @@ mod tests {
                     "load of {l} diverged"
                 );
             }
-            flag_history.push(banded.fragmented);
+            // The maintained counts equal a fresh recount…
+            assert_eq!(
+                removable,
+                recount_removable(&mesh, &[&banded, &other]),
+                "removal {step}: removable counts drifted"
+            );
+            // …and the queue holds exactly the loaded links with a
+            // non-zero count, keyed by their load.
+            let mut queued = 0;
+            for l in mesh.links() {
+                let load = loads_b.get(l);
+                let want = if load > 0.0 && removable[l.index()] > 0 {
+                    queued += 1;
+                    load
+                } else {
+                    0.0
+                };
+                assert_eq!(
+                    scratch.queue.get(l).to_bits(),
+                    want.to_bits(),
+                    "removal {step}: queue entry of {l}"
+                );
+            }
+            assert_eq!(scratch.queue.len(), queued, "removal {step}: queue size");
         }
         assert_eq!(banded.resolved(), reference.resolved);
-        // The workload fragmented the band mid-run…
-        assert!(flag_history.iter().any(|&f| f), "workload never fragmented");
-        // …and the rebuilt intervals un-stuck it before resolution: the
-        // final removals run through the banded fast path again.
+        // The first comm gave up links the second never held: they left
+        // the queue while still loaded by the first comm's final path.
+        assert!(
+            mesh.links()
+                .any(|l| loads_b.get(l) > 0.0 && scratch.queue.get(l) == 0.0),
+            "no link left the queue"
+        );
+        assert_eq!(
+            flag_history[..2],
+            [false, true],
+            "fragmentation must trigger exactly on the second removal"
+        );
+        // The fallback is not sticky: each full sweep rebuilds the
+        // per-diagonal intervals, so the comm re-enters the banded path as
+        // soon as every useful set is contiguous again, before resolution.
         assert!(
             !flag_history.last().unwrap(),
             "fragmentation fallback stayed sticky to the end"
         );
-        let first_frag = flag_history.iter().position(|&f| f).unwrap();
-        let unstuck_at = first_frag
-            + flag_history[first_frag..]
-                .iter()
-                .position(|&f| !f)
-                .expect("flag must clear after fragmenting");
+        let unstuck_at = 1 + flag_history[1..]
+            .iter()
+            .position(|&f| !f)
+            .expect("flag must clear after fragmenting");
         assert!(
             unstuck_at < flag_history.len() - 1,
             "un-sticking must happen before the final removal so later \

@@ -54,13 +54,14 @@ pub struct RouteScratch {
     pub(crate) xusers: CrossingIndex,
     /// Candidate-communication index buffer (PR's per-link scan).
     pub(crate) cands: Vec<usize>,
-    /// Per-link count of *unresolved* communications whose band contains
-    /// the link (banded PR): links with no unresolved user can never host a
-    /// removal, so the loaded-link scan skips them wholesale.
-    pub(crate) live_users: Vec<u32>,
+    /// Per-link count of the communications that could give the link up
+    /// (banded PR): the link is still alive for them and its diagonal group
+    /// keeps at least one other alive link. A link whose count is 0 can
+    /// never host a removal, so it is kept out of `queue`.
+    pub(crate) removable: Vec<u32>,
     /// Shared loaded-link priority queue ([`LoadQueue`]): the banded PR
-    /// keys it to the links with unresolved users, queue-driven XYI to
-    /// every loaded link. Its descending order is exactly the
+    /// keys it to the links with a non-zero `removable` count, queue-driven
+    /// XYI to every loaded link. Its descending order is exactly the
     /// [`select_max`](crate::loadq::select_max) order.
     pub(crate) queue: LoadQueue,
     /// Per-diagonal forward reachable-interval run (banded PR): the row
@@ -112,6 +113,18 @@ impl RouteScratch {
     /// The engine selection `route_with` calls through this scratch use.
     pub fn engine(&self) -> EngineConfig {
         self.engine
+    }
+
+    /// The link-load accumulator as the last load-tracking `route_with`
+    /// call through this scratch (SG, IG, TB, XYI, PR) left it: the loads
+    /// the engine itself summed while it routed — for PR, the fractional
+    /// loads after the final removal — not a recount from the returned
+    /// [`Routing`](crate::Routing). It is the float state the engine's
+    /// choices read, so comparing two scratches' accumulators bit for bit
+    /// checks more than comparing their routings. The next such call
+    /// overwrites it.
+    pub fn loads(&self) -> &LoadMap {
+        &self.loads
     }
 
     /// Attaches a shared phase-one precompute, replacing any previously

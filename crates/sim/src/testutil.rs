@@ -119,10 +119,11 @@ pub const IG: (&str, RouteFn) = ("IG", |cs, m, s| {
 
 /// Routes `cs` through each of `engines` on a [`EngineConfig::LIVE`] and
 /// on a [`EngineConfig::REFERENCE`] scratch and asserts identical
-/// outcomes: routings (a `PrError` compares like one), load bits and
-/// power bits. The oracles rebuild every band and evaluate the power fit
-/// on every query, so every interned table and `CostLadder` value the
-/// live engines read meets a literal rebuild here.
+/// outcomes: routings (a `PrError` compares like one), the bits of both
+/// scratches' final load accumulators ([`RouteScratch::loads`]) and power
+/// bits. The oracles rebuild every band and evaluate the power fit on
+/// every query, so every interned table and `CostLadder` value the live
+/// engines read meets a literal rebuild here.
 ///
 /// # Panics
 ///
@@ -145,14 +146,16 @@ pub fn assert_engines_agree(
         let (Ok(fast), Ok(reference)) = (fast, reference) else {
             continue;
         };
-        // Load maps drive every decision downstream (queue order,
-        // feasibility, §6.4 statistics), so pin them bit for bit.
-        let (lf, lr) = (fast.loads(cs), reference.loads(cs));
+        // Each engine's own final load accumulator is the float state its
+        // selection read, so pin the two scratches' accumulators bit for
+        // bit: a load summed in another order diverges here even when the
+        // routings agree.
+        let (lf, lr) = (live.loads(), oracle.loads());
         for l in cs.mesh().links() {
             assert_eq!(
                 lf.get(l).to_bits(),
                 lr.get(l).to_bits(),
-                "{label}: {engine} load of {l} diverged"
+                "{label}: {engine} load accumulator of {l} diverged"
             );
         }
         let pf = fast.power(cs, model).map(|p| p.total().to_bits());

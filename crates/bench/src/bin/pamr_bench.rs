@@ -18,16 +18,18 @@
 //!
 //! | lane | optimized | baseline | one timed call |
 //! |---|---|---|---|
-//! | `pr` | banded Path-Remover | `pr::reference` full sweep | instance |
-//! | `xyi` | queue-driven XY improver | `xyi::reference` full scan | instance |
-//! | `ig` | indexed Improved greedy | `ig::reference` full scan | instance |
+//! | `pr` | banded Path-Remover | full-sweep oracle | instance |
+//! | `xyi` | queue-driven XY improver | full-scan oracle | instance |
+//! | `ig` | indexed Improved greedy | full-scan oracle | instance |
 //! | `serve` | resident `RoutingSession` | XYI re-route of the live set | request |
 //! | `precompute` | one shared precompute (SG + IG) | fresh scratch per trial | trial |
 //! | `frontier` | pooled ε-constraint sweep | sequential `frontier_points` | sweep |
 //!
 //! `pamr-bench <lane>` reruns one lane with flag overrides and merges its
 //! section into an existing report, leaving every other section as it was.
-//! The engine lanes time §6.2 mixed-weight 8×8 instances, so their
+//! The engine lanes time one `pamr_sim::testutil` engine on a `LIVE` and
+//! on a `REFERENCE` scratch once `testutil::engines_agree` passed on every
+//! instance. They time §6.2 mixed-weight 8×8 instances, so their
 //! `optimized_ms` is this machine's answer to the §6.4 runtime claim
 //! (XYI ≈ 24 ms, PR ≈ 38 ms on the authors' hardware).
 //!
@@ -36,7 +38,8 @@
 //! `--profile full`), cross-checked against the full-scan oracles on the
 //! small points first, fits a log–log exponent per engine and records a
 //! large-mesh `pamr serve` mutation-latency probe; `--profile serve` runs
-//! only the 256×256/10⁴ probe, `--check-only` only the cross-checks.
+//! only the 256×256/10⁴ probe, `--check-only` only the cross-checks (so it
+//! refuses `--profile serve`, which has nothing to cross-check).
 //! `shard` times one `pamr shard 0/1` process against N concurrent
 //! `pamr shard i/N` processes plus `pamr merge`, requiring byte-identical
 //! §6.4 reports, and writes `BENCH_shard.json`.
@@ -46,16 +49,18 @@
 //! (default 2.0). Bad flags and unusable reports print
 //! `pamr-bench: <message>` and exit 2; a failed cross-check exits 1.
 
-use pamr_power::PowerModel;
+use pamr_mesh::Mesh;
 use pamr_routing::{
-    frontier_points, CommSet, FrontierProblem, Heuristic as _, HeuristicKind, ImprovedGreedy,
-    MeshPrecompute, PathRemover, PrError, ReferenceImprovedGreedy, ReferencePathRemover,
-    ReferenceXyImprover, RouteScratch, Routing, RoutingSession, SessionConfig, SimpleGreedy,
-    XyImprover,
+    frontier_points, CommSet, EngineConfig, FrontierProblem, Heuristic as _, HeuristicKind,
+    ImprovedGreedy, MeshPrecompute, RouteScratch, RoutingSession, SessionConfig, SimpleGreedy,
 };
 use pamr_sim::cli::{self, Failure, Flag, Flags, Kind, Outcome, Unset};
 use pamr_sim::experiments::campaign_figures;
+use pamr_sim::testutil::{self, RouteFn, IG, PR, XYI};
 use pamr_sim::{Campaign, FrontierReport};
+use pamr_workload::{LengthTargetedWorkload, UniformWorkload};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
@@ -504,19 +509,19 @@ const LANES: &[Lane] = &[
         name: "pr",
         per: "instance",
         flags: ENGINE_FLAGS,
-        measure: |p| measure_engine(p, ENGINES[0]),
+        measure: |p| measure_engine(p, PR),
     },
     Lane {
         name: "xyi",
         per: "instance",
         flags: ENGINE_FLAGS,
-        measure: |p| measure_engine(p, ENGINES[1]),
+        measure: |p| measure_engine(p, XYI),
     },
     Lane {
         name: "ig",
         per: "instance",
         flags: ENGINE_FLAGS,
-        measure: |p| measure_engine(p, ENGINES[2]),
+        measure: |p| measure_engine(p, IG),
     },
     Lane {
         name: "serve",
@@ -580,67 +585,59 @@ fn param(p: &Params, name: &str) -> usize {
     p[name] as usize
 }
 
+/// A deterministic uniform-workload instance.
+fn uniform_instance(mesh: &Mesh, n: usize, w_min: f64, w_max: f64, seed: u64) -> CommSet {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    UniformWorkload::new(n, w_min, w_max).generate(mesh, &mut rng)
+}
+
+/// A deterministic length-targeted instance.
+fn length_instance(
+    mesh: &Mesh,
+    n: usize,
+    w_min: f64,
+    w_max: f64,
+    len: usize,
+    seed: u64,
+) -> CommSet {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    LengthTargetedWorkload::new(n, w_min, w_max, len).generate(mesh, &mut rng)
+}
+
 /// `params.instances` §6.2-style uniform 8×8 instances of `params.comms`
 /// communications with weights in `[100, w_max]`.
 fn draw_instances(p: &Params, w_max: f64) -> Vec<CommSet> {
-    let mesh = pamr_bench::mesh8();
+    let mesh = pamr_sim::paper_mesh();
     (0..param(p, "instances"))
         .map(|i| {
             let seed = p["seed"] ^ (i as u64).wrapping_mul(0x9E37_79B9);
-            pamr_bench::uniform_instance(&mesh, param(p, "comms"), 100.0, w_max, seed)
+            uniform_instance(&mesh, param(p, "comms"), 100.0, w_max, seed)
         })
         .collect()
 }
 
-/// A routing call under test. XYI and IG cannot fail; PR reports a
-/// violated invariant as a [`PrError`], which must match too.
-type RouteFn = fn(&CommSet, &PowerModel, &mut RouteScratch) -> Result<Routing, PrError>;
-
-/// The three rewritten engines, each with its full-scan oracle: the
-/// `pr`/`xyi`/`ig` lanes and the scaling grid time the same pairs. The
-/// optimized side dispatches on its scratch, which is always a
-/// `RouteScratch::new()` (the live engines) here.
-const ENGINES: [(&str, RouteFn, RouteFn); 3] = [
-    (
-        "PR",
-        |cs, m, s| PathRemover.try_route_with(cs, m, s),
-        |cs, m, s| ReferencePathRemover.try_route_with(cs, m, s),
-    ),
-    (
-        "XYI",
-        |cs, m, s| Ok(XyImprover::default().route_with(cs, m, s)),
-        |cs, m, s| Ok(ReferenceXyImprover::default().route_with(cs, m, s)),
-    ),
-    (
-        "IG",
-        |cs, m, s| Ok(ImprovedGreedy::default().route_with(cs, m, s)),
-        |cs, m, s| Ok(ReferenceImprovedGreedy::default().route_with(cs, m, s)),
-    ),
-];
-
-/// The engine lanes: a rewritten engine against its full-scan oracle on
-/// §6.2 mixed-weight instances, every result compared before timing.
-fn measure_engine(
-    p: &Params,
-    (_, optimized, baseline): (&str, RouteFn, RouteFn),
-) -> Result<(f64, f64), String> {
-    let model = pamr_bench::model();
+/// The engine lanes: one rewritten engine on a `LIVE` scratch against
+/// its full-scan oracle on a `REFERENCE` scratch, over §6.2 mixed-weight
+/// instances, every one compared through [`testutil::engines_agree`]
+/// before timing.
+fn measure_engine(p: &Params, engine: (&str, RouteFn)) -> Result<(f64, f64), String> {
+    let model = pamr_sim::paper_model();
     let sets = draw_instances(p, 2500.0);
-    let mut scratch = RouteScratch::new();
-    if let Some(i) = sets
-        .iter()
-        .position(|cs| optimized(cs, &model, &mut scratch) != baseline(cs, &model, &mut scratch))
-    {
-        return Err(format!("instance {i}: the engine diverged from its oracle"));
+    for (i, cs) in sets.iter().enumerate() {
+        testutil::engines_agree(&[engine], cs, &model, &format!("instance {i}"))?;
     }
-    let mut per_instance = |f: RouteFn| {
+    let per_instance = |config| {
+        let mut scratch = RouteScratch::with_engine(config);
         mean_ms(param(p, "repeats"), || {
             for cs in &sets {
-                let _ = f(cs, &model, &mut scratch);
+                let _ = (engine.1)(cs, &model, &mut scratch);
             }
         }) / sets.len() as f64
     };
-    Ok((per_instance(optimized), per_instance(baseline)))
+    Ok((
+        per_instance(EngineConfig::LIVE),
+        per_instance(EngineConfig::REFERENCE),
+    ))
 }
 
 /// The serve lane: a `comms`-long `add_comm` script answered by a resident
@@ -652,8 +649,9 @@ fn measure_engine(
 /// daemon serves; the §6.2 mixed regime is infeasible at this count and
 /// would time the session's escalation path instead of incremental repair.
 fn measure_serve(p: &Params) -> Result<(f64, f64), String> {
-    let (requests, mesh, model) = (param(p, "comms"), pamr_bench::mesh8(), pamr_bench::model());
-    let cs = pamr_bench::uniform_instance(&mesh, requests, 100.0, 800.0, p["seed"]);
+    let requests = param(p, "comms");
+    let (mesh, model) = (pamr_sim::paper_mesh(), pamr_sim::paper_model());
+    let cs = uniform_instance(&mesh, requests, 100.0, 800.0, p["seed"]);
     let resident = || {
         let mut session = RoutingSession::new(mesh, model.clone(), SessionConfig::default());
         for c in cs.comms() {
@@ -703,7 +701,7 @@ fn measure_serve(p: &Params) -> Result<(f64, f64), String> {
 /// after a few trials (≤ 4096 distinct pairs), and the warm-up call of
 /// [`mean_ms`] reaches that steady state before timing.
 fn measure_precompute(p: &Params) -> Result<(f64, f64), String> {
-    let model = pamr_bench::model();
+    let model = pamr_sim::paper_model();
     let sets = draw_instances(p, 2500.0);
     let trial = |cs: &CommSet, scratch: &mut RouteScratch| {
         (
@@ -712,7 +710,7 @@ fn measure_precompute(p: &Params) -> Result<(f64, f64), String> {
         )
     };
     let mut shared = RouteScratch::new();
-    shared.attach_precompute(Arc::new(MeshPrecompute::new(pamr_bench::mesh8())));
+    shared.attach_precompute(Arc::new(MeshPrecompute::new(pamr_sim::paper_mesh())));
     if let Some(i) = sets
         .iter()
         .position(|cs| trial(cs, &mut shared) != trial(cs, &mut RouteScratch::new()))
@@ -741,8 +739,8 @@ fn measure_precompute(p: &Params) -> Result<(f64, f64), String> {
 /// compared first. The 100–800 weight regime keeps the instance feasible
 /// (an infeasible one has an empty frontier, and nothing to time).
 fn measure_frontier(p: &Params) -> Result<(f64, f64), String> {
-    let (mesh, model) = (pamr_bench::mesh8(), pamr_bench::model());
-    let cs = pamr_bench::uniform_instance(&mesh, param(p, "comms"), 100.0, 800.0, p["seed"]);
+    let (mesh, model) = (pamr_sim::paper_mesh(), pamr_sim::paper_model());
+    let cs = uniform_instance(&mesh, param(p, "comms"), 100.0, 800.0, p["seed"]);
     let (segments, split) = (param(p, "segments"), param(p, "split"));
     let problem = FrontierProblem {
         cs: &cs,
@@ -892,26 +890,26 @@ fn measure_scaling_point(
     seed: u64,
     check_only: bool,
 ) -> Result<ScalingPoint, String> {
-    let mesh = pamr_mesh::Mesh::new(rows, cols);
-    let model = pamr_bench::model();
-    let cs = pamr_bench::length_instance(&mesh, comms, 100.0, 800.0, SCALING_PATH_LEN, seed);
-    let mut scratch = RouteScratch::new();
+    let mesh = Mesh::new(rows, cols);
+    let model = pamr_sim::paper_model();
+    let cs = length_instance(&mesh, comms, 100.0, 800.0, SCALING_PATH_LEN, seed);
     let crosschecked = rows * cols <= SCALING_ORACLE_CUTOFF;
-    for (engine, optimized, oracle) in ENGINES.iter().filter(|_| crosschecked) {
-        if optimized(&cs, &model, &mut scratch) != oracle(&cs, &model, &mut scratch) {
-            return Err(format!(
-                "{rows}×{cols}/{comms}: {engine} diverged from its full-scan oracle"
-            ));
-        }
+    if crosschecked {
+        let label = format!("{rows}×{cols}/{comms}");
+        testutil::engines_agree(&[PR, XYI, IG], &cs, &model, &label)?;
     }
     // More repetitions on the small points, where a single route is noise.
     let repeats = if check_only { 0 } else { (2560 / comms).max(1) };
-    let max_comms = [SCALING_PR_MAX_COMMS, SCALING_XYI_MAX_COMMS, usize::MAX];
-    let [pr_ms, xyi_ms, ig_ms] = [0, 1, 2].map(|k| {
-        let optimized = ENGINES[k].1;
-        (!check_only && comms <= max_comms[k]).then(|| {
+    let mut scratch = RouteScratch::new();
+    let [pr_ms, xyi_ms, ig_ms] = [
+        (PR, SCALING_PR_MAX_COMMS),
+        (XYI, SCALING_XYI_MAX_COMMS),
+        (IG, usize::MAX),
+    ]
+    .map(|((_, route), max_comms)| {
+        (!check_only && comms <= max_comms).then(|| {
             mean_ms(repeats, || {
-                let _ = optimized(&cs, &model, &mut scratch);
+                let _ = route(&cs, &model, &mut scratch);
             })
         })
     });
@@ -964,9 +962,9 @@ fn measure_scaling_serve(
     mutations: usize,
     seed: u64,
 ) -> Result<ScalingServe, String> {
-    let mesh = pamr_mesh::Mesh::new(rows, cols);
-    let model = pamr_bench::model();
-    let cs = pamr_bench::length_instance(&mesh, comms, 100.0, 800.0, SCALING_PATH_LEN, seed);
+    let mesh = Mesh::new(rows, cols);
+    let model = pamr_sim::paper_model();
+    let cs = length_instance(&mesh, comms, 100.0, 800.0, SCALING_PATH_LEN, seed);
     let mut session = RoutingSession::new(mesh, model, SessionConfig::default());
     let mut handles: Vec<_> = cs.comms().iter().map(|c| session.add_comm(*c)).collect();
     let escalations_before = session.stats().escalations;
@@ -1017,6 +1015,11 @@ fn cmd_scaling(flags: &Flags) -> Outcome {
         // without the multi-minute engine grid in front of it.
         _ => &[],
     };
+    if check_only && grid.is_empty() {
+        return Err(Failure::Usage(format!(
+            "scaling: --check-only cross-checks the grid, and --profile {profile} has none"
+        )));
+    }
     let serve_point = if profile == "smoke" {
         (64, 64, 1_000)
     } else {

@@ -59,6 +59,7 @@ fn bad_flags_exit_2_with_one_message() {
         "ig --repeats 0",
         "frontier --segments -1",
         "scaling --profile bogus",
+        "scaling --profile serve --check-only",
         "shard --trials 0",
         "run --trials x",
         "bogus",

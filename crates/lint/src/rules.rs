@@ -19,8 +19,7 @@
 //!   crates `#![forbid(unsafe_code)]`; the rule also catches
 //!   `#[allow(unsafe_code)]` attempts to regress that).
 //! * **V001** — vendor hygiene: vendored stand-ins must not reach
-//!   `std::process`, `std::net` or wall-clock APIs except where waived
-//!   (criterion's own timing loop).
+//!   `std::process`, `std::net` or wall-clock APIs except where waived.
 //!
 //! Scoping is path-based (workspace-relative, forward slashes). Unit-test
 //! modules (`#[cfg(test)] mod`) are skipped by every rule.

@@ -5,8 +5,8 @@
 //! a lower bound on the power to reach the sink through it: the candidate's
 //! own cost plus, for every remaining diagonal of the communication's band,
 //! the cost of the cheapest link still reachable inside the shrinking
-//! bounding box. The literal formulation (kept verbatim in
-//! [`mod@reference`]) recomputes each group's cheapest link with a full
+//! bounding box. The literal formulation (kept verbatim in the private
+//! `reference` module) recomputes each group's cheapest link with a full
 //! scan — `O(band links)` *per candidate hop*, the same rescan-everything
 //! pattern PR 4 profiled as the improvement loops' real bottleneck.
 //!
@@ -36,9 +36,9 @@ use crate::scratch::RouteScratch;
 use pamr_mesh::{Band, LoadMap, Mesh, Path, Rect, Step};
 use pamr_power::PowerModel;
 
-pub mod reference;
+mod reference;
 
-pub use reference::ReferenceImprovedGreedy;
+use reference::ReferenceImprovedGreedy;
 
 /// **IG — Improved greedy** (§5.2).
 ///
@@ -52,7 +52,8 @@ pub use reference::ReferenceImprovedGreedy;
 /// taken.
 ///
 /// This is the indexed implementation (see the module docs);
-/// [`ReferenceImprovedGreedy`] is the bit-identical full-scan oracle.
+/// its bit-identical full-scan oracle runs in its place on
+/// [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ImprovedGreedy {
     /// Processing order (decreasing weight by default, per the paper).

@@ -24,7 +24,7 @@ use pamr_power::PowerModel;
 /// Produces bit-identical routings to [`crate::ImprovedGreedy`] (the
 /// indexed implementation) at a higher per-hop cost; see the module docs.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ReferenceImprovedGreedy {
+pub(crate) struct ReferenceImprovedGreedy {
     /// Processing order (mirrors
     /// [`ImprovedGreedy::order`](crate::ImprovedGreedy)).
     pub order: SortOrder,

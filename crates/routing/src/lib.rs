@@ -79,10 +79,10 @@ pub use heuristic::{
     surrogate_link_cost, Best, BestRoute, EmptyPortfolio, Heuristic, HeuristicKind,
     SURROGATE_PENALTY,
 };
-pub use ig::{ImprovedGreedy, ReferenceImprovedGreedy};
+pub use ig::ImprovedGreedy;
 pub use loadq::LoadQueue;
 pub use multipath::{FwMp, SplitMp};
-pub use pr::{PathRemover, PrError, ReferencePathRemover};
+pub use pr::{PathRemover, PrError};
 pub use precompute::{CostLadder, CustomizedInstance, EndpointTables, MeshPrecompute};
 pub use routing::Routing;
 pub use rules::{xy_routing, yx_routing};
@@ -90,4 +90,4 @@ pub use scratch::RouteScratch;
 pub use session::{RepairMode, RoutingSession, SessionConfig, SessionStats, SlotId};
 pub use tables::{FlowId, RoutingTables};
 pub use two_bend::TwoBend;
-pub use xyi::{ReferenceXyImprover, XyImprover};
+pub use xyi::XyImprover;

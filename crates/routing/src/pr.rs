@@ -3,12 +3,13 @@
 //!
 //! PR dominates the per-instance runtime of the §6 campaign because every
 //! link removal re-validates the communication's remaining paths. The
-//! original formulation (kept verbatim in [`mod@reference`]) re-sweeps the
-//! whole band — forward reachability from the source, backward from the
-//! sink, one pass over every diagonal group — on **every** removal. But a
-//! removal in diagonal group `t_rm` can only change forward reachability on
-//! diagonals *downstream* of `t_rm` and backward reachability *upstream* of
-//! it, and in practice the change dies out after one or two diagonals.
+//! original formulation (kept verbatim in the private `reference` module)
+//! re-sweeps the whole band — forward reachability from the source,
+//! backward from the sink, one pass over every diagonal group — on
+//! **every** removal. But a removal in diagonal group `t_rm` can only
+//! change forward reachability on diagonals *downstream* of `t_rm` and
+//! backward reachability *upstream* of it, and in practice the change dies
+//! out after one or two diagonals.
 //!
 //! The banded implementation here exploits the §3.3 band structure: the
 //! cores of one diagonal `D_k^{(d)}` inside a bounding box occupy
@@ -50,9 +51,9 @@ use pamr_mesh::{Band, Coord, LinkId, LoadMap, Mesh, Path, Step};
 use pamr_power::PowerModel;
 use std::sync::Arc;
 
-pub mod reference;
+mod reference;
 
-pub use reference::ReferencePathRemover;
+use reference::ReferencePathRemover;
 
 /// **PR — Path remover** (§5.5).
 ///
@@ -69,7 +70,8 @@ pub use reference::ReferencePathRemover;
 /// exactly one remaining path.
 ///
 /// This is the banded incremental implementation (see the module docs);
-/// [`ReferencePathRemover`] is the bit-identical full-sweep oracle.
+/// its bit-identical full-sweep oracle runs in its place on
+/// [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PathRemover;
 

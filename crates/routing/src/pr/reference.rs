@@ -26,7 +26,7 @@ use pamr_power::PowerModel;
 /// Produces bit-identical routings to [`crate::PathRemover`] (the banded
 /// implementation) at a higher per-removal cost; see the module docs.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ReferencePathRemover;
+pub(crate) struct ReferencePathRemover;
 
 /// Per-communication removal state of the full-sweep implementation.
 pub(super) struct RefComm {

@@ -2,11 +2,11 @@
 //!
 //! XYI's §5.4 description examines loaded links in decreasing-load order
 //! and, for every examined link, offers each communication crossing it a
-//! corner flip. The literal formulation (kept verbatim in
-//! [`mod@reference`]) rebuilds the loaded-link list and re-runs an `O(links)`
-//! selection scan per examined link on every iteration of the improvement
-//! loop, and probes **all** communications per link — the same `O(links²)`
-//! selection bottleneck PR 4 removed from the Path-Remover.
+//! corner flip. The literal formulation (kept verbatim in the private
+//! `reference` module) rebuilds the loaded-link list and re-runs an
+//! `O(links)` selection scan per examined link on every iteration of the
+//! improvement loop, and probes **all** communications per link — the same
+//! `O(links²)` selection bottleneck PR 4 removed from the Path-Remover.
 //!
 //! The engine here follows the PR 4 playbook on the shared
 //! [`LoadQueue`](crate::loadq::LoadQueue):
@@ -40,9 +40,9 @@ use crate::scratch::RouteScratch;
 use pamr_mesh::{LinkId, Mesh, Path};
 use pamr_power::PowerModel;
 
-pub mod reference;
+mod reference;
 
-pub use reference::ReferenceXyImprover;
+use reference::ReferenceXyImprover;
 
 /// Relative improvement below which a modification is not considered an
 /// improvement (guards termination against floating-point noise). Shared
@@ -73,7 +73,8 @@ pub(crate) const IMPROVE_EPS: f64 = 1e-9;
 /// ~15% for XY).
 ///
 /// This is the queue-driven implementation (see the module docs);
-/// [`ReferenceXyImprover`] is the bit-identical full-scan oracle.
+/// its bit-identical full-scan oracle runs in its place on
+/// [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 #[derive(Debug, Clone, Copy)]
 pub struct XyImprover {
     /// Safety bound on accepted modifications (the surrogate strictly

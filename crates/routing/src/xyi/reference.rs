@@ -28,7 +28,7 @@ use pamr_power::PowerModel;
 /// queue-driven implementation) at a higher per-link selection cost; see
 /// the module docs.
 #[derive(Debug, Clone, Copy)]
-pub struct ReferenceXyImprover {
+pub(crate) struct ReferenceXyImprover {
     /// Safety bound on accepted modifications (mirrors
     /// [`XyImprover::max_moves`](crate::XyImprover)).
     pub max_moves: usize,

@@ -1,5 +1,5 @@
 //! Shared workload sweeps and the engine/oracle check for the
-//! differential-oracle test suites.
+//! differential-oracle test suites and the `pamr-bench` engine lanes.
 //!
 //! The engine and session oracles all sweep the same §6-style instance
 //! families (uniform draws across mesh shapes and weight regimes, the
@@ -7,12 +7,15 @@
 //! This module is the single definition of those sweeps; the seeds and
 //! draw order are part of the oracles' contracts, so changing anything
 //! here intentionally shifts every differential suite at once. It also
-//! holds the one comparison of the rewritten engines (PR, XYI, IG)
-//! against their literal oracles, [`assert_engines_agree`], and its
-//! whole-campaign form, [`assert_campaign_matches_reference`].
+//! holds the one comparison of the rewritten engines ([`PR`], [`XYI`],
+//! [`IG`]) against their literal oracles, [`engines_agree`]: the test
+//! suites call it through its panicking wrapper [`assert_engines_agree`],
+//! and the `pamr-bench` `pr`/`xyi`/`ig` and `scaling` lanes call it
+//! directly before they time anything. Its whole-campaign form is
+//! [`assert_campaign_matches_reference`].
 
 use crate::summary::Summary;
-use pamr_mesh::Mesh;
+use pamr_mesh::{LinkId, Mesh};
 use pamr_power::PowerModel;
 use pamr_routing::{
     CommSet, EngineConfig, Heuristic, ImprovedGreedy, PathRemover, PrError, RouteScratch, Routing,
@@ -118,49 +121,61 @@ pub const IG: (&str, RouteFn) = ("IG", |cs, m, s| {
 });
 
 /// Routes `cs` through each of `engines` on a [`EngineConfig::LIVE`] and
-/// on a [`EngineConfig::REFERENCE`] scratch and asserts identical
-/// outcomes: routings (a `PrError` compares like one), the bits of both
-/// scratches' final load accumulators ([`RouteScratch::loads`]) and power
-/// bits. The oracles rebuild every band and evaluate the power fit on
-/// every query, so every interned table and `CostLadder` value the live
-/// engines read meets a literal rebuild here.
+/// on a [`EngineConfig::REFERENCE`] scratch and compares the outcomes:
+/// routings (a `PrError` compares like one) and the bits of both
+/// scratches' final load accumulators ([`RouteScratch::loads`]). A
+/// routing's power is a function of its loads, so equal routings have
+/// equal powers. The oracles rebuild every band and evaluate the power
+/// fit on every query, so every interned table and `CostLadder` value the
+/// live engines read meets a literal rebuild here.
+///
+/// # Errors
+///
+/// The first divergence, naming `label` and the engine.
+pub fn engines_agree(
+    engines: &[(&str, RouteFn)],
+    cs: &CommSet,
+    model: &PowerModel,
+    label: &str,
+) -> Result<(), String> {
+    let mut live = RouteScratch::with_engine(EngineConfig::LIVE);
+    let mut oracle = RouteScratch::with_engine(EngineConfig::REFERENCE);
+    for &(engine, route) in engines {
+        let fast = route(cs, model, &mut live);
+        if fast != route(cs, model, &mut oracle) {
+            return Err(format!("{label}: {engine} diverged from its oracle"));
+        }
+        if fast.is_err() {
+            continue;
+        }
+        // Each engine's own final load accumulator is the float state its
+        // selection read, so pin the two scratches' accumulators bit for
+        // bit: a load summed in another order diverges here even when the
+        // routings agree.
+        let (lf, lr) = (live.loads(), oracle.loads());
+        let diverged = |&l: &LinkId| lf.get(l).to_bits() != lr.get(l).to_bits();
+        if let Some(l) = cs.mesh().links().find(diverged) {
+            return Err(format!(
+                "{label}: {engine} load accumulator of {l} diverged"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// [`engines_agree`] for the differential suites.
 ///
 /// # Panics
 ///
-/// On the first divergence, naming `label` and the engine.
+/// On the first divergence, with its message.
 pub fn assert_engines_agree(
     engines: &[(&str, RouteFn)],
     cs: &CommSet,
     model: &PowerModel,
     label: &str,
 ) {
-    let mut live = RouteScratch::with_engine(EngineConfig::LIVE);
-    let mut oracle = RouteScratch::with_engine(EngineConfig::REFERENCE);
-    for &(engine, route) in engines {
-        let fast = route(cs, model, &mut live);
-        let reference = route(cs, model, &mut oracle);
-        assert_eq!(
-            fast, reference,
-            "{label}: {engine} diverged from its oracle"
-        );
-        let (Ok(fast), Ok(reference)) = (fast, reference) else {
-            continue;
-        };
-        // Each engine's own final load accumulator is the float state its
-        // selection read, so pin the two scratches' accumulators bit for
-        // bit: a load summed in another order diverges here even when the
-        // routings agree.
-        let (lf, lr) = (live.loads(), oracle.loads());
-        for l in cs.mesh().links() {
-            assert_eq!(
-                lf.get(l).to_bits(),
-                lr.get(l).to_bits(),
-                "{label}: {engine} load accumulator of {l} diverged"
-            );
-        }
-        let pf = fast.power(cs, model).map(|p| p.total().to_bits());
-        let pr = reference.power(cs, model).map(|p| p.total().to_bits());
-        assert_eq!(pf.ok(), pr.ok(), "{label}: {engine} power diverged");
+    if let Err(msg) = engines_agree(engines, cs, model, label) {
+        panic!("{msg}");
     }
 }
 
@@ -189,6 +204,8 @@ pub fn assert_campaign_matches_reference(seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pamr_mesh::Coord;
+    use pamr_routing::{xy_routing, yx_routing, Comm};
 
     #[test]
     fn sweeps_are_deterministic_and_non_trivial() {
@@ -204,5 +221,34 @@ mod tests {
         // 6 meshes × 3 regimes × 4 seeds + 4 lengths × 4 seeds + 6 graphs.
         assert_eq!(labels.len(), 6 * 3 * 4 + 4 * 4 + 6);
         assert!(total_comms > 1000, "sweeps should exercise real instances");
+    }
+
+    #[test]
+    fn a_divergent_engine_is_an_error_naming_label_and_engine() {
+        // XY on the live scratch, YX on the oracle: they take different
+        // paths whenever source and sink differ in both coordinates.
+        const SPLIT: (&str, RouteFn) = ("SPLIT", |cs, _, s| {
+            Ok(if s.engine().is_reference() {
+                yx_routing(cs)
+            } else {
+                xy_routing(cs)
+            })
+        });
+        let mesh = Mesh::new(3, 3);
+        let cs = CommSet::new(
+            mesh,
+            vec![Comm::new(Coord::new(0, 0), Coord::new(2, 2), 100.0)],
+        );
+        let model = PowerModel::kim_horowitz();
+        assert_ne!(xy_routing(&cs), yx_routing(&cs));
+        let err = engines_agree(&[PR, SPLIT], &cs, &model, "corner pair").unwrap_err();
+        assert!(
+            err.contains("corner pair") && err.contains("SPLIT"),
+            "unexpected message: {err}"
+        );
+        assert_eq!(
+            engines_agree(&[PR, XYI, IG], &cs, &model, "corner pair"),
+            Ok(())
+        );
     }
 }

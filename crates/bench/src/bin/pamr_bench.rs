@@ -671,7 +671,7 @@ fn measure_serve(p: &Params) -> Result<(f64, f64), String> {
     }
     let mut scratch = RouteScratch::new();
     let batch = HeuristicKind::Xyi.route_with(&cs, &model, &mut scratch);
-    if session.power().is_err() && batch.is_feasible(&cs, &model) {
+    if !session.is_feasible() && batch.is_feasible(&cs, &model) {
         return Err("the session is infeasible where a from-scratch route is not".into());
     }
     let repeats = param(p, "repeats");

@@ -43,6 +43,35 @@
 //! slot order ([`LoadMap::set`]), so the resident map is bit-identical to a
 //! naive recomputation from the live paths at every step — the invariant
 //! `crates/sim/tests/session_prop.rs` drives scripts against.
+//!
+//! Feasibility and power are read off resident state, never by sweeping
+//! the link slots:
+//!
+//! * **Feasibility** is the largest load's. Both [`FrequencyScale`]
+//!   variants refuse exactly the loads above their top level plus the
+//!   [`CAPACITY_EPS`] slack, so every link fits iff the most loaded one
+//!   does. [`RoutingSession::is_feasible`] reads that load off the resident
+//!   [`LoadQueue`] in `O(1)` and always equals `power().is_ok()`; bounded
+//!   repair's escalation check and the `feasible` field of the serve
+//!   responses use it.
+//! * **Power cache.** Wherever a link's load is re-derived (after every
+//!   mutation and in the full re-route rebuild) its
+//!   [`PowerModel::link_dynamic_power`] is recomputed from that load, never
+//!   accumulated, and its bit in an ascending-order bitset of the loaded
+//!   links is set or cleared. [`RoutingSession::power`] and
+//!   [`RoutingSession::total_load`] left-fold the cached powers and the
+//!   loads over that set from `+0.0` in ascending link order: the folds
+//!   [`PowerModel::power`] and [`LoadMap::total`] run over the same values
+//!   in the same order, minus the idle links' `+0.0`s. Adding `+0.0`
+//!   changes no partial sum except the `-0.0` that Rust's `f64` sum starts
+//!   from, which the first link slot (a mesh has at least four) turns into
+//!   the session fold's `+0.0`. Both are therefore bit-identical to those
+//!   sweeps, at `O(slots / 64 + active links)` with no `powf`;
+//!   `crates/routing/tests/session_cache_prop.rs` pins this under
+//!   arbitrary churn.
+//!
+//! [`FrequencyScale`]: pamr_power::FrequencyScale
+//! [`CAPACITY_EPS`]: pamr_power::model::CAPACITY_EPS
 
 use crate::comm::{Comm, CommSet};
 use crate::csr::CrossingIndex;
@@ -141,6 +170,63 @@ struct LiveComm {
     path: Path,
 }
 
+/// Per-link dynamic power of the resident loads, plus the loaded links as
+/// an ascending-order bitset: what [`RoutingSession::power`] and
+/// [`RoutingSession::total_load`] fold (see the [module docs](self)).
+#[derive(Debug)]
+struct PowerCache {
+    /// [`PowerModel::link_dynamic_power`] of each link slot's load; `NaN`
+    /// for an over-capacity load, which no fold reads (`power()` refuses
+    /// infeasible states first).
+    dynamic: Vec<f64>,
+    /// Bit `i % 64` of word `i / 64` is set iff link slot `i` carries load.
+    loaded: Vec<u64>,
+}
+
+impl PowerCache {
+    fn new(n_slots: usize) -> Self {
+        PowerCache {
+            dynamic: vec![0.0; n_slots],
+            loaded: vec![0; n_slots.div_ceil(64)],
+        }
+    }
+
+    /// Re-derives `link`'s entry from its current `load`.
+    fn set(&mut self, model: &PowerModel, link: LinkId, load: f64) {
+        let i = link.index();
+        self.dynamic[i] = model.link_dynamic_power(load).unwrap_or(f64::NAN);
+        let bit = 1u64 << (i % 64);
+        if load > 0.0 {
+            self.loaded[i / 64] |= bit;
+        } else {
+            self.loaded[i / 64] &= !bit;
+        }
+    }
+
+    /// Re-derives every entry from `loads`.
+    fn rebuild(&mut self, model: &PowerModel, loads: &LoadMap) {
+        self.dynamic.fill(0.0);
+        self.loaded.fill(0);
+        for (l, load) in loads.iter_active() {
+            self.set(model, l, load);
+        }
+    }
+
+    /// The loaded link slots, ascending.
+    fn loaded_links(&self) -> impl Iterator<Item = usize> + '_ {
+        self.loaded.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    i
+                })
+            })
+        })
+    }
+}
+
 /// A resident incremental routing session (see the [module docs](self)).
 #[derive(Debug)]
 pub struct RoutingSession {
@@ -161,6 +247,9 @@ pub struct RoutingSession {
     loads: LoadMap,
     /// Resident max-load index, always keyed to `loads`' positive entries.
     queue: LoadQueue,
+    /// Per-link dynamic power and loaded-link set, always derived from
+    /// `loads` (see the module docs).
+    power_cache: PowerCache,
     /// Per-link sorted slots whose **current path** crosses the link
     /// (flat-CSR [`CrossingIndex`]; a 256×256 mesh has 262 144 link slots,
     /// which the former `Vec<Vec<usize>>` paid one heap allocation each).
@@ -212,6 +301,7 @@ impl RoutingSession {
             n_live: 0,
             loads: LoadMap::new(&mesh),
             queue,
+            power_cache: PowerCache::new(n_slots),
             users,
             band_users,
             repair_queue,
@@ -308,10 +398,36 @@ impl RoutingSession {
             .filter_map(|(s, e)| e.as_ref().map(|lc| (SlotId(s), &lc.comm, &lc.path)))
     }
 
+    /// True iff every link load fits the top frequency level, in `O(1)`
+    /// off the largest load. Always equals `power().is_ok()` (see the
+    /// [module docs](self)).
+    pub fn is_feasible(&self) -> bool {
+        self.model.is_feasible(self.max_load())
+    }
+
     /// The power report of the current state, or `Err(Infeasible)` when
-    /// some link is over capacity.
+    /// some link is over capacity. Bit-identical to [`PowerModel::power`]
+    /// over [`RoutingSession::loads`], folded from the per-link power cache
+    /// over the loaded links only.
     pub fn power(&self) -> Result<PowerBreakdown, Infeasible> {
-        self.model.power(&self.mesh, &self.loads)
+        if !self.is_feasible() {
+            return Err(Infeasible);
+        }
+        let mut out = PowerBreakdown::default();
+        for i in self.power_cache.loaded_links() {
+            out.dynamic += self.power_cache.dynamic[i];
+            out.leakage += self.model.p_leak;
+            out.active_links += 1;
+        }
+        Ok(out)
+    }
+
+    /// Sum of all link loads, bit-identical to `loads().total()`, folded
+    /// over the loaded links only.
+    pub fn total_load(&self) -> f64 {
+        self.power_cache
+            .loaded_links()
+            .fold(0.0, |total, i| total + self.loads.get(LinkId(i)))
     }
 
     /// The surviving communications as a batch instance, in ascending slot
@@ -501,8 +617,9 @@ impl RoutingSession {
     }
 
     /// Re-derives `link`'s load as the ascending-slot sum over its crossing
-    /// communications and re-keys the resident index ([`LoadQueue::set`]).
-    /// Exact by construction: no incremental accumulation residue.
+    /// communications, re-keys the resident index ([`LoadQueue::set`]) and
+    /// recomputes its cached power. Exact by construction: no incremental
+    /// accumulation residue.
     fn recompute_link(&mut self, link: LinkId) {
         let mut sum = 0.0;
         for &s in self.users.row(link.index()) {
@@ -515,6 +632,7 @@ impl RoutingSession {
         }
         self.loads.set(link, sum);
         self.queue.set(link, sum);
+        self.power_cache.set(&self.model, link, sum);
     }
 
     /// The bounded XYI improvement pass over the current repair scope (see
@@ -571,7 +689,7 @@ impl RoutingSession {
         // Escape hatch: a locally-repaired state that is still over
         // capacity falls back to the batch heuristic, so the session is
         // feasible whenever a from-scratch route of the same set would be.
-        if self.power().is_err() {
+        if !self.is_feasible() {
             self.stats.escalations += 1;
             self.full_reroute();
         }
@@ -635,6 +753,7 @@ impl RoutingSession {
         }
         self.queue
             .rebuild(self.mesh.num_link_slots(), self.loads.iter_active());
+        self.power_cache.rebuild(&self.model, &self.loads);
     }
 }
 

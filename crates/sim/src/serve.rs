@@ -13,6 +13,15 @@
 //! | `power_report` | —                                       |
 //! | `snapshot`     | —                                       |
 //!
+//! An `add_comm` weight must be positive and below 1e250, which keeps every
+//! link load and the total load finite. The three mutations answer the
+//! session's `n_comms`, `max_load` and `feasible`; `power_report` adds the
+//! power breakdown and `total_load`. `feasible` is true iff every link load
+//! fits the power model's top frequency level, give or take its
+//! `CAPACITY_EPS` slack: exactly when the model can price the routing, so
+//! an infeasible `power_report` carries `null` power fields. It is read off
+//! the largest link load, and costs no sweep of the links.
+//!
 //! Every response carries `"ok"` and echoes `"op"`; failures are
 //! **structured errors** (`{"ok":false,"op":…,"error":"…"}`), never a
 //! process death — malformed JSON, unknown ops, duplicate or unknown ids,
@@ -29,6 +38,13 @@ use serde::Value;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
+
+/// Exclusive upper bound on an `add_comm` weight. A session holds at most
+/// 2³² communications (its slot ids are `u32`), each crossing fewer than
+/// 2⁶⁰ link slots (more would not fit one `f64` load per slot in memory),
+/// so no link load reaches 2³² · 1e250 and the total load stays below
+/// 2⁹² · 1e250 ≈ 5e277: finite, with room to spare for rounding.
+const MAX_WEIGHT: f64 = 1e250;
 
 /// A protocol server: a [`RoutingSession`] plus the wire-level id space
 /// (client-chosen string ids mapped to session slots).
@@ -110,6 +126,11 @@ impl Server {
                 "weight must be strictly positive and finite, got {weight}"
             ));
         }
+        if weight >= MAX_WEIGHT {
+            return Err(format!(
+                "weight must be below {MAX_WEIGHT:e}, got {weight:e}"
+            ));
+        }
         let mesh = *self.session.mesh();
         for (name, c) in [("src", src), ("snk", snk)] {
             if !mesh.contains(c) {
@@ -136,7 +157,7 @@ impl Server {
             ("path_len", u(path_len)),
             ("n_comms", u(self.session.len())),
             ("max_load", Value::Float(self.session.max_load())),
-            ("feasible", Value::Bool(self.session.power().is_ok())),
+            ("feasible", Value::Bool(self.session.is_feasible())),
         ]))
     }
 
@@ -156,7 +177,7 @@ impl Server {
             ("id", Value::Str(id)),
             ("n_comms", u(self.session.len())),
             ("max_load", Value::Float(self.session.max_load())),
-            ("feasible", Value::Bool(self.session.power().is_ok())),
+            ("feasible", Value::Bool(self.session.is_feasible())),
         ]))
     }
 
@@ -167,7 +188,7 @@ impl Server {
             ("op", s("reroute")),
             ("n_comms", u(self.session.len())),
             ("max_load", Value::Float(self.session.max_load())),
-            ("feasible", Value::Bool(self.session.power().is_ok())),
+            ("feasible", Value::Bool(self.session.is_feasible())),
         ])
     }
 
@@ -192,7 +213,7 @@ impl Server {
             ("dynamic_mw", dynamic),
             ("active_links", active),
             ("max_load", Value::Float(self.session.max_load())),
-            ("total_load", Value::Float(self.session.loads().total())),
+            ("total_load", Value::Float(self.session.total_load())),
         ])
     }
 
@@ -424,6 +445,122 @@ mod tests {
             "{snap}"
         );
         assert!(snap.contains(r#""n_comms":2"#), "{snap}");
+    }
+
+    #[test]
+    fn infeasible_states_answer_feasible_false_and_null_power() {
+        // A load is feasible iff it passes the top Kim–Horowitz level's
+        // slack test in `FrequencyScale::effective_bandwidth`: at most
+        // `limit`. "edge" sits on it, "over" one ulp above it. The expected
+        // lines were recorded when `feasible` still came from a full power
+        // sweep, so they pin the O(1) answer to the sweep's.
+        let limit: f64 = 3500.0 + 3500.0 * pamr_power::model::CAPACITY_EPS;
+        assert_eq!(limit, 3500.0035);
+        assert_eq!(f64::from_bits(limit.to_bits() + 1), 3500.0035000000003);
+        let add = |id: &str, weight: &str| {
+            format!(
+                r#"{{"op":"add_comm","id":"{id}","src":{{"u":0,"v":0}},"snk":{{"u":0,"v":1}},"weight":{weight}}}"#
+            )
+        };
+        let report = r#"{"op":"power_report"}"#;
+        let mut srv = server();
+        for (request, response) in [
+            (
+                add("big", "4000"),
+                r#"{"ok":true,"op":"add_comm","id":"big","path_len":1,"n_comms":1,"max_load":4000.0,"feasible":false}"#,
+            ),
+            (
+                r#"{"op":"reroute"}"#.to_string(),
+                r#"{"ok":true,"op":"reroute","n_comms":1,"max_load":4000.0,"feasible":false}"#,
+            ),
+            (
+                report.to_string(),
+                r#"{"ok":true,"op":"power_report","n_comms":1,"feasible":false,"total_mw":null,"leakage_mw":null,"dynamic_mw":null,"active_links":null,"max_load":4000.0,"total_load":4000.0}"#,
+            ),
+            (
+                r#"{"op":"remove_comm","id":"big"}"#.to_string(),
+                r#"{"ok":true,"op":"remove_comm","id":"big","n_comms":0,"max_load":0.0,"feasible":true}"#,
+            ),
+            (
+                add("edge", "3500.0035"),
+                r#"{"ok":true,"op":"add_comm","id":"edge","path_len":1,"n_comms":1,"max_load":3500.0035,"feasible":true}"#,
+            ),
+            (
+                report.to_string(),
+                r#"{"ok":true,"op":"power_report","n_comms":1,"feasible":true,"total_mw":234.77028220315958,"leakage_mw":16.9,"dynamic_mw":217.87028220315958,"active_links":1,"max_load":3500.0035,"total_load":3500.0035}"#,
+            ),
+            (
+                r#"{"op":"remove_comm","id":"edge"}"#.to_string(),
+                r#"{"ok":true,"op":"remove_comm","id":"edge","n_comms":0,"max_load":0.0,"feasible":true}"#,
+            ),
+            (
+                add("over", "3500.0035000000003"),
+                r#"{"ok":true,"op":"add_comm","id":"over","path_len":1,"n_comms":1,"max_load":3500.0035000000003,"feasible":false}"#,
+            ),
+            (
+                report.to_string(),
+                r#"{"ok":true,"op":"power_report","n_comms":1,"feasible":false,"total_mw":null,"leakage_mw":null,"dynamic_mw":null,"active_links":null,"max_load":3500.0035000000003,"total_load":3500.0035000000003}"#,
+            ),
+            (
+                add("tiny", "1"),
+                r#"{"ok":true,"op":"add_comm","id":"tiny","path_len":1,"n_comms":2,"max_load":3501.0035000000003,"feasible":false}"#,
+            ),
+            (
+                r#"{"op":"remove_comm","id":"tiny"}"#.to_string(),
+                r#"{"ok":true,"op":"remove_comm","id":"tiny","n_comms":1,"max_load":3500.0035000000003,"feasible":false}"#,
+            ),
+            (
+                r#"{"op":"remove_comm","id":"over"}"#.to_string(),
+                r#"{"ok":true,"op":"remove_comm","id":"over","n_comms":0,"max_load":0.0,"feasible":true}"#,
+            ),
+        ] {
+            assert_eq!(srv.handle_line(&request), response, "{request}");
+        }
+    }
+
+    #[test]
+    fn weights_at_or_above_the_bound_are_refused() {
+        // Two 1e308 weights on one 3-hop path would overflow the link loads
+        // to +inf, which the wire prints as `"max_load":null` inside an
+        // `"ok":true` response.
+        let add = |id: &str, weight: &str| {
+            format!(
+                r#"{{"op":"add_comm","id":"{id}","src":{{"u":0,"v":0}},"snk":{{"u":0,"v":3}},"weight":{weight}}}"#
+            )
+        };
+        let mut srv = server();
+        for id in ["a", "b"] {
+            assert_eq!(
+                srv.handle_line(&add(id, "1e308")),
+                r#"{"ok":false,"op":"add_comm","error":"weight must be below 1e250, got 1e308"}"#
+            );
+        }
+        assert_eq!(
+            srv.handle_line(&add("a", "1e250")),
+            r#"{"ok":false,"op":"add_comm","error":"weight must be below 1e250, got 1e250"}"#
+        );
+        // The largest accepted weight, twice on the same path: every load
+        // stays a finite number on the wire.
+        let under = f64::from_bits(MAX_WEIGHT.to_bits() - 1);
+        for id in ["a", "b"] {
+            let resp = srv.handle_line(&add(id, &under.to_string()));
+            assert!(resp.starts_with(r#"{"ok":true"#), "{resp}");
+            assert!(resp.ends_with(r#""feasible":false}"#), "{resp}");
+        }
+        let report = srv.handle_line(r#"{"op":"power_report"}"#);
+        assert!(
+            report.starts_with(
+                r#"{"ok":true,"op":"power_report","n_comms":2,"feasible":false,"total_mw":null,"#
+            ),
+            "{report}"
+        );
+        let report: Value = serde_json::from_str(&report).unwrap();
+        let float = |key: &str| match report.get(key) {
+            Some(Value::Float(x)) => *x,
+            other => panic!("{key} is not a number: {other:?}"),
+        };
+        assert_eq!(float("max_load"), 2.0 * under);
+        assert_eq!(float("total_load"), 6.0 * under);
     }
 
     #[test]

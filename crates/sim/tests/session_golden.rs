@@ -1,7 +1,7 @@
 //! Golden-fixture pin of the `pamr serve` wire protocol, byte for byte.
 //!
-//! `fixtures/session_script.jsonl` is a hand-written request script (its
-//! first three lines double as the CI smoke test's input) and
+//! `fixtures/session_script.jsonl` is a hand-written request script (CI's
+//! stdin smoke test also pipes it whole into the release binary) and
 //! `fixtures/session_golden.jsonl` holds the expected response lines.
 //! Any change to the response schema — field names, field order, number
 //! formatting, error wording — shows up here as a byte diff. To accept an

@@ -2,7 +2,9 @@
 //! request scripts — duplicate ids, removals of absent communications,
 //! off-mesh endpoints, non-positive weights, garbage lines, 1×1 meshes —
 //! must never panic the server, never desync its resident load indices
-//! from a naive recomputation, and always answer structured JSON.
+//! from a naive recomputation, and always answer structured JSON. Every
+//! `feasible` field a response carries must equal the full power sweep's
+//! verdict on the resident loads.
 //!
 //! Replay any failure with `PAMR_PROPTEST_SEED=<seed>`.
 
@@ -68,7 +70,9 @@ fn script() -> impl Strategy<Value = Vec<Step>> {
             0u8..=7,
             ((0usize..8), (0usize..8)),
             ((0usize..8), (0usize..8)),
-            -50i32..=3000,
+            // Up to 10/7 of the Kim–Horowitz capacity, so infeasible states
+            // (and their `"feasible":false` answers) really occur.
+            -50i32..=5000,
         ),
         0..40,
     )
@@ -101,6 +105,11 @@ proptest! {
             if !ok {
                 let is_err_shape = matches!(value.get("error"), Some(Value::Str(_)));
                 prop_assert!(is_err_shape, "error response without message: {}", resp);
+            }
+            if let Some(feasible) = value.get("feasible") {
+                let session = server.session();
+                let swept = session.model().power(session.mesh(), session.loads()).is_ok();
+                prop_assert_eq!(feasible, &Value::Bool(swept), "{} -> {}", line, resp);
             }
         }
         // The resident indices survived the whole script bit-exactly.

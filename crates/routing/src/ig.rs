@@ -15,7 +15,7 @@
 //! real path is only committed afterwards): before the hop loop it builds a
 //! per-group min-load index — each band group's links sorted ascending by
 //! the same `(load bits, link id)` key the shared
-//! [`loadq`](crate::loadq) module orders the max-load queue by — and each
+//! [`loadq`](crate::loadq) module orders its max-load indexes by — and each
 //! tail-bound term then walks a group's index in ascending-load order and
 //! stops at the **first** link inside the bounding box. The link-power
 //! model is monotone in load, so that first hit is exactly the full scan's

@@ -1,35 +1,34 @@
-//! Shared incremental **max-load link index** for the improvement loops.
+//! Shared incremental **max-load link indexes** for the improvement loops.
 //!
-//! PR, XYI and IG all repeatedly ask the same question of the link-load
-//! map: *which loaded link comes next in decreasing-load order (ties towards
-//! the smaller link id)?* The historical answer was [`select_max`] — an
-//! `O(links)` selection scan per examined link, re-run from scratch after
-//! every accepted modification, which PR 4's profiling showed to dominate
-//! the heuristics' runtime (`O(links²)` per improvement pass, dwarfing the
-//! reachability sweeps it was feeding).
+//! PR, XYI and the serve session repeatedly ask the link-load map which
+//! loaded link comes next in decreasing-load order, ties towards the
+//! smaller link id. The historical answer was [`select_max`], an
+//! `O(links)` selection scan per examined link, re-run after every
+//! accepted modification. This module keeps two incrementally-maintained
+//! indexes over `LinkId → f64` instead, one per kind of question:
 //!
-//! [`LoadQueue`] replaces the scan with an incrementally-maintained ordered
-//! index over `LinkId → f64`:
+//! * [`LoadQueue`], an ordered set, answers *every* rank: its [`Cursor`]
+//!   walks the links in the full [`select_max`] order, resuming strictly
+//!   below the last yielded key so rejected links are never re-examined.
+//!   It re-keys eagerly ([`LoadQueue::set`], `O(log links)`) or lazily
+//!   ([`LoadQueue::mark_dirty`] + [`LoadQueue::refresh`], for callers whose
+//!   mutations clamp or cancel and whose final values only the [`LoadMap`]
+//!   knows). Queue-driven XYI and the session's repair scope walk below the
+//!   top, so they use it.
+//! * [`MaxTree`], a flat tournament tree, answers only *the top*: the
+//!   maximum in `O(1)`, a re-key in one array walk up from the link's leaf
+//!   (`O(log links)`). Banded PR takes every removal from the top of its
+//!   removable links, and the session reads only its largest load, so both
+//!   use it.
 //!
-//! * **bulk rebuild** ([`LoadQueue::rebuild`]) seeds the index from a load
-//!   map in one pass at the start of an improvement loop;
-//! * **eager updates** ([`LoadQueue::set`]) re-key a single link in
-//!   `O(log links)` — PR's per-removal load deltas;
-//! * **lazy invalidation** ([`LoadQueue::mark_dirty`] +
-//!   [`LoadQueue::refresh`]) batches re-keying for callers whose load
-//!   mutations clamp or cancel (XYI's move application touches four links
-//!   whose final values only the [`LoadMap`] knows);
-//! * **k-th-max iteration** ([`Cursor`]) walks the index in exactly the
-//!   [`select_max`] order, resuming strictly below the last yielded key so
-//!   rejected links are never re-examined.
-//!
-//! The ordering contract is bit-exact: keys are `(load.to_bits(),
-//! Reverse(link index))`, and the IEEE-754 bit patterns of strictly
-//! positive floats sort like the floats themselves, so descending key order
-//! is descending load with ties towards the smaller link id — precisely the
-//! order `select_max` yields for `k = 0, 1, …`. The queue only ever holds
-//! strictly positive loads, which `crates/routing/tests/loadq_prop.rs` pins
-//! against the naive sort under arbitrary operation interleavings.
+//! The tie rule is bit-exact and the same in both: a link's key is
+//! `(load.to_bits(), smaller link id first)`. The IEEE-754 bit patterns of
+//! strictly positive floats sort like the floats themselves, so descending
+//! key order is descending load with ties towards the smaller link id,
+//! which is exactly the order `select_max` yields for `k = 0, 1, …`; the
+//! [`MaxTree`] root is its `k = 0` entry. Both indexes hold only strictly
+//! positive loads. `crates/routing/tests/loadq_prop.rs` pins both against
+//! `select_max` over a plain shadow of the loads.
 
 use pamr_mesh::{LinkId, LoadMap};
 use std::cmp::Reverse;
@@ -57,7 +56,7 @@ fn key(link: usize, load: f64) -> Key {
 ///
 /// // Descending load, ties towards the smaller link id — bit-exactly the
 /// // order the historical `select_max` scan yields for k = 0, 1, …
-/// assert_eq!(q.peek_max(), Some((LinkId(1), 1200.0)));
+/// assert_eq!(q.kth_max(0), Some((LinkId(1), 1200.0)));
 /// assert_eq!(q.kth_max(1), Some((LinkId(0), 700.0)));
 ///
 /// // Eager O(log n) re-key: link 1 drains to zero and leaves the index.
@@ -181,14 +180,6 @@ impl LoadQueue {
         }
     }
 
-    /// The most loaded link (smallest link id on ties), if any.
-    pub fn peek_max(&self) -> Option<(LinkId, f64)> {
-        self.set
-            .iter()
-            .next_back()
-            .map(|&(bits, Reverse(slot))| (LinkId(slot), f64::from_bits(bits)))
-    }
-
     /// The `k`-th entry (0-based) of the descending [`select_max`] order:
     /// `kth_max(0)` is the maximum. `O(k log n)`; for a full walk use a
     /// [`Cursor`].
@@ -233,6 +224,134 @@ impl Cursor {
         }?;
         self.last = Some(k);
         Some((LinkId(k.1 .0), f64::from_bits(k.0)))
+    }
+}
+
+/// A top-only max-load index over `LinkId → f64`: a flat tournament tree.
+///
+/// Holds exactly the links whose tracked load is strictly positive and
+/// answers only one question, the most loaded link, with the
+/// [`LoadQueue`] tie rule (see the [module docs](self)).
+///
+/// An update is one array walk up from a leaf. `bits` holds one leaf per link
+/// slot, the load's bit pattern with `0` for an absent link, padded with
+/// absent leaves to a power of two. `win` is the implicit binary tree over
+/// those leaves: node `1` is the root, node `i` has children `2i` and
+/// `2i + 1`, and the leaves sit at `cap..2 * cap`. Every node holds the
+/// slot id that wins its subtree. The left child covers the smaller ids,
+/// so letting it win equal bits makes the root the `(load bits, smaller
+/// link id)` maximum, bit for bit the [`LoadQueue`] top.
+///
+/// ```
+/// use pamr_mesh::LinkId;
+/// use pamr_routing::MaxTree;
+///
+/// let mut t = MaxTree::default();
+/// t.rebuild(5, [(LinkId(0), 700.0), (LinkId(1), 1200.0), (LinkId(3), 700.0)]);
+/// assert_eq!(t.peek_max(), Some((LinkId(1), 1200.0)));
+///
+/// // Link 1 drains to zero and leaves; links 0 and 3 tie, the smaller id wins.
+/// t.set(LinkId(1), 0.0);
+/// assert_eq!(t.peek_max(), Some((LinkId(0), 700.0)));
+/// assert_eq!((t.len(), t.get(LinkId(1))), (2, 0.0));
+/// ```
+#[derive(Debug, Default, Clone)]
+pub struct MaxTree {
+    /// Leaf per slot: the keyed load's bits, `0` when absent. Its length
+    /// `cap` is a power of two; slots past the fitted count stay `0`.
+    bits: Vec<u64>,
+    /// Winning slot id per tree node (`2 * cap` entries, index 0 unused).
+    win: Vec<u32>,
+    /// Number of leaves with non-zero bits.
+    len: usize,
+}
+
+impl MaxTree {
+    /// Bulk rebuild in `O(n_slots)`: resizes the tree to `n_slots` link
+    /// slots, keys every `(link, load)` of `entries` with a strictly
+    /// positive load and plays every match bottom-up. Keeps allocations.
+    pub fn rebuild<I>(&mut self, n_slots: usize, entries: I)
+    where
+        I: IntoIterator<Item = (LinkId, f64)>,
+    {
+        let cap = n_slots.next_power_of_two();
+        assert!(
+            cap - 1 <= u32::MAX as usize,
+            "{n_slots} link slots do not fit u32 ids"
+        );
+        self.bits.clear();
+        self.bits.resize(cap, 0);
+        self.len = 0;
+        for (l, v) in entries {
+            if v > 0.0 {
+                let leaf = &mut self.bits[l.index()];
+                self.len += usize::from(*leaf == 0);
+                *leaf = v.to_bits();
+            }
+        }
+        self.win.clear();
+        self.win.resize(cap, 0);
+        self.win.extend((0..cap).map(|slot| slot as u32));
+        for node in (1..cap).rev() {
+            self.win[node] = self.play(2 * node);
+        }
+    }
+
+    /// The winner of the match between the siblings `left` and `left + 1`:
+    /// the right child only on strictly greater bits.
+    #[inline]
+    fn play(&self, left: usize) -> u32 {
+        let (a, b) = (self.win[left], self.win[left + 1]);
+        if self.bits[b as usize] > self.bits[a as usize] {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// Re-keys `link` to load `v` (absent unless strictly positive) and
+    /// replays the matches on its leaf's path towards the root. The walk
+    /// stops at a node that keeps a winner other than `link`: that winner's
+    /// key did not change, so no match above it can. `O(log slots)`.
+    pub fn set(&mut self, link: LinkId, v: f64) {
+        let slot = link.index();
+        let new = if v > 0.0 { v.to_bits() } else { 0 };
+        let old = std::mem::replace(&mut self.bits[slot], new);
+        if old == new {
+            return;
+        }
+        self.len = self.len + usize::from(new != 0) - usize::from(old != 0);
+        let mut node = (self.bits.len() + slot) / 2;
+        while node > 0 {
+            let w = self.play(2 * node);
+            let kept = std::mem::replace(&mut self.win[node], w) == w;
+            if kept && w as usize != slot {
+                break;
+            }
+            node /= 2;
+        }
+    }
+
+    /// The most loaded link (smallest link id on ties), if any. `O(1)`.
+    pub fn peek_max(&self) -> Option<(LinkId, f64)> {
+        let &top = self.win.get(1)?;
+        let bits = self.bits[top as usize];
+        (bits != 0).then(|| (LinkId(top as usize), f64::from_bits(bits)))
+    }
+
+    /// The load currently keyed for `link` (`0.0` when absent).
+    pub fn get(&self, link: LinkId) -> f64 {
+        f64::from_bits(self.bits[link.index()])
+    }
+
+    /// Number of indexed links.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no link is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -304,7 +423,7 @@ mod tests {
         let mut q = LoadQueue::new();
         q.rebuild(4, vec![(mk(0), 2.0), (mk(1), 1.0)]);
         q.set(mk(1), 3.0);
-        assert_eq!(q.peek_max(), Some((mk(1), 3.0)));
+        assert_eq!(q.kth_max(0), Some((mk(1), 3.0)));
         assert_eq!(q.get(mk(1)), 3.0);
         q.set(mk(1), 0.0);
         assert_eq!(drain(&q), vec![(mk(0), 2.0)]);
@@ -322,7 +441,7 @@ mod tests {
         q.mark_dirty(mk(3));
         q.mark_dirty(mk(1)); // duplicate marks are harmless
                              // Until the refresh, iteration reflects the stale keys.
-        assert_eq!(q.peek_max(), Some((mk(2), 2.0)));
+        assert_eq!(q.kth_max(0), Some((mk(2), 2.0)));
         q.refresh_with(|l| loads[l.index()]);
         assert_eq!(drain(&q), vec![(mk(1), 7.0), (mk(2), 2.0), (mk(3), 0.5)]);
     }
@@ -353,7 +472,7 @@ mod tests {
         q.refresh_with(|_| unreachable!("drain_keyed drops pending dirty marks"));
         // The queue stays sized: slot 7 is still addressable.
         q.set(mk(7), 2.0);
-        assert_eq!(q.peek_max(), Some((mk(7), 2.0)));
+        assert_eq!(q.kth_max(0), Some((mk(7), 2.0)));
     }
 
     #[test]

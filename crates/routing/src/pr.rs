@@ -26,11 +26,13 @@
 //! decreasing load and, per link, its users in decreasing weight, until
 //! one user can give the link up: the link is still alive for it and its
 //! diagonal group keeps another alive link. The banded engine counts those
-//! *removable* users per link and keeps its [`LoadQueue`] to exactly the
+//! *removable* users per link and keeps a [`MaxTree`] to exactly the
 //! loaded links with a non-zero count, updating both wherever a removal or
 //! a cleaned group kills a link or leaves a group with one link. Every link
 //! the oracle's scan would reject is therefore absent, and the removal is
-//! always taken from the top of the queue.
+//! always taken from the tree's root, the `(load bits, smaller link id)`
+//! maximum. Only that top is ever read, so each load change costs one walk
+//! up from the link's leaf instead of an ordered-set re-key.
 //!
 //! Both implementations produce **bit-identical** routings, errors and load
 //! maps: they kill the same links in the same order and perform the same
@@ -43,7 +45,7 @@
 
 use crate::comm::CommSet;
 use crate::heuristic::Heuristic;
-use crate::loadq::LoadQueue;
+use crate::loadq::MaxTree;
 use crate::precompute::EndpointTables;
 use crate::routing::Routing;
 use crate::scratch::{reset_flags, RouteScratch};
@@ -160,22 +162,22 @@ fn iv_intersect(a: Iv, b: Iv) -> Iv {
 }
 
 /// The per-link state every removal updates, kept in sync: the load map,
-/// the per-link removable-user counts and the shared [`LoadQueue`], which
+/// the per-link removable-user counts and the [`MaxTree`] `queue`, which
 /// holds exactly the links with strictly positive load and a non-zero
 /// removable count. The load *values* are bit-identical to the full-sweep
-/// oracle's (same operations per link in the same order), so the queue's
-/// descending order is the oracle's loaded-link scan order with the links
-/// it would reject left out.
+/// oracle's (same operations per link in the same order), so the tree's
+/// root is the first link of the oracle's loaded-link scan that the scan
+/// does not reject.
 struct QueuedLoads<'a> {
     loads: &'a mut LoadMap,
-    queue: &'a mut LoadQueue,
+    queue: &'a mut MaxTree,
     /// Per link slot: how many communications could give the link up (it
     /// is alive for them and its group keeps another alive link).
     removable: &'a mut [u32],
 }
 
 impl QueuedLoads<'_> {
-    /// [`LoadMap::add`] that re-keys `l` in the queue while it is
+    /// [`LoadMap::add`] that re-keys `l` in the tree while it is
     /// removable.
     fn add_load(&mut self, l: LinkId, delta: f64) {
         self.loads.add(l, delta);
@@ -186,7 +188,7 @@ impl QueuedLoads<'_> {
 
     /// One communication can no longer give `l` up (the link died for it,
     /// or its group is down to this one link); the last such communication
-    /// takes the link out of the queue.
+    /// takes the link out of the tree.
     fn drop_removable(&mut self, l: LinkId) {
         let n = &mut self.removable[l.index()];
         *n -= 1;
@@ -708,16 +710,15 @@ impl PathRemover {
             }
         }
 
-        // Shared loaded-link priority queue ([`LoadQueue`]): exactly the
-        // links with positive load and a non-zero removable count, in
-        // decreasing load with ties towards the smaller link id — the
-        // full-sweep oracle's scan order, minus the links its scan rejects
-        // without effect. Maintained incrementally by [`QueuedLoads`]
-        // instead of being rebuilt (and re-scanned, O(links²)) on every
-        // removal.
+        // The removal index ([`MaxTree`]): exactly the links with positive
+        // load and a non-zero removable count, topped by the most loaded
+        // one with ties towards the smaller link id — the first link of the
+        // full-sweep oracle's scan order that the scan does not reject.
+        // Maintained incrementally by [`QueuedLoads`] instead of being
+        // rebuilt (and re-scanned, O(links²)) on every removal.
         {
             let removable = &scratch.removable;
-            scratch.queue.rebuild(
+            scratch.pr_top.rebuild(
                 nslots,
                 scratch
                     .loads
@@ -729,13 +730,13 @@ impl PathRemover {
         // Iteratively remove the most loaded link from the largest
         // communication that can give it up. The oracle's scan settles on
         // the first loaded link some communication can give up, which is
-        // the top of the queue. An empty queue means no unresolved
+        // the top of the tree. An empty tree means no unresolved
         // communication can lose any link (as would a top no candidate
         // can give up, which the counts rule out): a structural error in
         // both builds.
         let mut unresolved = comms.iter().filter(|c| !c.resolved()).count();
         while unresolved > 0 {
-            let top = scratch.queue.peek_max().and_then(|(link, _)| {
+            let top = scratch.pr_top.peek_max().and_then(|(link, _)| {
                 // Candidates in presorted decreasing-weight order: the
                 // first that still holds the link in a group with another
                 // alive link takes the removal (every alive link lies on
@@ -758,7 +759,7 @@ impl PathRemover {
             let mut bufs = BandBufs {
                 links: QueuedLoads {
                     loads: &mut scratch.loads,
-                    queue: &mut scratch.queue,
+                    queue: &mut scratch.pr_top,
                     removable: &mut scratch.removable,
                 },
                 fwd_iv: &mut scratch.fwd_iv,
@@ -990,8 +991,8 @@ mod tests {
         // banded comm to its full-sweep fallback and keep the states
         // bit-identical throughout. A second, smaller comm shares part of
         // the band and is never removed from, so some links keep a
-        // removable user (and their queue entry) after the first comm
-        // gives them up, and others leave the queue.
+        // removable user (and their tree entry) after the first comm
+        // gives them up, and others leave the tree.
         let mesh = Mesh::new(4, 4);
         let (src, snk) = (Coord::new(0, 0), Coord::new(3, 3));
         let (src2, snk2) = (Coord::new(0, 1), Coord::new(2, 3));
@@ -1005,11 +1006,11 @@ mod tests {
         other.apply_loads(&mut loads_b, 1.0);
         reference.apply_loads(&mut loads_r, 1.0);
         other_ref.apply_loads(&mut loads_r, 1.0);
-        // Real removable counts, and the queue the engine seeds from them.
+        // Real removable counts, and the tree the engine seeds from them.
         let mut removable = recount_removable(&mesh, &[&banded, &other]);
         assert!(removable.contains(&2), "the bands must overlap");
         let mut scratch = crate::RouteScratch::new();
-        scratch.queue.rebuild(
+        scratch.pr_top.rebuild(
             mesh.num_link_slots(),
             loads_b
                 .iter_active()
@@ -1043,7 +1044,7 @@ mod tests {
             let mut bufs = BandBufs {
                 links: QueuedLoads {
                     loads: &mut loads_b,
-                    queue: &mut scratch.queue,
+                    queue: &mut scratch.pr_top,
                     removable: &mut removable,
                 },
                 fwd_iv: &mut scratch.fwd_iv,
@@ -1074,32 +1075,42 @@ mod tests {
                 recount_removable(&mesh, &[&banded, &other]),
                 "removal {step}: removable counts drifted"
             );
-            // …and the queue holds exactly the loaded links with a
-            // non-zero count, keyed by their load.
-            let mut queued = 0;
+            // …and the tree holds exactly the loaded links with a
+            // non-zero count, keyed by their load, topped by their
+            // select_max maximum.
+            let mut queued = Vec::new();
             for l in mesh.links() {
                 let load = loads_b.get(l);
                 let want = if load > 0.0 && removable[l.index()] > 0 {
-                    queued += 1;
+                    queued.push((l, load));
                     load
                 } else {
                     0.0
                 };
                 assert_eq!(
-                    scratch.queue.get(l).to_bits(),
+                    scratch.pr_top.get(l).to_bits(),
                     want.to_bits(),
-                    "removal {step}: queue entry of {l}"
+                    "removal {step}: tree entry of {l}"
                 );
             }
-            assert_eq!(scratch.queue.len(), queued, "removal {step}: queue size");
+            assert_eq!(
+                scratch.pr_top.len(),
+                queued.len(),
+                "removal {step}: tree size"
+            );
+            assert_eq!(
+                scratch.pr_top.peek_max(),
+                crate::loadq::select_max(&mut queued, 0),
+                "removal {step}: tree top"
+            );
         }
         assert_eq!(banded.resolved(), reference.resolved);
         // The first comm gave up links the second never held: they left
-        // the queue while still loaded by the first comm's final path.
+        // the tree while still loaded by the first comm's final path.
         assert!(
             mesh.links()
-                .any(|l| loads_b.get(l) > 0.0 && scratch.queue.get(l) == 0.0),
-            "no link left the queue"
+                .any(|l| loads_b.get(l) > 0.0 && scratch.pr_top.get(l) == 0.0),
+            "no link left the tree"
         );
         assert_eq!(
             flag_history[..2],

@@ -12,7 +12,7 @@
 use crate::comm::CommSet;
 use crate::csr::CrossingIndex;
 use crate::engine::EngineConfig;
-use crate::loadq::LoadQueue;
+use crate::loadq::{LoadQueue, MaxTree};
 use crate::precompute::{CostLadder, CustomizedInstance, MeshPrecompute};
 use pamr_mesh::{LinkId, LoadMap};
 use pamr_power::PowerModel;
@@ -57,11 +57,13 @@ pub struct RouteScratch {
     /// Per-link count of the communications that could give the link up
     /// (banded PR): the link is still alive for them and its diagonal group
     /// keeps at least one other alive link. A link whose count is 0 can
-    /// never host a removal, so it is kept out of `queue`.
+    /// never host a removal, so it is kept out of `pr_top`.
     pub(crate) removable: Vec<u32>,
-    /// Shared loaded-link priority queue ([`LoadQueue`]): the banded PR
-    /// keys it to the links with a non-zero `removable` count, queue-driven
-    /// XYI to every loaded link. Its descending order is exactly the
+    /// Banded PR's removal index ([`MaxTree`]): the loaded links with a
+    /// non-zero `removable` count, whose top is the next removal's link.
+    pub(crate) pr_top: MaxTree,
+    /// Queue-driven XYI's loaded-link queue ([`LoadQueue`]), keyed to every
+    /// loaded link. Its descending order is exactly the
     /// [`select_max`](crate::loadq::select_max) order.
     pub(crate) queue: LoadQueue,
     /// Per-diagonal forward reachable-interval run (banded PR): the row

@@ -8,9 +8,9 @@
 //! per request.
 //!
 //! [`RoutingSession`] keeps the mesh, the live communications and their
-//! current paths, the per-link [`LoadMap`] and the shared
-//! [`LoadQueue`] max-load index **resident across
-//! requests**, together with two crossing indices:
+//! current paths, the per-link [`LoadMap`] and a [`MaxTree`] max-load
+//! index **resident across requests**, together with two crossing
+//! indices:
 //!
 //! * `users` — for every link, the live communications whose *current path*
 //!   crosses it (the index queue-driven XYI keys per route call);
@@ -21,9 +21,10 @@
 //! Mutations are **incremental**. An added communication is routed alone
 //! (its XY path) and then locally repaired with a *bounded* XYI improvement
 //! pass restricted to a scope seeded from its band links; a removal
-//! decrements loads through [`LoadQueue::set`](crate::loadq::LoadQueue::set)
-//! and repairs the scope seeded from the current paths of the communications
-//! whose band overlaps the freed links. Accepted moves extend the scope to
+//! decrements loads through [`MaxTree::set`] and repairs the scope seeded
+//! from the current paths of the communications whose band overlaps the
+//! freed links. The scope is a [`LoadQueue`], because the repair pass walks
+//! it below its top in decreasing load. Accepted moves extend the scope to
 //! the links they touch, so relief propagates exactly as far as it is
 //! earned. If the bounded pass ends on an infeasible load map the session
 //! **escalates** to a full re-route of the surviving set — the session is
@@ -50,10 +51,10 @@
 //! * **Feasibility** is the largest load's. Both [`FrequencyScale`]
 //!   variants refuse exactly the loads above their top level plus the
 //!   [`CAPACITY_EPS`] slack, so every link fits iff the most loaded one
-//!   does. [`RoutingSession::is_feasible`] reads that load off the resident
-//!   [`LoadQueue`] in `O(1)` and always equals `power().is_ok()`; bounded
-//!   repair's escalation check and the `feasible` field of the serve
-//!   responses use it.
+//!   does. [`RoutingSession::is_feasible`] reads that load off the root of
+//!   the resident [`MaxTree`] in `O(1)` and always equals
+//!   `power().is_ok()`; bounded repair's escalation check and the
+//!   `feasible` field of the serve responses use it.
 //! * **Power cache.** Wherever a link's load is re-derived (after every
 //!   mutation and in the full re-route rebuild) its
 //!   [`PowerModel::link_dynamic_power`] is recomputed from that load, never
@@ -76,7 +77,7 @@
 use crate::comm::{Comm, CommSet};
 use crate::csr::CrossingIndex;
 use crate::heuristic::{surrogate_link_cost, HeuristicKind};
-use crate::loadq::{Cursor, LoadQueue};
+use crate::loadq::{Cursor, LoadQueue, MaxTree};
 use crate::precompute::MeshPrecompute;
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
@@ -245,8 +246,9 @@ pub struct RoutingSession {
     /// Authoritative per-link loads, always equal to the ascending-slot sum
     /// of the weights in `users` (bit-exactly; see the module docs).
     loads: LoadMap,
-    /// Resident max-load index, always keyed to `loads`' positive entries.
-    queue: LoadQueue,
+    /// Resident max-load index, always keyed to `loads`' positive entries;
+    /// only its top is read.
+    queue: MaxTree,
     /// Per-link dynamic power and loaded-link set, always derived from
     /// `loads` (see the module docs).
     power_cache: PowerCache,
@@ -281,8 +283,8 @@ impl RoutingSession {
     ) -> Self {
         let mesh = *pre.mesh();
         let n_slots = mesh.num_link_slots();
-        let mut queue = LoadQueue::new();
-        queue.fit(n_slots);
+        let mut queue = MaxTree::default();
+        queue.rebuild(n_slots, []);
         let mut repair_queue = LoadQueue::new();
         repair_queue.fit(n_slots);
         let mut scratch = RouteScratch::new();
@@ -364,9 +366,10 @@ impl RoutingSession {
         &self.loads
     }
 
-    /// The resident max-load index (always keyed to [`RoutingSession::loads`]).
+    /// The resident max-load index: a top-only [`MaxTree`], always keyed
+    /// to the strictly positive entries of [`RoutingSession::loads`].
     #[inline]
-    pub fn load_index(&self) -> &LoadQueue {
+    pub fn load_index(&self) -> &MaxTree {
         &self.queue
     }
 
@@ -617,7 +620,7 @@ impl RoutingSession {
     }
 
     /// Re-derives `link`'s load as the ascending-slot sum over its crossing
-    /// communications, re-keys the resident index ([`LoadQueue::set`]) and
+    /// communications, re-keys the resident index ([`MaxTree::set`]) and
     /// recomputes its cached power. Exact by construction: no incremental
     /// accumulation residue.
     fn recompute_link(&mut self, link: LinkId) {
@@ -697,7 +700,8 @@ impl RoutingSession {
 
     /// Applies one accepted flip: rebuilds the path, re-homes the crossing
     /// index on the two removed/two added links, and re-keys their loads in
-    /// the resident *and* scope queues (the scope grows with touched links).
+    /// the resident index *and* the scope queue (the scope grows with
+    /// touched links).
     fn apply_flip(&mut self, slot: usize, swap_at: usize, rem: [LinkId; 2], add: [LinkId; 2]) {
         // pamr-lint: allow(P001, reason = "slot came from the users index of a scoped link, which only holds live slots")
         let lc = self.slots[slot].as_mut().expect("slot is live");
@@ -796,7 +800,7 @@ mod tests {
                     0.0
                 }
                 .to_bits(),
-                "resident queue key of {l} desynced"
+                "resident index key of {l} desynced"
             );
         }
         assert_eq!(s.max_load().to_bits(), naive.max_load().to_bits());

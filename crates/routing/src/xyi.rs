@@ -8,7 +8,7 @@
 //! improvement loop, and probes **all** communications per link — the same
 //! `O(links²)` selection bottleneck PR 4 removed from the Path-Remover.
 //!
-//! The engine here follows the PR 4 playbook on the shared
+//! The engine here removes it the way the Path-Remover did, with a
 //! [`LoadQueue`](crate::loadq::LoadQueue):
 //!
 //! * the loaded links live in an incrementally-maintained max-load index;

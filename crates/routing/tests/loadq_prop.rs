@@ -1,5 +1,6 @@
-//! Property tests pinning [`pamr_routing::LoadQueue`] against the naive
-//! selection scan it replaces.
+//! Property tests pinning both max-load indexes, [`pamr_routing::LoadQueue`]
+//! and [`pamr_routing::MaxTree`], against the naive selection scan they
+//! replace.
 //!
 //! The queue's contract is *order-exact*: after any interleaving of bulk
 //! rebuilds, eager updates, lazy invalidations (+ refresh) and partial
@@ -8,14 +9,17 @@
 //! positive loads — decreasing load, ties towards the smaller link id,
 //! bit-for-bit. PR, XYI and their reference oracles rely on this exact
 //! equivalence for their differential contracts, so the model here *is*
-//! `select_max` run over a plain `Vec` shadow of the loads. Shrinking is
-//! enabled (the vendored proptest records the choice tape), so failures
-//! report minimal operation sequences; replay with
+//! `select_max` run over a plain `Vec` shadow of the loads. The tree's
+//! contract is the queue's top only: after any interleaving of rebuilds
+//! (at slot counts that are not powers of two too) and re-keys, its root,
+//! per-link keys and size must match `select_max(…, 0)` over the shadow.
+//! Shrinking is enabled (the vendored proptest records the choice tape),
+//! so failures report minimal operation sequences; replay with
 //! `PAMR_PROPTEST_SEED=<seed>`.
 
 use pamr_mesh::LinkId;
 use pamr_routing::loadq::select_max;
-use pamr_routing::LoadQueue;
+use pamr_routing::{LoadQueue, MaxTree};
 use proptest::prelude::*;
 
 /// Number of link slots the modelled queue operates over.
@@ -81,6 +85,109 @@ fn assert_matches(q: &LoadQueue, synced: &[f64]) {
     }
     assert_eq!(cursor.next(q), None, "queue held extra entries");
     assert_eq!(q.len(), expected.len());
+}
+
+/// Largest slot count the tree is rebuilt at: past two powers of two, so
+/// most drawn counts leave padding leaves.
+const TREE_SLOTS: usize = 37;
+
+/// The loads the tree is keyed with. A handful of values, so equal loads
+/// (ties) are common; the non-positive ones must leave a link absent.
+const TREE_LOADS: [f64; 6] = [0.0, -1.0, 0.5, 1.0, 2.0, 3.0];
+
+/// One step of the tree's modelled interleaving.
+#[derive(Debug, Clone)]
+enum TreeOp {
+    /// Re-key link `slot % n_slots` to `TREE_LOADS[load]`.
+    Set(usize, usize),
+    /// Rebuild at `n_slots`, seeding link `i` with `TREE_LOADS[loads[i]]`
+    /// for every `i` below both lengths.
+    Rebuild(usize, Vec<usize>),
+}
+
+fn tree_op() -> impl Strategy<Value = TreeOp> {
+    (
+        0u8..4,
+        0..TREE_SLOTS,
+        0..TREE_LOADS.len(),
+        prop::collection::vec(0..TREE_LOADS.len(), 0..=TREE_SLOTS),
+    )
+        .prop_map(|(kind, slot, load, loads)| match kind {
+            // Re-keys outnumber rebuilds three to one.
+            0 => TreeOp::Rebuild(slot + 1, loads),
+            _ => TreeOp::Set(slot, load),
+        })
+}
+
+/// Asserts that `tree` indexes exactly the strictly positive entries of
+/// `shadow`: each link's key and the count, and the root equal to the
+/// first entry of the `select_max` order, bit for bit.
+fn assert_tree_matches(tree: &MaxTree, shadow: &[f64], step: usize) -> Result<(), String> {
+    let mut active: Vec<(LinkId, f64)> = Vec::new();
+    for (i, &v) in shadow.iter().enumerate() {
+        let want: f64 = if v > 0.0 { v } else { 0.0 };
+        prop_assert_eq!(
+            tree.get(LinkId(i)).to_bits(),
+            want.to_bits(),
+            "step {}: key of link {}",
+            step,
+            i
+        );
+        if v > 0.0 {
+            active.push((LinkId(i), v));
+        }
+    }
+    prop_assert_eq!(tree.len(), active.len(), "step {}: size", step);
+    prop_assert_eq!(
+        tree.is_empty(),
+        active.is_empty(),
+        "step {}: emptiness",
+        step
+    );
+    let want = select_max(&mut active, 0);
+    let got = tree.peek_max();
+    prop_assert_eq!(got, want, "step {}: top", step);
+    prop_assert_eq!(
+        got.map(|(_, v)| v.to_bits()),
+        want.map(|(_, v)| v.to_bits()),
+        "step {}: top bits",
+        step
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn tree_top_matches_select_max_under_rebuilds_and_sets(
+        n_slots in 1..=TREE_SLOTS,
+        ops in prop::collection::vec(tree_op(), 0..=48),
+    ) {
+        let mut shadow = vec![0.0f64; n_slots];
+        let mut tree = MaxTree::default();
+        tree.rebuild(n_slots, []);
+        assert_tree_matches(&tree, &shadow, 0)?;
+        for (step, op) in ops.iter().enumerate() {
+            match op {
+                TreeOp::Set(slot, load) => {
+                    let l = slot % shadow.len();
+                    shadow[l] = TREE_LOADS[*load];
+                    tree.set(LinkId(l), TREE_LOADS[*load]);
+                }
+                TreeOp::Rebuild(n, loads) => {
+                    shadow = (0..*n)
+                        .map(|i| loads.get(i).map_or(0.0, |&k| TREE_LOADS[k]))
+                        .collect();
+                    tree.rebuild(
+                        *n,
+                        shadow.iter().enumerate().map(|(i, &v)| (LinkId(i), v)),
+                    );
+                }
+            }
+            assert_tree_matches(&tree, &shadow, step + 1)?;
+        }
+    }
 }
 
 proptest! {

@@ -14,7 +14,12 @@
 //! | `snapshot`     | —                                       |
 //!
 //! An `add_comm` weight must be positive and below 1e250, which keeps every
-//! link load and the total load finite. The three mutations answer the
+//! link load and the total load finite. An `add_comm` that could make the
+//! power report overflow is refused too, before the session changes: the
+//! check bounds every link load by the sum of the live weights, and the
+//! number of loaded links by the sum of the live path lengths. Only a model
+//! without a top bandwidth (`--model theory`) can reach it; under the
+//! others a link's power is capped. The three mutations answer the
 //! session's `n_comms`, `max_load` and `feasible`; `power_report` adds the
 //! power breakdown and `total_load`. `feasible` is true iff every link load
 //! fits the power model's top frequency level, give or take its
@@ -32,7 +37,7 @@
 //! `crates/sim/tests/session_prop.rs`.
 
 use pamr_mesh::Coord;
-use pamr_power::PowerModel;
+use pamr_power::{FrequencyScale, PowerModel};
 use pamr_routing::{Comm, MeshPrecompute, RoutingSession, SessionConfig, SlotId};
 use serde::Value;
 use std::collections::BTreeMap;
@@ -55,6 +60,12 @@ pub struct Server {
     ids: BTreeMap<String, SlotId>,
     /// Slot-indexed wire ids of the live communications (for snapshots).
     names: Vec<Option<String>>,
+    /// Running sum of the live weights, over the communications that cross
+    /// at least one link: a bound on every link load.
+    live_weight: f64,
+    /// Sum of the live communications' path lengths in hops: a bound on the
+    /// number of loaded links.
+    live_hops: usize,
 }
 
 impl Server {
@@ -68,6 +79,8 @@ impl Server {
             session: RoutingSession::with_precompute(pre, model, config),
             ids: BTreeMap::new(),
             names: Vec::new(),
+            live_weight: 0.0,
+            live_hops: 0,
         }
     }
 
@@ -143,6 +156,21 @@ impl Server {
                 ));
             }
         }
+        let hops = src.manhattan(snk);
+        if hops > 0 {
+            // The true sum is at least `weight`, whatever the running sum's
+            // rounding left behind.
+            let weight_sum = (self.live_weight + weight).max(weight);
+            let links = (self.live_hops + hops).min(mesh.num_link_slots());
+            if !power_fold_bound(self.session.model(), weight_sum, links).is_finite() {
+                return Err(format!(
+                    "weight {weight:e} could overflow the power report: the live \
+                     weights would sum to {weight_sum:e}"
+                ));
+            }
+            self.live_weight = weight_sum;
+            self.live_hops += hops;
+        }
         let slot = self.session.add_comm(Comm::new(src, snk, weight));
         if self.names.len() <= slot.index() {
             self.names.resize(slot.index() + 1, None);
@@ -168,9 +196,15 @@ impl Server {
             .remove(&id)
             .ok_or_else(|| format!("unknown id {id:?}"))?;
         self.names[slot.index()] = None;
-        self.session
+        let comm = self
+            .session
             .remove_comm(slot)
             .expect("the id map only holds live slots");
+        let hops = comm.src.manhattan(comm.snk);
+        if hops > 0 {
+            self.live_weight -= comm.weight;
+            self.live_hops -= hops;
+        }
         Ok(obj(vec![
             ("ok", Value::Bool(true)),
             ("op", s("remove_comm")),
@@ -288,6 +322,23 @@ pub fn serve_tcp(server: &mut Server, addr: &str) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// An upper bound, twice over, on the power report of any feasible state
+/// whose link loads are all at most `max_load` and of which at most
+/// `links` links are loaded. A link's power never falls as its load grows,
+/// so each loaded link draws at most the power at `max_load`, or at the
+/// top bandwidth when `max_load` is infeasible. The factor of two absorbs
+/// the rounding of the running weight sum. Non-finite when the report
+/// could overflow.
+fn power_fold_bound(model: &PowerModel, max_load: f64, links: usize) -> f64 {
+    let top = match &model.scale {
+        FrequencyScale::Continuous => model.capacity,
+        FrequencyScale::Discrete(levels) => levels.last().copied().unwrap_or(0.0),
+    };
+    let bandwidth = model.effective_bandwidth(max_load).unwrap_or(top);
+    let link = model.p_leak + model.p0 * (bandwidth * model.load_unit).powf(model.alpha);
+    2.0 * links as f64 * link
 }
 
 // ---------------------------------------------------------------------------
@@ -561,6 +612,55 @@ mod tests {
         };
         assert_eq!(float("max_load"), 2.0 * under);
         assert_eq!(float("total_load"), 6.0 * under);
+    }
+
+    #[test]
+    fn adds_that_could_overflow_the_power_report_are_refused() {
+        // `theory` has no top bandwidth, so finite loads can overflow
+        // `load³`: two 4e102 weights on one link used to answer
+        // `"feasible":true` and then `"total_mw":null` inside `"ok":true`.
+        let mut srv = Server::new(
+            Mesh::new(4, 4),
+            PowerModel::theory(3.0),
+            SessionConfig::default(),
+        );
+        let add = |id: &str, snk_v: usize, weight: &str| {
+            format!(
+                r#"{{"op":"add_comm","id":"{id}","src":{{"u":0,"v":0}},"snk":{{"u":0,"v":{snk_v}}},"weight":{weight}}}"#
+            )
+        };
+        let total_mw = |srv: &mut Server| {
+            let report = srv.handle_line(r#"{"op":"power_report"}"#);
+            match serde_json::from_str::<Value>(&report)
+                .unwrap()
+                .get("total_mw")
+            {
+                Some(Value::Float(x)) => *x,
+                other => panic!("total_mw is not a number: {other:?} in {report}"),
+            }
+        };
+        let a = srv.handle_line(&add("a", 1, "4e102"));
+        assert!(a.starts_with(r#"{"ok":true"#), "{a}");
+        assert!(a.ends_with(r#""feasible":true}"#), "{a}");
+        assert_eq!(
+            srv.handle_line(&add("b", 1, "4e102")),
+            r#"{"ok":false,"op":"add_comm","error":"weight 4e102 could overflow the power report: the live weights would sum to 8e102"}"#
+        );
+        assert_eq!(total_mw(&mut srv), 4e102f64.powf(3.0));
+        // Removing "a" frees its weight. One 5e102 weight over three hops
+        // still could overflow (3 × 1.25e308); 3e102 over three cannot.
+        let removed = srv.handle_line(r#"{"op":"remove_comm","id":"a"}"#);
+        assert!(removed.starts_with(r#"{"ok":true"#), "{removed}");
+        let c = srv.handle_line(&add("c", 3, "5e102"));
+        assert!(c.contains("could overflow the power report"), "{c}");
+        let c = srv.handle_line(&add("c", 3, "3e102"));
+        assert!(c.starts_with(r#"{"ok":true"#), "{c}");
+        assert_eq!(total_mw(&mut srv), 3.0 * 3e102f64.powf(3.0));
+        // A communication that crosses no link adds no load.
+        let local = srv.handle_line(
+            r#"{"op":"add_comm","id":"d","src":{"u":2,"v":2},"snk":{"u":2,"v":2},"weight":1e249}"#,
+        );
+        assert!(local.starts_with(r#"{"ok":true"#), "{local}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | lane | optimized | baseline | one timed call |
 //! |---|---|---|---|
 //! | `pr` | banded Path-Remover | full-sweep oracle | instance |
-//! | `xyi` | queue-driven XY improver | full-scan oracle | instance |
+//! | `xyi` | pending-link XY improver | full-scan oracle | instance |
 //! | `ig` | indexed Improved greedy | full-scan oracle | instance |
 //! | `serve` | resident `RoutingSession` | XYI re-route of the live set | request |
 //! | `precompute` | one shared precompute (SG + IG) | fresh scratch per trial | trial |
@@ -788,7 +788,7 @@ struct ScalingPoint {
     /// [`SCALING_PR_MAX_COMMS`] — PR is the most superlinear engine, and
     /// timing it at the top of the full grid costs hours, not minutes.
     pr_ms: Option<f64>,
-    /// Mean queued-XYI runtime, milliseconds. `None` above
+    /// Mean pending-link XYI runtime, milliseconds. `None` above
     /// [`SCALING_XYI_MAX_COMMS`], same reason at a milder exponent.
     xyi_ms: Option<f64>,
     /// Mean indexed-IG runtime, milliseconds (near-linear; timed at every
@@ -877,8 +877,8 @@ const SCALING_ORACLE_CUTOFF: usize = 32 * 32;
 /// record `None` and the fit uses the sub-grid the engine actually ran.
 const SCALING_PR_MAX_COMMS: usize = 20_480;
 
-/// Largest communication count at which the scaling lane times the queued
-/// XYI (exponent ≈2.0 in the joint scale; same reasoning as
+/// Largest communication count at which the scaling lane times the
+/// pending-link XYI (exponent ≈2.0 in the joint scale; same reasoning as
 /// [`SCALING_PR_MAX_COMMS`] one notch later).
 const SCALING_XYI_MAX_COMMS: usize = 20_480;
 

@@ -46,15 +46,38 @@ pub use path::Path;
 
 use serde::{Deserialize, Serialize};
 
+/// The most cores a mesh read from input (an instance file, a `--mesh`
+/// flag) may have: 2²⁰, a 1024×1024 mesh. Every per-link table is sized by
+/// the mesh, so a larger declared mesh would ask for gigabytes before any
+/// routing starts.
+pub const MAX_CORES: usize = 1 << 20;
+
 /// A `p × q` rectangular mesh of cores.
 ///
 /// `p` is the number of rows, `q` the number of columns. Each pair of
 /// neighbouring cores is connected by two unidirectional links (one per
 /// direction), as in Section 3.1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Deserializing checks what [`Mesh::checked`] checks, so a mesh read from
+/// a file has positive dimensions and at most [`MAX_CORES`] cores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Mesh {
     p: usize,
     q: usize,
+}
+
+/// Serde's view of a [`Mesh`], before [`Mesh::checked`] admits it.
+#[derive(Deserialize)]
+struct MeshFields {
+    p: usize,
+    q: usize,
+}
+
+impl Deserialize for Mesh {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let MeshFields { p, q } = MeshFields::from_value(v)?;
+        Mesh::checked(p, q).map_err(serde::Error::custom)
+    }
 }
 
 impl Mesh {
@@ -65,6 +88,20 @@ impl Mesh {
     pub fn new(p: usize, q: usize) -> Self {
         assert!(p >= 1 && q >= 1, "mesh dimensions must be positive");
         Mesh { p, q }
+    }
+
+    /// A `p × q` mesh read from input: an error unless both dimensions are
+    /// positive and the mesh has at most [`MAX_CORES`] cores.
+    pub fn checked(p: usize, q: usize) -> Result<Self, String> {
+        if p == 0 || q == 0 {
+            return Err(format!("mesh dimensions must be positive, got {p}x{q}"));
+        }
+        match p.checked_mul(q) {
+            Some(cores) if cores <= MAX_CORES => Ok(Mesh { p, q }),
+            _ => Err(format!(
+                "a {p}x{q} mesh exceeds the {MAX_CORES}-core limit on input meshes"
+            )),
+        }
     }
 
     /// Number of rows `p`.
@@ -244,6 +281,25 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checked_refuses_empty_and_oversized_meshes() {
+        assert_eq!(Mesh::checked(8, 8), Ok(Mesh::new(8, 8)));
+        assert_eq!(Mesh::checked(1024, 1024), Ok(Mesh::new(1024, 1024)));
+        assert!(Mesh::checked(0, 4).is_err());
+        assert!(Mesh::checked(4, 0).is_err());
+        assert!(Mesh::checked(1024, 1025).is_err());
+        assert!(Mesh::checked(usize::MAX, 2).is_err());
+        let fields = |p, q| {
+            serde::Value::Object(vec![
+                ("p".into(), serde::Value::UInt(p)),
+                ("q".into(), serde::Value::UInt(q)),
+            ])
+        };
+        assert_eq!(Mesh::from_value(&fields(3, 5)).ok(), Some(Mesh::new(3, 5)));
+        assert!(Mesh::from_value(&fields(0, 4)).is_err());
+        assert!(Mesh::from_value(&fields(100_000, 100_000)).is_err());
+    }
 
     #[test]
     fn mesh_counts() {

@@ -8,8 +8,9 @@ use std::fmt;
 /// routed from the source core to the sink core.
 ///
 /// Weights are in the same unit as the power model's `capacity` (Mb/s in
-/// the paper's simulation campaign).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// the paper's simulation campaign). Deserializing checks the weight as
+/// [`Comm::new`] does.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Comm {
     /// Source core.
     pub src: Coord,
@@ -25,11 +26,22 @@ impl Comm {
     /// # Panics
     /// Panics if the weight is not strictly positive and finite.
     pub fn new(src: Coord, snk: Coord, weight: f64) -> Self {
-        assert!(
-            weight > 0.0 && weight.is_finite(),
-            "communication weight must be positive and finite, got {weight}"
-        );
-        Comm { src, snk, weight }
+        match Comm::checked(src, snk, weight) {
+            Ok(comm) => comm,
+            // pamr-lint: allow(P001, reason = "the documented constructor contract; input reaches a Comm through Comm::checked (deserialization, the serve wire)")
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`Comm::new`] for input: an error instead of a panic.
+    fn checked(src: Coord, snk: Coord, weight: f64) -> Result<Self, String> {
+        if weight > 0.0 && weight.is_finite() {
+            Ok(Comm { src, snk, weight })
+        } else {
+            Err(format!(
+                "communication weight must be positive and finite, got {weight}"
+            ))
+        }
     }
 
     /// Manhattan length `ℓ = |u_src − u_snk| + |v_src − v_snk|` of every
@@ -61,6 +73,21 @@ impl Comm {
     }
 }
 
+/// Serde's view of a [`Comm`], before [`Comm::checked`] admits it.
+#[derive(Deserialize)]
+struct CommFields {
+    src: Coord,
+    snk: Coord,
+    weight: f64,
+}
+
+impl Deserialize for Comm {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let CommFields { src, snk, weight } = CommFields::from_value(v)?;
+        Comm::checked(src, snk, weight).map_err(serde::Error::custom)
+    }
+}
+
 impl fmt::Display for Comm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}→{} @{}", self.src, self.snk, self.weight)
@@ -81,10 +108,28 @@ pub enum SortOrder {
 }
 
 /// A routing problem instance: the mesh plus the communications to route.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserializing checks what [`CommSet::new`] checks, on top of the mesh's
+/// and each communication's own checks ([`Mesh::checked`], [`Comm::new`]),
+/// so an instance read from a file can be routed without panicking.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CommSet {
     mesh: Mesh,
     comms: Vec<Comm>,
+}
+
+/// Serde's view of a [`CommSet`], before [`CommSet::checked`] admits it.
+#[derive(Deserialize)]
+struct CommSetFields {
+    mesh: Mesh,
+    comms: Vec<Comm>,
+}
+
+impl Deserialize for CommSet {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let CommSetFields { mesh, comms } = CommSetFields::from_value(v)?;
+        CommSet::checked(mesh, comms).map_err(serde::Error::custom)
+    }
 }
 
 impl CommSet {
@@ -93,15 +138,25 @@ impl CommSet {
     /// # Panics
     /// Panics if a communication's source or sink is off-mesh.
     pub fn new(mesh: Mesh, comms: Vec<Comm>) -> Self {
-        for (i, c) in comms.iter().enumerate() {
-            assert!(
-                mesh.contains(c.src) && mesh.contains(c.snk),
-                "communication {i} ({c}) leaves the {}×{} mesh",
+        match CommSet::checked(mesh, comms) {
+            Ok(cs) => cs,
+            // pamr-lint: allow(P001, reason = "the documented constructor contract; an instance file reaches a CommSet through CommSet::checked")
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`CommSet::new`] for input: an error instead of a panic.
+    fn checked(mesh: Mesh, comms: Vec<Comm>) -> Result<Self, String> {
+        let off_mesh = |c: &Comm| !(mesh.contains(c.src) && mesh.contains(c.snk));
+        match comms.iter().position(off_mesh) {
+            Some(i) => Err(format!(
+                "communication {i} ({}) leaves the {}×{} mesh",
+                comms[i],
                 mesh.rows(),
                 mesh.cols()
-            );
+            )),
+            None => Ok(CommSet { mesh, comms }),
         }
-        CommSet { mesh, comms }
     }
 
     /// The mesh.

@@ -1,6 +1,6 @@
 //! Engine selection: one explicit [`EngineConfig`] per call site.
 //!
-//! Each of the three rewritten heuristics (banded PR, queued XYI, indexed
+//! Each of the three rewritten heuristics (banded PR, pending-link XYI, indexed
 //! IG) ships with its literal full-scan oracle (see ARCHITECTURE.md § "The
 //! engine / reference-oracle pattern"). Which side runs is chosen per call
 //! site, never process-wide: a process-global switch flipped from one test
@@ -49,7 +49,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The optimized engines (banded PR, queued XYI, indexed IG), fed from
+    /// The optimized engines (banded PR, pending-link XYI, indexed IG), fed from
     /// the interned precompute tables — the default everywhere.
     pub const LIVE: EngineConfig = EngineConfig { reference: false };
 

@@ -80,7 +80,7 @@ pub use heuristic::{
     SURROGATE_PENALTY,
 };
 pub use ig::ImprovedGreedy;
-pub use loadq::{LoadQueue, MaxTree};
+pub use loadq::MaxTree;
 pub use multipath::{FwMp, SplitMp};
 pub use pr::{PathRemover, PrError};
 pub use precompute::{CostLadder, CustomizedInstance, EndpointTables, MeshPrecompute};

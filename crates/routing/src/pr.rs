@@ -718,7 +718,7 @@ impl PathRemover {
         // rebuilt (and re-scanned, O(links²)) on every removal.
         {
             let removable = &scratch.removable;
-            scratch.pr_top.rebuild(
+            scratch.top.rebuild(
                 nslots,
                 scratch
                     .loads
@@ -736,7 +736,7 @@ impl PathRemover {
         // both builds.
         let mut unresolved = comms.iter().filter(|c| !c.resolved()).count();
         while unresolved > 0 {
-            let top = scratch.pr_top.peek_max().and_then(|(link, _)| {
+            let top = scratch.top.peek_max().and_then(|(link, _)| {
                 // Candidates in presorted decreasing-weight order: the
                 // first that still holds the link in a group with another
                 // alive link takes the removal (every alive link lies on
@@ -759,7 +759,7 @@ impl PathRemover {
             let mut bufs = BandBufs {
                 links: QueuedLoads {
                     loads: &mut scratch.loads,
-                    queue: &mut scratch.pr_top,
+                    queue: &mut scratch.top,
                     removable: &mut scratch.removable,
                 },
                 fwd_iv: &mut scratch.fwd_iv,
@@ -1010,7 +1010,7 @@ mod tests {
         let mut removable = recount_removable(&mesh, &[&banded, &other]);
         assert!(removable.contains(&2), "the bands must overlap");
         let mut scratch = crate::RouteScratch::new();
-        scratch.pr_top.rebuild(
+        scratch.top.rebuild(
             mesh.num_link_slots(),
             loads_b
                 .iter_active()
@@ -1044,7 +1044,7 @@ mod tests {
             let mut bufs = BandBufs {
                 links: QueuedLoads {
                     loads: &mut loads_b,
-                    queue: &mut scratch.pr_top,
+                    queue: &mut scratch.top,
                     removable: &mut removable,
                 },
                 fwd_iv: &mut scratch.fwd_iv,
@@ -1088,18 +1088,14 @@ mod tests {
                     0.0
                 };
                 assert_eq!(
-                    scratch.pr_top.get(l).to_bits(),
+                    scratch.top.get(l).to_bits(),
                     want.to_bits(),
                     "removal {step}: tree entry of {l}"
                 );
             }
+            assert_eq!(scratch.top.len(), queued.len(), "removal {step}: tree size");
             assert_eq!(
-                scratch.pr_top.len(),
-                queued.len(),
-                "removal {step}: tree size"
-            );
-            assert_eq!(
-                scratch.pr_top.peek_max(),
+                scratch.top.peek_max(),
                 crate::loadq::select_max(&mut queued, 0),
                 "removal {step}: tree top"
             );
@@ -1109,7 +1105,7 @@ mod tests {
         // the tree while still loaded by the first comm's final path.
         assert!(
             mesh.links()
-                .any(|l| loads_b.get(l) > 0.0 && scratch.pr_top.get(l) == 0.0),
+                .any(|l| loads_b.get(l) > 0.0 && scratch.top.get(l) == 0.0),
             "no link left the tree"
         );
         assert_eq!(

@@ -12,7 +12,7 @@
 use crate::comm::CommSet;
 use crate::csr::CrossingIndex;
 use crate::engine::EngineConfig;
-use crate::loadq::{LoadQueue, MaxTree};
+use crate::loadq::MaxTree;
 use crate::precompute::{CostLadder, CustomizedInstance, MeshPrecompute};
 use pamr_mesh::{LinkId, LoadMap};
 use pamr_power::PowerModel;
@@ -49,7 +49,7 @@ pub struct RouteScratch {
     /// checks.
     pub(crate) users: Vec<Vec<usize>>,
     /// Flat CSR crossing-comms index — the optimized engines' counterpart
-    /// of `users` (banded PR, queued XYI), rebuilt per route in two
+    /// of `users` (banded PR, XYI), rebuilt per route in two
     /// counting passes with no per-link allocations.
     pub(crate) xusers: CrossingIndex,
     /// Candidate-communication index buffer (PR's per-link scan).
@@ -57,15 +57,14 @@ pub struct RouteScratch {
     /// Per-link count of the communications that could give the link up
     /// (banded PR): the link is still alive for them and its diagonal group
     /// keeps at least one other alive link. A link whose count is 0 can
-    /// never host a removal, so it is kept out of `pr_top`.
+    /// never host a removal, so it is kept out of `top`.
     pub(crate) removable: Vec<u32>,
-    /// Banded PR's removal index ([`MaxTree`]): the loaded links with a
-    /// non-zero `removable` count, whose top is the next removal's link.
-    pub(crate) pr_top: MaxTree,
-    /// Queue-driven XYI's loaded-link queue ([`LoadQueue`]), keyed to every
-    /// loaded link. Its descending order is exactly the
-    /// [`select_max`](crate::loadq::select_max) order.
-    pub(crate) queue: LoadQueue,
+    /// The improvement loop's link index ([`MaxTree`]), rebuilt by every
+    /// route call that uses it. Banded PR keys the loaded links with a
+    /// non-zero `removable` count, so its top is the next removal's link.
+    /// XYI keys its *pending* links, the loaded links a flip may still
+    /// improve, so its top is the next link to evaluate.
+    pub(crate) top: MaxTree,
     /// Per-diagonal forward reachable-interval run (banded PR): the row
     /// intervals recomputed downstream of a removed link.
     pub(crate) fwd_iv: Vec<(usize, usize)>,

@@ -13,7 +13,7 @@
 //! indices:
 //!
 //! * `users` — for every link, the live communications whose *current path*
-//!   crosses it (the index queue-driven XYI keys per route call);
+//!   crosses it (the index batch XYI keys per route call);
 //! * `band_users` — for every link, the live communications whose
 //!   [`Band`] *could* use it (the index the banded PR keys
 //!   per route call).
@@ -23,12 +23,21 @@
 //! pass restricted to a scope seeded from its band links; a removal
 //! decrements loads through [`MaxTree::set`] and repairs the scope seeded
 //! from the current paths of the communications whose band overlaps the
-//! freed links. The scope is a [`LoadQueue`], because the repair pass walks
-//! it below its top in decreasing load. Accepted moves extend the scope to
-//! the links they touch, so relief propagates exactly as far as it is
-//! earned. If the bounded pass ends on an infeasible load map the session
-//! **escalates** to a full re-route of the surviving set — the session is
-//! never less feasible than the batch heuristic on the same instance.
+//! freed links. Accepted moves extend the scope to the four links they
+//! touch, so relief propagates exactly as far as it is earned. If the
+//! bounded pass ends on an infeasible load map the session **escalates**
+//! to a full re-route of the surviving set — the session is never less
+//! feasible than the batch heuristic on the same instance.
+//!
+//! The bounded pass is batch XYI's pending-link loop ([`crate::xyi`])
+//! restricted to the scope. The scope is a set of flags plus the list of
+//! the flagged links, so a pass resets it in time proportional to the
+//! scope, not to the mesh. A second [`MaxTree`] keys the *pending* scoped
+//! links: every scoped link starts pending; the pass evaluates the top,
+//! drops it on rejection, and after an accepted flip re-keys the scoped
+//! links of `xyi::flip_neighbourhood`. It therefore accepts exactly the
+//! flips a scan of the whole scope in decreasing load would, in the same
+//! order; `crates/sim/tests/session_churn.rs` pins them under long churn.
 //!
 //! With [`RepairMode::Full`] every mutation instead re-routes the whole
 //! surviving set through the configured batch heuristic, making the session
@@ -77,11 +86,11 @@
 use crate::comm::{Comm, CommSet};
 use crate::csr::CrossingIndex;
 use crate::heuristic::{surrogate_link_cost, HeuristicKind};
-use crate::loadq::{Cursor, LoadQueue, MaxTree};
+use crate::loadq::MaxTree;
 use crate::precompute::MeshPrecompute;
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
-use crate::xyi;
+use crate::xyi::{self, Flip};
 use pamr_mesh::{Band, LinkId, LoadMap, Mesh, Path};
 use pamr_power::{Infeasible, PowerBreakdown, PowerModel};
 use std::sync::Arc;
@@ -258,8 +267,13 @@ pub struct RoutingSession {
     users: CrossingIndex,
     /// Per-link sorted slots whose **band** contains the link.
     band_users: CrossingIndex,
-    /// Scope queue of one bounded repair pass (kept for its allocations).
-    repair_queue: LoadQueue,
+    /// The links of the current bounded repair pass's scope, each once.
+    scope: Vec<LinkId>,
+    /// Per link slot: is the link in `scope`?
+    in_scope: Vec<bool>,
+    /// The scoped links a flip may still improve, keyed by load (see the
+    /// module docs). Empty between passes.
+    pending: MaxTree,
     /// Working memory for full re-routes through the batch heuristics.
     scratch: RouteScratch,
     stats: SessionStats,
@@ -285,8 +299,8 @@ impl RoutingSession {
         let n_slots = mesh.num_link_slots();
         let mut queue = MaxTree::default();
         queue.rebuild(n_slots, []);
-        let mut repair_queue = LoadQueue::new();
-        repair_queue.fit(n_slots);
+        let mut pending = MaxTree::default();
+        pending.rebuild(n_slots, []);
         let mut scratch = RouteScratch::new();
         scratch.attach_precompute(Arc::clone(&pre));
         let mut users = CrossingIndex::new();
@@ -306,7 +320,9 @@ impl RoutingSession {
             power_cache: PowerCache::new(n_slots),
             users,
             band_users,
-            repair_queue,
+            scope: Vec::new(),
+            in_scope: vec![false; n_slots],
+            pending,
             scratch,
             stats: SessionStats::default(),
         }
@@ -517,11 +533,7 @@ impl RoutingSession {
             RepairMode::Bounded { max_moves } => {
                 // Scope: the new communication's band — every link its own
                 // flips can reach, and where it just raised the pressure on
-                // whatever was already routed there. `drain_keyed` resets
-                // the scope in time proportional to the *previous* scope,
-                // not the mesh's link-slot count (sized once at
-                // construction).
-                self.repair_queue.drain_keyed();
+                // whatever was already routed there.
                 for l in band.links() {
                     self.scope_link(l);
                 }
@@ -553,7 +565,6 @@ impl RoutingSession {
                 // overlaps the freed links — the ones that could flip into
                 // the capacity the removal just released.
                 let mesh = self.mesh;
-                self.repair_queue.drain_keyed();
                 for l in live.path.links(&mesh) {
                     for i in 0..self.band_users.len_of(l.index()) {
                         let u = self.band_users.get(l.index(), i) as usize;
@@ -581,10 +592,26 @@ impl RoutingSession {
         self.full_reroute();
     }
 
-    /// Keys `link` into the repair scope at its current load (no-op for
-    /// idle links — the queue only ever holds strictly positive loads).
+    /// Adds `link` to the repair scope, pending at its current load (the
+    /// tree holds only strictly positive loads, so an idle link joins the
+    /// scope without pending). No-op for a link already scoped.
     fn scope_link(&mut self, link: LinkId) {
-        self.repair_queue.set(link, self.loads.get(link));
+        if !std::mem::replace(&mut self.in_scope[link.index()], true) {
+            self.scope.push(link);
+            self.pending.set(link, self.loads.get(link));
+        }
+    }
+
+    /// Empties the scope in `O(scope)`. The tree walks are skipped when the
+    /// pass already drained every pending link.
+    fn reset_scope(&mut self) {
+        let drained = self.pending.is_empty();
+        for l in self.scope.drain(..) {
+            self.in_scope[l.index()] = false;
+            if !drained {
+                self.pending.set(l, 0.0);
+            }
+        }
     }
 
     /// Inserts `slot`'s current path into `users` and re-derives the loads
@@ -643,52 +670,35 @@ impl RoutingSession {
     /// repaired state is still infeasible.
     fn bounded_repair(&mut self, max_moves: usize) {
         let mut moves = 0;
-        'outer: while moves < max_moves {
-            // Scoped links in decreasing-load order — the select_max order
-            // batch XYI examines, restricted to the scope.
-            let mut cursor = Cursor::default();
-            while let Some((link, _)) = cursor.next(&self.repair_queue) {
-                // Best flip among the communications crossing this link:
-                // (delta, slot, swap position, removed, added links).
-                type Candidate = (f64, usize, usize, [LinkId; 2], [LinkId; 2]);
-                let mut best: Option<Candidate> = None;
-                for &i in self.users.row(link.index()) {
-                    let i = i as usize;
-                    let lc = self.slots[i]
+        while moves < max_moves {
+            let Some((link, _)) = self.pending.peek_max() else {
+                break; // no scoped link admits an improving flip
+            };
+            let slots = &self.slots;
+            let flip = xyi::best_flip(
+                &self.mesh,
+                link,
+                self.users.row(link.index()),
+                |i| {
+                    let lc = slots[i]
                         .as_ref()
                         // pamr-lint: allow(P001, reason = "detach_path removes a dying slot from every user list before the slot empties")
                         .expect("users index only holds live slots");
-                    if let Some((swap_at, rem, add)) =
-                        xyi::flip_candidate_at(&self.mesh, &lc.path, link)
-                    {
-                        let w = lc.comm.weight;
-                        let mut delta = 0.0;
-                        for l in rem {
-                            let load = self.loads.get(l);
-                            delta += surrogate_link_cost(&self.model, load - w)
-                                - surrogate_link_cost(&self.model, load);
-                        }
-                        for l in add {
-                            let load = self.loads.get(l);
-                            delta += surrogate_link_cost(&self.model, load + w)
-                                - surrogate_link_cost(&self.model, load);
-                        }
-                        if delta < -xyi::IMPROVE_EPS
-                            && best.as_ref().is_none_or(|(b, ..)| delta < *b)
-                        {
-                            best = Some((delta, i, swap_at, rem, add));
-                        }
-                    }
-                }
-                if let Some((_, i, swap_at, rem, add)) = best {
-                    self.apply_flip(i, swap_at, rem, add);
+                    (&lc.path, lc.comm.weight)
+                },
+                |l| self.loads.get(l),
+                |load| surrogate_link_cost(&self.model, load),
+            );
+            match flip {
+                Some(flip) => {
+                    self.apply_flip(&flip);
                     moves += 1;
                     self.stats.repair_moves += 1;
-                    continue 'outer; // restart from the scope's new maximum
                 }
+                None => self.pending.set(link, 0.0),
             }
-            break; // no scoped link admits an improving flip
         }
+        self.reset_scope();
         // Escape hatch: a locally-repaired state that is still over
         // capacity falls back to the batch heuristic, so the session is
         // feasible whenever a from-scratch route of the same set would be.
@@ -699,25 +709,30 @@ impl RoutingSession {
     }
 
     /// Applies one accepted flip: rebuilds the path, re-homes the crossing
-    /// index on the two removed/two added links, and re-keys their loads in
-    /// the resident index *and* the scope queue (the scope grows with
-    /// touched links).
-    fn apply_flip(&mut self, slot: usize, swap_at: usize, rem: [LinkId; 2], add: [LinkId; 2]) {
+    /// index on the two removed/two added links and re-derives their loads.
+    /// The four links join the scope, and every scoped link of the flip's
+    /// neighbourhood is re-keyed at its current load.
+    fn apply_flip(&mut self, flip: &Flip) {
+        let slot = flip.comm;
         // pamr-lint: allow(P001, reason = "slot came from the users index of a scoped link, which only holds live slots")
         let lc = self.slots[slot].as_mut().expect("slot is live");
-        let mut new_moves = lc.path.moves().to_vec();
-        new_moves.swap(swap_at, swap_at + 1);
-        lc.path = Path::from_moves(lc.path.src(), new_moves);
-        for l in rem {
+        lc.path = flip.apply(&lc.path);
+        for l in flip.rem {
             self.users.remove_sorted(l.index(), slot as u32);
         }
-        for l in add {
+        for l in flip.add {
             self.users.insert_sorted(l.index(), slot as u32);
         }
-        for l in rem.into_iter().chain(add) {
+        for l in flip.rem.into_iter().chain(flip.add) {
             self.recompute_link(l);
-            self.repair_queue.set(l, self.loads.get(l));
+            self.scope_link(l);
         }
+        let (pending, in_scope, loads) = (&mut self.pending, &self.in_scope, &self.loads);
+        xyi::flip_neighbourhood(&self.mesh, flip, |l| {
+            if in_scope[l.index()] {
+                pending.set(l, loads.get(l));
+            }
+        });
     }
 
     /// Re-routes the surviving set from scratch with the configured batch

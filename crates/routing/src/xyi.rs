@@ -1,32 +1,46 @@
-//! The XY-improver heuristic (§5.4), with a queue-driven improvement loop.
+//! The XY-improver heuristic (§5.4), evaluating only links a flip could
+//! have changed.
 //!
 //! XYI's §5.4 description examines loaded links in decreasing-load order
 //! and, for every examined link, offers each communication crossing it a
-//! corner flip. The literal formulation (kept verbatim in the private
-//! `reference` module) rebuilds the loaded-link list and re-runs an
-//! `O(links)` selection scan per examined link on every iteration of the
-//! improvement loop, and probes **all** communications per link — the same
-//! `O(links²)` selection bottleneck PR 4 removed from the Path-Remover.
+//! corner flip; after every accepted flip it restarts from the most loaded
+//! link. The literal formulation (kept verbatim in the private `reference`
+//! module) rebuilds the loaded-link list and re-runs an `O(links)`
+//! selection scan per examined link, probes **all** communications per
+//! link, and re-evaluates after every flip links that nothing has touched.
 //!
-//! The engine here removes it the way the Path-Remover did, with a
-//! [`LoadQueue`](crate::loadq::LoadQueue):
+//! The engine here keeps one [`MaxTree`](crate::loadq::MaxTree) of
+//! *pending* links, keyed by load under the `select_max` tie rule (the
+//! "don't-look bits" of local search, Bentley 1992):
 //!
-//! * the loaded links live in an incrementally-maintained max-load index;
-//!   an accepted move re-keys only the four affected links (lazy
-//!   invalidation + one batched refresh) instead of rebuilding the list;
-//! * a descending [`Cursor`] walks the index in
-//!   exactly the `select_max` order, resuming below rejected links;
-//! * a per-link *crossing index* (`LinkId → sorted comm indices`, the same
-//!   `users` scratch table PR keys by band membership) restricts the
-//!   candidate scan to the communications whose current path actually
-//!   crosses the examined link — every other communication's flip
-//!   candidate is structurally `None` and contributed nothing but a
-//!   wasted path walk.
+//! * **start:** every loaded link is pending;
+//! * **step:** evaluate the tree's top link. On rejection, `set(top, 0.0)`
+//!   drops it. On acceptance, apply the flip, then re-key at its current
+//!   load every directed link of the flipped unit square and of that
+//!   square's four edge-neighbour squares (`flip_neighbourhood`);
+//! * **stop** when the tree is empty or `max_moves` flips were accepted.
+//!
+//! A per-link *crossing index* (`LinkId → sorted comm indices`, the same
+//! `xusers` scratch table banded PR uses) restricts each evaluation to the
+//! communications whose current path crosses the link; every other
+//! communication's flip candidate is structurally `None`.
+//!
+//! **Why dropping rejected links is exact.** Evaluating link `L` reads
+//! three things: the communications crossing `L`, each one's moves next to
+//! `L`, and the loads of the four sides of the unit square its flip would
+//! turn, a square `L` is a side of. A flip changes crossing sets and loads
+//! only on its own square's sides, and one path's moves only at the two
+//! swapped positions, whose links are that square's sides too. An
+//! evaluation that reads any of these therefore turns the flipped square
+//! or a square sharing a side with it, and `L` is a side of that square.
+//! Every link left out of the tree would be rejected again, so the top
+//! pending improving link is the first improving link in `select_max`
+//! order: the oracle's flips, in the oracle's order, with the same bits.
 //!
 //! Both engines produce **bit-identical** routings: they evaluate the same
 //! flips in the same order with the same floating-point operations (the
-//! skipped communications perform none), accept the same moves, and
-//! `tests/xyi_differential.rs` enforces it with a differential oracle
+//! skipped communications and links perform none), accept the same moves,
+//! and `tests/xyi_differential.rs` enforces it with a differential oracle
 //! over randomized §6 workloads plus a byte-identical seeded campaign
 //! report, swapping the engine behind
 //! [`HeuristicKind::Xyi`](crate::HeuristicKind) via
@@ -34,10 +48,9 @@
 
 use crate::comm::CommSet;
 use crate::heuristic::{link_cost, Heuristic};
-use crate::loadq::Cursor;
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
-use pamr_mesh::{LinkId, Mesh, Path};
+use pamr_mesh::{Coord, LinkId, Mesh, Path, Step};
 use pamr_power::PowerModel;
 
 mod reference;
@@ -72,7 +85,7 @@ pub(crate) const IMPROVE_EPS: f64 = 1e-9;
 /// paper's campaign counts on this (XYI succeeds on ~46% of instances vs
 /// ~15% for XY).
 ///
-/// This is the queue-driven implementation (see the module docs);
+/// This is the pending-link implementation (see the module docs);
 /// its bit-identical full-scan oracle runs in its place on
 /// [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 #[derive(Debug, Clone, Copy)]
@@ -225,19 +238,135 @@ pub(crate) fn flip_candidate_at(
     Some((swap_at, removed, added))
 }
 
+/// One corner flip: communication `comm` swaps its moves at `swap_at` and
+/// `swap_at + 1`, which moves it off the links `rem` and onto the links
+/// `add`. The four links are the sides of one unit square.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Flip {
+    pub(crate) comm: usize,
+    pub(crate) swap_at: usize,
+    pub(crate) rem: [LinkId; 2],
+    pub(crate) add: [LinkId; 2],
+}
+
+impl Flip {
+    /// `path` with this flip applied.
+    pub(crate) fn apply(&self, path: &Path) -> Path {
+        let mut moves = path.moves().to_vec();
+        moves.swap(self.swap_at, self.swap_at + 1);
+        Path::from_moves(path.src(), moves)
+    }
+}
+
+/// The evaluation of `link`, shared by the batch engine and the session's
+/// bounded repair: the flip through `link` that lowers the surrogate cost
+/// the most, over the communications `crossing` it (ascending, each looked
+/// up by `comm` as its current path and weight), or `None` when no flip
+/// improves by more than [`IMPROVE_EPS`]. `load` reads a link's current
+/// load and `cost` prices a hypothetical one. Ties keep the earlier
+/// communication, as the oracle's all-comms sweep does.
+pub(crate) fn best_flip<'p>(
+    mesh: &Mesh,
+    link: LinkId,
+    crossing: &[u32],
+    comm: impl Fn(usize) -> (&'p Path, f64),
+    load: impl Fn(LinkId) -> f64,
+    cost: impl Fn(f64) -> f64,
+) -> Option<Flip> {
+    let mut best: Option<(f64, Flip)> = None;
+    for &i in crossing {
+        let i = i as usize;
+        let (path, w) = comm(i);
+        let Some((swap_at, rem, add)) = flip_candidate_at(mesh, path, link) else {
+            continue;
+        };
+        // Cost after removing the comm from `rem` and adding it to `add`,
+        // minus the current cost, over the affected links only.
+        let mut delta = 0.0;
+        for l in rem {
+            let now = load(l);
+            delta += cost(now - w) - cost(now);
+        }
+        for l in add {
+            let now = load(l);
+            delta += cost(now + w) - cost(now);
+        }
+        if delta < -IMPROVE_EPS && best.as_ref().is_none_or(|(b, _)| delta < *b) {
+            let flip = Flip {
+                comm: i,
+                swap_at,
+                rem,
+                add,
+            };
+            best = Some((delta, flip));
+        }
+    }
+    best.map(|(_, flip)| flip)
+}
+
+/// The eight directed sides of the unit square whose top-left core is
+/// `(0, 0)`, as `(row offset, column offset, step)` from that core.
+const SQUARE_SIDES: [(usize, usize, Step); 8] = [
+    (0, 0, Step::Right),
+    (0, 0, Step::Down),
+    (0, 1, Step::Left),
+    (0, 1, Step::Down),
+    (1, 0, Step::Right),
+    (1, 0, Step::Up),
+    (1, 1, Step::Left),
+    (1, 1, Step::Up),
+];
+
+/// Visits every directed link whose evaluation `flip` can have changed:
+/// the sides of the flipped unit square and of its (up to four)
+/// edge-neighbour squares, 40 visits at most, shared sides twice. See the
+/// [module docs](self) for why no other evaluation changes.
+pub(crate) fn flip_neighbourhood(mesh: &Mesh, flip: &Flip, mut visit: impl FnMut(LinkId)) {
+    // The first removed and the first added link both leave the flip's
+    // corner core, along the square's two axes, so their far ends span the
+    // square.
+    let ([rem, _], [add, _]) = (flip.rem, flip.add);
+    let (corner, via_a) = mesh.link_endpoints(rem);
+    let (_, via_b) = mesh.link_endpoints(add);
+    let (u, v) = (
+        corner.u.min(via_a.u).min(via_b.u),
+        corner.v.min(via_a.v).min(via_b.v),
+    );
+    let squares = [
+        Some((u, v)),
+        u.checked_sub(1).map(|up| (up, v)),
+        Some((u + 1, v)),
+        v.checked_sub(1).map(|left| (u, left)),
+        Some((u, v + 1)),
+    ];
+    for (su, sv) in squares.into_iter().flatten() {
+        if su + 1 < mesh.rows() && sv + 1 < mesh.cols() {
+            for (du, dv, step) in SQUARE_SIDES {
+                if let Some(l) = mesh.link_id(Coord::new(su + du, sv + dv), step) {
+                    visit(l);
+                }
+            }
+        }
+    }
+}
+
 /// [`flip_candidate`] plus the rebuilt path (test-only convenience; the
 /// improvement loop builds the path lazily on acceptance).
 #[cfg(test)]
 fn flip_move(mesh: &Mesh, path: &Path, link: LinkId) -> Option<(Path, [LinkId; 2], [LinkId; 2])> {
-    let (swap_at, removed, added) = flip_candidate(mesh, path, link)?;
-    let mut new_moves = path.moves().to_vec();
-    new_moves.swap(swap_at, swap_at + 1);
-    Some((Path::from_moves(path.src(), new_moves), removed, added))
+    let (swap_at, rem, add) = flip_candidate(mesh, path, link)?;
+    let flip = Flip {
+        comm: 0,
+        swap_at,
+        rem,
+        add,
+    };
+    Some((flip.apply(path), rem, add))
 }
 
 impl XyImprover {
-    /// The queue-driven engine.
-    fn route_queued_with(
+    /// The pending-link engine (see the module docs).
+    fn route_pending_with(
         &self,
         cs: &CommSet,
         model: &PowerModel,
@@ -265,84 +394,58 @@ impl XyImprover {
                 }
             }
         });
-        // Max-load index over every loaded link; an accepted move re-keys
-        // only the four links it touched.
-        scratch.queue.rebuild(nslots, scratch.loads.iter_active());
+        // Every loaded link starts pending.
+        scratch.top.rebuild(nslots, scratch.loads.iter_active());
         // The tabulated per-level costs (None for a continuous model: the
         // power fit is evaluated per query).
         let ladder = scratch.ladder.as_ref();
         let mut moves_done = 0;
-        'outer: while moves_done < self.max_moves {
-            // Loaded links examined in decreasing-load order straight off
-            // the shared queue — the exact `select_max` order the oracle
-            // re-derives by scanning.
-            let mut cursor = Cursor::default();
-            while let Some((link, _)) = cursor.next(&scratch.queue) {
-                // Best modification among the communications on this link:
-                // (delta, comm index, swap position, removed, added links).
-                type Candidate = (f64, usize, usize, [LinkId; 2], [LinkId; 2]);
-                let mut best: Option<Candidate> = None;
-                for &i in scratch.xusers.row(link.index()) {
-                    let i = i as usize;
-                    let c = &cs.comms()[i];
-                    if let Some((swap_at, rem, add)) = flip_candidate_at(mesh, &paths[i], link) {
-                        let mut delta = 0.0;
-                        // Cost after removing the comm from `rem` and adding
-                        // it to `add`, minus current cost, over the affected
-                        // links only.
-                        for l in rem {
-                            let load = scratch.loads.get(l);
-                            delta += link_cost(model, ladder, load - c.weight)
-                                - link_cost(model, ladder, load);
-                        }
-                        for l in add {
-                            let load = scratch.loads.get(l);
-                            delta += link_cost(model, ladder, load + c.weight)
-                                - link_cost(model, ladder, load);
-                        }
-                        if delta < -IMPROVE_EPS && best.as_ref().is_none_or(|(b, ..)| delta < *b) {
-                            best = Some((delta, i, swap_at, rem, add));
-                        }
-                    }
-                }
-                if let Some((_, i, swap_at, rem, add)) = best {
-                    let w = cs.comms()[i].weight;
-                    // Lazy invalidation: the `LoadMap` clamps cancellation
-                    // residue, so the queue re-keys from the map's final
-                    // values in one batched refresh.
-                    for l in rem {
-                        scratch.loads.add(l, -w);
-                        scratch.queue.mark_dirty(l);
-                    }
-                    for l in add {
-                        scratch.loads.add(l, w);
-                        scratch.queue.mark_dirty(l);
-                    }
-                    scratch.queue.refresh(&scratch.loads);
-                    // Only now build the accepted path (one allocation per
-                    // applied move instead of one per evaluated candidate).
-                    let mut new_moves = paths[i].moves().to_vec();
-                    new_moves.swap(swap_at, swap_at + 1);
-                    paths[i] = Path::from_moves(paths[i].src(), new_moves);
-                    // Re-home the comm in the crossing index: its new path
-                    // differs from the old one in exactly `rem` → `add`
-                    // (sorted insert/remove panics inside `CrossingIndex`
-                    // document the same crossing invariants the old
-                    // binary-search expects asserted here).
-                    for l in rem {
-                        scratch.xusers.remove_sorted(l.index(), i as u32);
-                    }
-                    for l in add {
-                        scratch.xusers.insert_sorted(l.index(), i as u32);
-                    }
-                    moves_done += 1;
-                    continue 'outer; // restart from the most loaded link
-                }
-                // No improvement through this link: leave it queued (its
-                // key is unchanged) and let the cursor move on (the paper
-                // removes it from the list).
+        while moves_done < self.max_moves {
+            let Some((link, _)) = scratch.top.peek_max() else {
+                break; // no link admits an improving modification
+            };
+            let loads = &scratch.loads;
+            let flip = best_flip(
+                mesh,
+                link,
+                scratch.xusers.row(link.index()),
+                |i| (&paths[i], cs.comms()[i].weight),
+                |l| loads.get(l),
+                |load| link_cost(model, ladder, load),
+            );
+            let Some(flip) = flip else {
+                // No improvement through this link, and none until a flip
+                // changes its neighbourhood (the paper drops it from the
+                // list).
+                scratch.top.set(link, 0.0);
+                continue;
+            };
+            let (i, w) = (flip.comm, cs.comms()[flip.comm].weight);
+            for l in flip.rem {
+                scratch.loads.add(l, -w);
             }
-            break; // no link admits an improving modification
+            for l in flip.add {
+                scratch.loads.add(l, w);
+            }
+            // Only now build the accepted path (one allocation per applied
+            // move instead of one per evaluated candidate).
+            paths[i] = flip.apply(&paths[i]);
+            // Re-home the comm in the crossing index: its new path differs
+            // from the old one in exactly `rem` → `add` (sorted
+            // insert/remove panics inside `CrossingIndex` document the
+            // crossing invariants).
+            for l in flip.rem {
+                scratch.xusers.remove_sorted(l.index(), i as u32);
+            }
+            for l in flip.add {
+                scratch.xusers.insert_sorted(l.index(), i as u32);
+            }
+            // Re-pend the links whose evaluation the flip may have changed,
+            // at their current loads: the `LoadMap` clamps cancellation
+            // residue, so the tree keys from the map's final values.
+            let (top, loads) = (&mut scratch.top, &scratch.loads);
+            flip_neighbourhood(mesh, &flip, |l| top.set(l, loads.get(l)));
+            moves_done += 1;
         }
         Routing::single(cs, paths)
     }
@@ -360,7 +463,7 @@ impl Heuristic for XyImprover {
             };
             oracle.route_with(cs, model, scratch)
         } else {
-            self.route_queued_with(cs, model, scratch)
+            self.route_pending_with(cs, model, scratch)
         }
     }
 }
@@ -430,6 +533,43 @@ mod tests {
     }
 
     #[test]
+    fn flip_neighbourhood_covers_the_square_and_its_edge_neighbours() {
+        // The flip of `from → to`'s first corner turns the unit square with
+        // top-left core `from`; every visited link is a side of it or of a
+        // square sharing a side with it.
+        let distinct = |mesh: &Mesh, from: Coord, to: Coord| {
+            let path = Path::xy(from, to);
+            let link = mesh.link_id(Coord::new(from.u, to.v), Step::Down).unwrap();
+            let (swap_at, rem, add) = flip_candidate(mesh, &path, link).unwrap();
+            let flip = Flip {
+                comm: 0,
+                swap_at,
+                rem,
+                add,
+            };
+            let mut seen = std::collections::BTreeSet::new();
+            flip_neighbourhood(mesh, &flip, |l| {
+                seen.insert(l);
+            });
+            assert!(rem.iter().chain(&add).all(|l| seen.contains(l)));
+            seen
+        };
+        let mesh = Mesh::new(5, 5);
+        // Mid-mesh: five squares, 16 undirected sides, 32 links.
+        assert_eq!(
+            distinct(&mesh, Coord::new(1, 1), Coord::new(2, 2)).len(),
+            32
+        );
+        // Mesh corner: the square and its two on-mesh neighbours, 10 sides.
+        let corner = distinct(&mesh, Coord::new(0, 0), Coord::new(1, 1));
+        assert_eq!(corner.len(), 20);
+        assert!(corner.iter().all(|&l| {
+            let (a, b) = mesh.link_endpoints(l);
+            a.u.max(b.u) <= 2 && a.v.max(b.v) <= 2 && a.u.min(b.u) + a.v.min(b.v) <= 2
+        }));
+    }
+
+    #[test]
     fn xyi_improves_two_identical_flows() {
         let mesh = Mesh::new(2, 2);
         let cs = CommSet::new(
@@ -492,7 +632,7 @@ mod tests {
     }
 
     #[test]
-    fn queued_matches_reference_on_random_instances() {
+    fn pending_matches_reference_on_random_instances() {
         // A compact in-crate differential check (the full oracle lives in
         // tests/xyi_differential.rs): identical routings on random
         // instances covering all four quadrants, straight lines and local
@@ -514,11 +654,11 @@ mod tests {
                 })
                 .collect();
             let cs = CommSet::new(mesh, comms);
-            let queued = XyImprover::default().route_with(&cs, &model, &mut scratch);
+            let pending = XyImprover::default().route_with(&cs, &model, &mut scratch);
             let reference = ReferenceXyImprover::default().route_with(&cs, &model, &mut scratch);
             assert_eq!(
-                queued, reference,
-                "seed {seed}: queued XYI diverged from the full-scan oracle"
+                pending, reference,
+                "seed {seed}: pending-link XYI diverged from the full-scan oracle"
             );
         }
     }
@@ -540,8 +680,8 @@ mod tests {
         let model = PowerModel::theory(3.0);
         let mut live = RouteScratch::with_engine(EngineConfig::LIVE);
         let mut oracle = RouteScratch::with_engine(EngineConfig::REFERENCE);
-        let queued = XyImprover::default().route_with(&cs, &model, &mut live);
+        let pending = XyImprover::default().route_with(&cs, &model, &mut live);
         let reference = XyImprover::default().route_with(&cs, &model, &mut oracle);
-        assert_eq!(queued, reference);
+        assert_eq!(pending, reference);
     }
 }

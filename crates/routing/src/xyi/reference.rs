@@ -1,4 +1,4 @@
-//! The full-scan XY improver: the differential oracle for the queue-driven
+//! The full-scan XY improver: the differential oracle for the pending-link
 //! implementation in [`crate::xyi`].
 //!
 //! This is the §5.4 algorithm in its most literal form: on every iteration
@@ -6,7 +6,7 @@
 //! map and each examined link is selected with the naive
 //! [`select_max`] scan, then **every** communication is probed for the
 //! corner flip (non-crossing ones structurally decline). It is deliberately
-//! kept simple and independent of the queue-driven fast path so that
+//! kept simple and independent of the pending-link fast path so that
 //! `tests/xyi_differential.rs` can pin the two implementations against
 //! each other: identical routings, bit-identical load maps, byte-identical
 //! campaign reports. Both implementations are compiled unconditionally (no
@@ -25,7 +25,7 @@ use pamr_power::PowerModel;
 /// **XYI (reference)** — the full-scan XY-improver oracle.
 ///
 /// Produces bit-identical routings to [`crate::XyImprover`] (the
-/// queue-driven implementation) at a higher per-link selection cost; see
+/// pending-link implementation) at a higher per-link selection cost; see
 /// the module docs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReferenceXyImprover {

@@ -1,61 +1,51 @@
-//! Property tests pinning both max-load indexes, [`pamr_routing::LoadQueue`]
-//! and [`pamr_routing::MaxTree`], against the naive selection scan they
-//! replace.
+//! Property tests pinning the max-load index, [`pamr_routing::MaxTree`],
+//! against the naive selection scan it replaces.
 //!
-//! The queue's contract is *order-exact*: after any interleaving of bulk
-//! rebuilds, eager updates, lazy invalidations (+ refresh) and partial
-//! descending pops, its iteration must reproduce the
-//! [`select_max`](pamr_routing::loadq::select_max) order over the current
-//! positive loads — decreasing load, ties towards the smaller link id,
-//! bit-for-bit. PR, XYI and their reference oracles rely on this exact
-//! equivalence for their differential contracts, so the model here *is*
-//! `select_max` run over a plain `Vec` shadow of the loads. The tree's
-//! contract is the queue's top only: after any interleaving of rebuilds
+//! The tree's contract is order-exact. After any interleaving of rebuilds
 //! (at slot counts that are not powers of two too) and re-keys, its root,
-//! per-link keys and size must match `select_max(…, 0)` over the shadow.
-//! Shrinking is enabled (the vendored proptest records the choice tape),
-//! so failures report minimal operation sequences; replay with
-//! `PAMR_PROPTEST_SEED=<seed>`.
+//! per-link keys and size must match `select_max(…, 0)` over a plain
+//! shadow of the loads. The improvement loops also *drain* it: XYI and the
+//! session's bounded repair read the top and drop it (`set(top, 0.0)`)
+//! when it admits no flip, re-keying other links in between. So the
+//! drained prefix, under any interleaving of re-keys and partial drains,
+//! must be the [`select_max`](pamr_routing::loadq::select_max) order over
+//! the shadow, decreasing load with ties towards the smaller link id, bit
+//! for bit. PR, XYI and their reference oracles rely on this equivalence
+//! for their differential contracts. Shrinking is enabled (the vendored
+//! proptest records the choice tape), so failures report minimal operation
+//! sequences; replay with `PAMR_PROPTEST_SEED=<seed>`.
 
 use pamr_mesh::LinkId;
 use pamr_routing::loadq::select_max;
-use pamr_routing::{LoadQueue, MaxTree};
+use pamr_routing::MaxTree;
 use proptest::prelude::*;
 
-/// Number of link slots the modelled queue operates over.
+/// Number of link slots the modelled pending loop operates over.
 const SLOTS: usize = 24;
 
-/// One step of the modelled interleaving.
+/// One step of the modelled pending loop.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Eagerly re-key one link to a new load (`0` removes it).
+    /// Re-key one link to a new load (`0` removes it).
     Set(usize, u32),
-    /// Update the authoritative load and lazily mark the link dirty; the
-    /// queue must keep iterating on the stale key until the next refresh.
-    LazySet(usize, u32),
-    /// Resolve all pending lazy marks against the authoritative loads.
-    Refresh,
-    /// Walk the first `k` entries of a fresh descending cursor and check
-    /// them against the naive order (stale keys included — pops between a
-    /// lazy update and its refresh must still see the *previous* synced
-    /// state).
-    Pop(usize),
+    /// Drain up to `k` entries: read the top, check it against the naive
+    /// order, drop it with `set(top, 0.0)`.
+    Drain(usize),
 }
 
 /// Strategy over [`Op`] (the stand-in proptest has no `prop_oneof!`; a
-/// discriminant + payload tuple shrinks just as well).
+/// discriminant + payload tuple shrinks just as well). Re-keys outnumber
+/// drains two to one.
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..4, 0..SLOTS, 0u32..=6).prop_map(|(kind, l, v)| match kind {
-        0 => Op::Set(l, v),
-        1 => Op::LazySet(l, v),
-        2 => Op::Refresh,
-        _ => Op::Pop(l + v as usize),
+    (0u8..3, 0..SLOTS, 0u32..=6).prop_map(|(kind, l, v)| match kind {
+        0 | 1 => Op::Set(l, v),
+        _ => Op::Drain(l + v as usize),
     })
 }
 
-/// The full `select_max` order over the model's positive entries.
-fn naive_order(model: &[f64]) -> Vec<(LinkId, f64)> {
-    let mut active: Vec<(LinkId, f64)> = model
+/// The full `select_max` order over the shadow's positive entries.
+fn naive_order(shadow: &[f64]) -> Vec<(LinkId, f64)> {
+    let mut active: Vec<(LinkId, f64)> = shadow
         .iter()
         .enumerate()
         .filter(|(_, &v)| v > 0.0)
@@ -70,21 +60,29 @@ fn naive_order(model: &[f64]) -> Vec<(LinkId, f64)> {
     out
 }
 
-/// Drains a fresh cursor and asserts it equals the naive order over the
-/// queue's *synced* state (the loads as of the last refresh/eager set),
-/// ties and bit patterns included.
-fn assert_matches(q: &LoadQueue, synced: &[f64]) {
-    let expected = naive_order(synced);
-    let mut cursor = q.cursor();
-    for (k, &(l, v)) in expected.iter().enumerate() {
-        let got = cursor.next(q);
-        assert_eq!(got, Some((l, v)), "entry {k} diverged");
-        assert_eq!(got.unwrap().1.to_bits(), v.to_bits());
-        // k-th-max random access agrees with sequential iteration.
-        assert_eq!(q.kth_max(k), Some((l, v)));
+/// Drains up to `k` entries the way the pending loops do, top first, and
+/// returns them with their load bits; each drained link leaves the shadow
+/// too.
+fn drain(tree: &mut MaxTree, shadow: &mut [f64], k: usize) -> Vec<(LinkId, u64)> {
+    let mut out = Vec::new();
+    while out.len() < k {
+        let Some((l, v)) = tree.peek_max() else {
+            break;
+        };
+        out.push((l, v.to_bits()));
+        tree.set(l, 0.0);
+        shadow[l.index()] = 0.0;
     }
-    assert_eq!(cursor.next(q), None, "queue held extra entries");
-    assert_eq!(q.len(), expected.len());
+    out
+}
+
+/// The first `k` entries of the naive order, with their load bits.
+fn naive_prefix(shadow: &[f64], k: usize) -> Vec<(LinkId, u64)> {
+    naive_order(shadow)
+        .into_iter()
+        .take(k)
+        .map(|(l, v)| (l, v.to_bits()))
+        .collect()
 }
 
 /// Largest slot count the tree is rebuilt at: past two powers of two, so
@@ -198,53 +196,37 @@ proptest! {
         init in prop::collection::vec(0u32..=6, 0..=SLOTS),
         ops in prop::collection::vec(op(), 0..=48),
     ) {
-        // `loads` is the authoritative map; `synced` is what the queue has
-        // been told about (diverges between a LazySet and the Refresh).
-        let mut loads = vec![0.0f64; SLOTS];
+        // `shadow` is the authoritative map the tree is keyed to; a drained
+        // link leaves both, as a rejected link leaves the pending set.
+        let mut shadow = vec![0.0f64; SLOTS];
         for (i, &v) in init.iter().enumerate() {
-            loads[i] = v as f64;
+            shadow[i] = v as f64;
         }
-        let mut synced = loads.clone();
-        let mut q = LoadQueue::new();
-        q.rebuild(
+        let mut tree = MaxTree::default();
+        tree.rebuild(
             SLOTS,
-            loads.iter().enumerate().map(|(i, &v)| (LinkId(i), v)),
+            shadow.iter().enumerate().map(|(i, &v)| (LinkId(i), v)),
         );
-        assert_matches(&q, &synced);
         for op in &ops {
             match *op {
                 Op::Set(l, v) => {
-                    loads[l] = v as f64;
-                    synced[l] = v as f64;
-                    q.set(LinkId(l), v as f64);
+                    shadow[l] = v as f64;
+                    tree.set(LinkId(l), v as f64);
                 }
-                Op::LazySet(l, v) => {
-                    loads[l] = v as f64;
-                    q.mark_dirty(LinkId(l));
-                }
-                Op::Refresh => {
-                    q.refresh_with(|l| loads[l.index()]);
-                    synced.copy_from_slice(&loads);
-                }
-                Op::Pop(k) => {
-                    // Partial descending walk against the synced state: the
-                    // first k entries of the naive order; past the end the
-                    // cursor must be exhausted.
-                    let expected = naive_order(&synced);
-                    let mut cursor = q.cursor();
-                    for e in expected.iter().take(k) {
-                        prop_assert_eq!(cursor.next(&q), Some(*e));
-                    }
-                    if k >= expected.len() {
-                        prop_assert_eq!(cursor.next(&q), None);
-                    }
+                Op::Drain(k) => {
+                    // The drained prefix is the naive order's first k
+                    // entries; past the end the tree must be empty.
+                    let expected = naive_prefix(&shadow, k);
+                    prop_assert_eq!(drain(&mut tree, &mut shadow, k), expected);
+                    prop_assert_eq!(tree.len(), naive_order(&shadow).len());
                 }
             }
         }
-        // Final full drain after resolving any pending marks.
-        q.refresh_with(|l| loads[l.index()]);
-        synced.copy_from_slice(&loads);
-        assert_matches(&q, &synced);
+        // A final full drain empties the tree in the naive order.
+        let expected = naive_prefix(&shadow, SLOTS);
+        prop_assert_eq!(drain(&mut tree, &mut shadow, SLOTS), expected);
+        prop_assert!(tree.is_empty(), "tree held extra entries");
+        prop_assert_eq!(tree.peek_max(), None);
     }
 
     #[test]
@@ -252,30 +234,24 @@ proptest! {
         entries in prop::collection::vec((0..SLOTS, 0u32..=9), 0..=40),
     ) {
         // Building by rebuild and building by per-link sets from empty must
-        // agree (last write per link wins).
+        // drain identically (last write per link wins).
         let mut loads = vec![0.0f64; SLOTS];
         for &(l, v) in &entries {
             loads[l] = v as f64;
         }
-        let mut by_rebuild = LoadQueue::new();
+        let mut by_rebuild = MaxTree::default();
         by_rebuild.rebuild(
             SLOTS,
             loads.iter().enumerate().map(|(i, &v)| (LinkId(i), v)),
         );
-        let mut by_sets = LoadQueue::new();
-        by_sets.fit(SLOTS);
+        let mut by_sets = MaxTree::default();
+        by_sets.rebuild(SLOTS, []);
         for &(l, v) in &entries {
             by_sets.set(LinkId(l), v as f64);
         }
-        let drain = |q: &LoadQueue| {
-            let mut cursor = q.cursor();
-            let mut out = Vec::new();
-            while let Some(e) = cursor.next(q) {
-                out.push(e);
-            }
-            out
-        };
-        prop_assert_eq!(drain(&by_rebuild), drain(&by_sets));
-        prop_assert_eq!(drain(&by_rebuild), naive_order(&loads));
+        let expected = naive_prefix(&loads, SLOTS);
+        prop_assert_eq!(by_rebuild.len(), by_sets.len());
+        prop_assert_eq!(drain(&mut by_rebuild, &mut loads.clone(), SLOTS), expected.clone());
+        prop_assert_eq!(drain(&mut by_sets, &mut loads.clone(), SLOTS), expected);
     }
 }

@@ -110,7 +110,7 @@ pub type RouteFn = fn(&CommSet, &PowerModel, &mut RouteScratch) -> Result<Routin
 /// The banded Path-Remover (§5.5) and its full-sweep oracle.
 pub const PR: (&str, RouteFn) = ("PR", |cs, m, s| PathRemover.try_route_with(cs, m, s));
 
-/// The queue-driven XY improver (§5.4) and its full-scan oracle.
+/// The pending-link XY improver (§5.4) and its full-scan oracle.
 pub const XYI: (&str, RouteFn) = ("XYI", |cs, m, s| {
     Ok(XyImprover::default().route_with(cs, m, s))
 });

@@ -166,17 +166,17 @@ fn main() {
     }
 }
 
-/// The one `--mesh PxQ` reader.
+/// The one `--mesh PxQ` reader: from two cores up to the
+/// [`MAX_CORES`](pamr::mesh::MAX_CORES) an instance file may declare.
 fn mesh(flags: &Flags) -> Outcome<Mesh> {
     let spec = flags.text("--mesh");
-    let dims = spec.split_once('x').and_then(|(p, q)| {
-        let (p, q): (usize, usize) = (p.parse().ok()?, q.parse().ok()?);
-        (p.checked_mul(q)? >= 2).then_some((p, q))
-    });
-    match dims {
-        Some((p, q)) => Ok(Mesh::new(p, q)),
-        None => Err(Failure::Usage(format!(
-            "--mesh needs PxQ with at least two cores, got {spec:?}"
+    let mesh = (spec.split_once('x'))
+        .and_then(|(p, q)| Mesh::checked(p.parse().ok()?, q.parse().ok()?).ok());
+    match mesh {
+        Some(mesh) if mesh.num_cores() >= 2 => Ok(mesh),
+        _ => Err(Failure::Usage(format!(
+            "--mesh needs PxQ with 2 to {} cores, got {spec:?}",
+            pamr::mesh::MAX_CORES
         ))),
     }
 }

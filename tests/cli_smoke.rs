@@ -144,6 +144,68 @@ fn shard_rejects_bad_flags_with_exit_2() {
     }
 }
 
+/// Runs `pamr` on the whitespace-separated `line` and asserts it exits
+/// with `code` after printing exactly one `pamr <cmd>: ` line and no panic.
+fn assert_one_message(line: &str, code: i32) {
+    let args: Vec<&str> = line.split_whitespace().collect();
+    let out = Command::new(env!("CARGO_BIN_EXE_pamr"))
+        .args(&args)
+        .output()
+        .expect("failed to spawn pamr");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "pamr {line}:\n{stderr}");
+    assert!(
+        stderr.starts_with(&format!("pamr {}: ", args[0]))
+            && stderr.lines().count() == 1
+            && !stderr.contains("panicked"),
+        "pamr {line} must print one structured error, got:\n{stderr}"
+    );
+}
+
+#[test]
+fn malformed_instances_and_oversized_meshes_get_one_message() {
+    // Instance files that deserialize structurally but break what the
+    // constructors check: exit 1, like any unreadable file. Oversized
+    // `--mesh` flags: exit 2, like any bad flag.
+    let dir = std::env::temp_dir().join(format!("pamr_cli_instances_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let instance = |name: &str, mesh: &str, comm: &str| {
+        let path = dir.join(name);
+        let comms = if comm.is_empty() {
+            String::new()
+        } else {
+            format!("{{{comm},\"snk\":{{\"u\":0,\"v\":0}}}}")
+        };
+        let json = format!("{{\"mesh\":{mesh},\"comms\":[{comms}]}}");
+        std::fs::write(&path, json).unwrap();
+        path.display().to_string()
+    };
+    let empty_mesh = instance("empty_mesh.json", r#"{"p":0,"q":4}"#, "");
+    let off_mesh = instance(
+        "off_mesh.json",
+        r#"{"p":4,"q":4}"#,
+        r#""src":{"u":9,"v":0},"weight":5"#,
+    );
+    let negative = instance(
+        "negative.json",
+        r#"{"p":4,"q":4}"#,
+        r#""src":{"u":1,"v":3},"weight":-5"#,
+    );
+    let huge = instance("huge.json", r#"{"p":100000,"q":100000}"#, "");
+    for (line, code) in [
+        (format!("route --instance {empty_mesh}"), 1),
+        (format!("route --instance {off_mesh}"), 1),
+        (format!("frontier --instance {off_mesh}"), 1),
+        (format!("route --instance {negative}"), 1),
+        (format!("route --instance {huge}"), 1),
+        ("serve --mesh 100000x100000 --stdin".into(), 2),
+        ("frontier --mesh 100000x100000 --n 2".into(), 2),
+    ] {
+        assert_one_message(&line, code);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_input_gets_one_message_and_no_panic() {
     // A regular file where a directory should go: every read or write
@@ -169,19 +231,7 @@ fn bad_input_gets_one_message_and_no_panic() {
         (format!("route --instance {unusable}"), 1),
         (format!("frontier --n 3 --shard 0/2 --out {unusable}"), 1),
     ] {
-        let args: Vec<&str> = line.split_whitespace().collect();
-        let out = Command::new(env!("CARGO_BIN_EXE_pamr"))
-            .args(&args)
-            .output()
-            .expect("failed to spawn pamr");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(code), "pamr {line}:\n{stderr}");
-        assert!(
-            stderr.starts_with(&format!("pamr {}: ", args[0]))
-                && stderr.lines().count() == 1
-                && !stderr.contains("panicked"),
-            "pamr {line} must print one structured error, got:\n{stderr}"
-        );
+        assert_one_message(&line, code);
     }
     let _ = std::fs::remove_file(&blocker);
 }

@@ -2,7 +2,7 @@
 //! 64×64.
 //!
 //! The CSR-backed hot paths — the banded Path-Remover on the flat band
-//! tables, the queue-driven XY improver with the O(1) diagonal flip
+//! tables, the pending-link XY improver with the O(1) diagonal flip
 //! locator, the indexed Improved greedy, and the shared `CrossingIndex`
 //! link→users arena behind all three — promise **bit-identical**
 //! behaviour to the full-scan oracles not just on the 8×8 paper mesh but

@@ -12,7 +12,7 @@
 //!    stay within a gated factor of the batch power (both directions),
 //!    never be infeasible where the batch route is feasible (the session
 //!    escalates to a full re-route before accepting an infeasible state),
-//!    and keep its resident load/queue indices bit-identical to a naive
+//!    and keep its resident load index bit-identical to a naive
 //!    recomputation from the live paths.
 //!
 //! Scripts replay the shared §6-style sweeps of [`pamr::sim::testutil`]
@@ -116,7 +116,7 @@ fn assert_bounded_mode_within_gate(cs: &CommSet, label: &str) {
     }
 }
 
-/// The resident invariant behind both modes: loads and queue keys always
+/// The resident invariant behind both modes: loads and max-load index keys always
 /// equal a naive recomputation from the live paths.
 fn assert_indices_consistent(session: &RoutingSession, label: &str) {
     let mesh = *session.mesh();
@@ -138,7 +138,7 @@ fn assert_indices_consistent(session: &RoutingSession, label: &str) {
                 0.0
             }
             .to_bits(),
-            "{label}: resident queue key of {l} desynced"
+            "{label}: resident index key of {l} desynced"
         );
     }
     assert_eq!(session.max_load().to_bits(), naive.max_load().to_bits());

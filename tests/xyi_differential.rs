@@ -1,8 +1,8 @@
-//! Differential oracle for the queue-driven XY improver and the indexed
+//! Differential oracle for the pending-link XY improver and the indexed
 //! Improved greedy.
 //!
-//! Both rewritten improvement loops (`pamr_routing::XyImprover` on the
-//! shared `loadq` max-load index, `pamr_routing::ImprovedGreedy` on the
+//! Both rewritten improvement loops (`pamr_routing::XyImprover` on a
+//! pending-link `MaxTree`, `pamr_routing::ImprovedGreedy` on the
 //! per-group min-load index) promise **bit-identical** behaviour to the
 //! literal full-scan references they dispatch to on
 //! [`EngineConfig::REFERENCE`]: same routings, same load maps, and —

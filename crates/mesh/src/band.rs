@@ -26,10 +26,10 @@ use crate::Mesh;
 /// Groups live in a flat CSR layout (`group_off` + `links`, the
 /// `first_out`/`head` idiom of `rust_road_router`'s `FirstOutGraph`): one
 /// allocation per band instead of one `Vec` per diagonal, and group access
-/// is a slice into the shared array. The per-diagonal useful-row intervals
-/// ([`Band::diag_rows`]) are tabulated at construction, so the hot PR
-/// reachability paths read them in `O(1)` instead of re-scanning the
-/// bounding box's rows per query.
+/// is a slice into the shared array. The per-diagonal row ranges
+/// ([`Band::diag_rows`]) are tabulated at construction, so PR's
+/// reachability row sets read their bit offsets in `O(1)` instead of
+/// re-scanning the bounding box's rows per query.
 #[derive(Debug, Clone)]
 pub struct Band {
     src: Coord,
@@ -44,7 +44,7 @@ pub struct Band {
     /// historical per-core construction order (bounding-box cores row-major,
     /// vertical move before horizontal per core).
     links: Vec<LinkId>,
-    /// Inclusive useful-row interval `(u_lo, u_hi)` of relative diagonal
+    /// Inclusive row range `(u_lo, u_hi)` of relative diagonal
     /// `t ∈ 0..=len` — the [`Band::diag_rows`] values, tabulated once.
     rows: Vec<(u32, u32)>,
 }
@@ -190,35 +190,18 @@ impl Band {
         mesh.diag_index(from, self.quadrant) - self.k_src
     }
 
-    /// The core of relative diagonal `t` (0 ..= `len`) lying in row `u`, if
-    /// the diagonal crosses that row inside the band's bounding box.
-    ///
-    /// Cores of one diagonal inside a rectangle occupy consecutive rows, so
-    /// a set of band cores on a diagonal can be stored as a row interval —
-    /// the representation behind the banded Path-Remover's per-diagonal
-    /// reachability state.
-    pub fn core_on_diag(&self, mesh: &Mesh, t: usize, u: usize) -> Option<Coord> {
-        let v = self
-            .quadrant
-            .col_on_diag(mesh.rows(), mesh.cols(), self.k_src + t, u)?;
-        let c = Coord::new(u, v);
-        self.rect.contains(c).then_some(c)
-    }
-
     /// The inclusive row range `(u_lo, u_hi)` of the band's cores on
     /// relative diagonal `t` (0 ..= `len`). Every row in between holds
-    /// exactly one band core of that diagonal.
+    /// exactly one band core of that diagonal, so a set of those cores is a
+    /// set of rows: the banded Path-Remover stores each diagonal's useful
+    /// cores as a bitset over this range.
     ///
-    /// `O(1)`: the intervals are tabulated by [`Band::new`]'s single sweep
-    /// over the bounding box (this runs once per diagonal of every
-    /// communication on every PR route, and used to re-scan the box's rows
-    /// per query). The `mesh` argument is kept for API stability; the
-    /// interval is a pure function of the band.
+    /// `O(1)`: the ranges are tabulated by [`Band::new`]'s single sweep
+    /// over the bounding box.
     ///
     /// # Panics
     /// Panics if `t` exceeds the number of diagonals (`len`).
-    pub fn diag_rows(&self, mesh: &Mesh, t: usize) -> (usize, usize) {
-        let _ = mesh;
+    pub fn diag_rows(&self, t: usize) -> (usize, usize) {
         assert!(
             t <= self.len(),
             "diagonal {t} outside band 0..={}",
@@ -323,26 +306,21 @@ mod tests {
         ] {
             let band = Band::new(&mesh, src, snk);
             for t in 0..=band.len() {
-                let (lo, hi) = band.diag_rows(&mesh, t);
-                let expected: Vec<Coord> = band
+                let (lo, hi) = band.diag_rows(t);
+                // The rectangle scan's cores on the diagonal occupy exactly
+                // rows lo..=hi, one core per row.
+                let mut rows: Vec<usize> = band
                     .rect()
                     .cores()
                     .filter(|&c| mesh.diag_index(c, band.quadrant()) == band.k_src() + t)
+                    .map(|c| c.u)
                     .collect();
-                assert_eq!(hi - lo + 1, expected.len(), "{src}->{snk} t={t}");
-                for u in lo..=hi {
-                    let c = band.core_on_diag(&mesh, t, u).expect("row in range");
-                    assert!(expected.contains(&c));
-                    assert_eq!(c.u, u);
-                }
-                assert!(band.core_on_diag(&mesh, t, hi + 1).is_none());
-                if lo > 0 {
-                    assert!(band.core_on_diag(&mesh, t, lo - 1).is_none());
-                }
+                rows.sort_unstable();
+                assert_eq!(rows, (lo..=hi).collect::<Vec<_>>(), "{src}->{snk} t={t}");
             }
             // The first and last diagonals are the source and sink alone.
-            assert_eq!(band.diag_rows(&mesh, 0), (src.u, src.u));
-            assert_eq!(band.diag_rows(&mesh, band.len()), (snk.u, snk.u));
+            assert_eq!(band.diag_rows(0), (src.u, src.u));
+            assert_eq!(band.diag_rows(band.len()), (snk.u, snk.u));
         }
     }
 

@@ -13,14 +13,13 @@
 //!
 //! The banded implementation here exploits the §3.3 band structure: the
 //! cores of one diagonal `D_k^{(d)}` inside a bounding box occupy
-//! consecutive rows, so the set of *useful* cores per diagonal (those on at
-//! least one surviving source→sink path) is stored as a row interval
-//! ([`Band::diag_rows`]). On each removal only the affected diagonals are
-//! recomputed, stopping as soon as the recomputed interval matches the
-//! stored one; path cleaning then re-examines only the touched groups. When
-//! a recomputed reachable set is not contiguous (an interval *fragments*),
-//! the communication falls back to the full sweep until its useful sets
-//! are contiguous again — a rare, always-correct escape hatch.
+//! consecutive rows ([`Band::diag_rows`]), so the set of *useful* cores per
+//! diagonal (those on at least one surviving source→sink path) is stored
+//! as a row bitset over that range. On each removal only the affected
+//! diagonals are recomputed, stopping as soon as a recomputed set equals
+//! the stored one; path cleaning then re-examines only the touched groups.
+//! A removal may split a diagonal's useful rows into several runs; a
+//! bitset holds any subset, so every removal takes the same banded path.
 //!
 //! Choosing each removal is cheap too. The oracle scans loaded links in
 //! decreasing load and, per link, its users in decreasing weight, until
@@ -48,9 +47,10 @@ use crate::heuristic::Heuristic;
 use crate::loadq::MaxTree;
 use crate::precompute::EndpointTables;
 use crate::routing::Routing;
-use crate::scratch::{reset_flags, RouteScratch};
-use pamr_mesh::{Band, Coord, LinkId, LoadMap, Mesh, Path, Step};
+use crate::scratch::RouteScratch;
+use pamr_mesh::{Band, LinkId, LoadMap, Mesh, Path, Step};
 use pamr_power::PowerModel;
+use std::ops::Range;
 use std::sync::Arc;
 
 mod reference;
@@ -134,33 +134,6 @@ impl std::fmt::Display for PrError {
 
 impl std::error::Error for PrError {}
 
-/// A row interval on one diagonal: inclusive `(lo, hi)` in mesh rows.
-type Iv = (usize, usize);
-
-/// The canonical empty interval.
-const IV_EMPTY: Iv = (usize::MAX, 0);
-
-#[inline]
-fn iv_is_empty(iv: Iv) -> bool {
-    iv.0 > iv.1
-}
-
-#[inline]
-fn iv_contains(iv: Iv, u: usize) -> bool {
-    iv.0 <= u && u <= iv.1
-}
-
-#[inline]
-fn iv_intersect(a: Iv, b: Iv) -> Iv {
-    let lo = a.0.max(b.0);
-    let hi = a.1.min(b.1);
-    if lo > hi {
-        IV_EMPTY
-    } else {
-        (lo, hi)
-    }
-}
-
 /// The per-link state every removal updates, kept in sync: the load map,
 /// the per-link removable-user counts and the [`MaxTree`] `queue`, which
 /// holds exactly the links with strictly positive load and a non-zero
@@ -199,16 +172,19 @@ impl QueuedLoads<'_> {
 }
 
 /// The reusable per-removal buffers the banded engine borrows from
-/// [`RouteScratch`]: the shared per-link state, plus the reachability
-/// buffers, split off so path cleaning can read them while it updates
-/// `links`.
+/// [`RouteScratch`]: the shared per-link state, plus the forward and
+/// backward row sets of one removal, laid out like [`BandedComm::reach`]
+/// and split off so path cleaning can read them while it updates `links`.
 struct BandBufs<'a> {
     links: QueuedLoads<'a>,
-    fwd_iv: &'a mut Vec<Iv>,
-    bwd_iv: &'a mut Vec<Iv>,
-    rows: &'a mut Vec<bool>,
-    fwd: &'a mut Vec<bool>,
-    bwd: &'a mut Vec<bool>,
+    fwd: &'a mut Vec<u64>,
+    bwd: &'a mut Vec<u64>,
+}
+
+/// Whether bit `r` of a row set is set.
+#[inline]
+fn has_row(set: &[u64], r: usize) -> bool {
+    set[r / 64] >> (r % 64) & 1 != 0
 }
 
 /// Per-communication removal state of the banded engine.
@@ -219,10 +195,10 @@ struct BandBufs<'a> {
 /// disjoint field borrows keep compiling.)
 struct BandedComm {
     band: Arc<Band>,
-    /// The pristine per-diagonal useful-row intervals
-    /// ([`Band::diag_rows`] for `t ∈ 0..=len`) — the start state `reach`
-    /// is seeded from and `rebuild_reach` clamps against.
-    base_rows: Arc<Vec<Iv>>,
+    /// The pristine per-diagonal row ranges ([`Band::diag_rows`] for
+    /// `t ∈ 0..=len`): bit `r` of diagonal `t`'s row set stands for row
+    /// `base_rows[t].0 + r`.
+    base_rows: Arc<Vec<(usize, usize)>>,
     weight: f64,
     /// Aliveness aligned with `band.groups()`.
     alive: Vec<Vec<bool>>,
@@ -230,27 +206,21 @@ struct BandedComm {
     share: Vec<f64>,
     /// Alive-link count per group (kept in lock-step with `alive`).
     counts: Vec<usize>,
-    /// Useful-core row interval per diagonal `0 ..= len`: the cores lying
-    /// on at least one surviving source→sink path. Invariant between
-    /// removals (unless `fragmented`): forward and backward reachability
-    /// over the alive links both equal exactly this set, because path
-    /// cleaning prunes the alive set down to the union of surviving paths.
-    reach: Vec<Iv>,
+    /// Words per row set: `⌈widest diagonal / 64⌉`.
+    words: usize,
+    /// Useful-core row set per diagonal `0 ..= len`, `words` words each:
+    /// the cores lying on at least one surviving source→sink path.
+    /// Invariant between removals: forward and backward reachability over
+    /// the alive links both equal exactly this set, because path cleaning
+    /// prunes the alive set down to the union of surviving paths.
+    reach: Vec<u64>,
     /// Number of groups with more than one alive link.
     multi: usize,
-    /// Set while a reachable set is not a contiguous row interval: the next
-    /// removal of this communication full-sweeps instead of propagating
-    /// incrementally. The full sweep rebuilds the `reach` intervals from
-    /// its own reachability flags, so the flag clears again as soon as
-    /// every diagonal's useful set is back to one contiguous run —
-    /// fragmentation no longer pins a communication to the slow path for
-    /// good.
-    fragmented: bool,
 }
 
 impl BandedComm {
     /// Builds the removal state from the pair's interned band and row
-    /// intervals.
+    /// ranges.
     fn new(weight: f64, tables: &EndpointTables) -> Self {
         let band = Arc::clone(tables.band_arc());
         let base_rows = Arc::clone(tables.diag_rows_arc());
@@ -258,7 +228,15 @@ impl BandedComm {
         let share: Vec<f64> = band.groups().map(|g| weight / g.len() as f64).collect();
         let counts: Vec<usize> = band.groups().map(|g| g.len()).collect();
         let multi = counts.iter().filter(|&&c| c > 1).count();
-        let reach: Vec<Iv> = base_rows.as_ref().clone();
+        let widest = base_rows.iter().map(|&(lo, hi)| hi - lo + 1).max();
+        let words = widest.unwrap_or(1).div_ceil(64);
+        // Every row of every diagonal starts useful.
+        let mut reach = vec![0u64; base_rows.len() * words];
+        for (set, &(lo, hi)) in reach.chunks_exact_mut(words).zip(base_rows.iter()) {
+            for r in 0..=hi - lo {
+                set[r / 64] |= 1 << (r % 64);
+            }
+        }
         BandedComm {
             band,
             base_rows,
@@ -266,9 +244,9 @@ impl BandedComm {
             alive,
             share,
             counts,
+            words,
             reach,
             multi,
-            fragmented: false,
         }
     }
 
@@ -290,55 +268,52 @@ impl BandedComm {
         }
     }
 
-    /// One reachability step across diagonal group `g`: the rows of the
-    /// next (forward) or previous (backward) diagonal reached from the row
-    /// interval `prev` through the group's alive links. Returns `None` when
-    /// the reached set is not contiguous (the caller must fall back to the
-    /// full sweep), `Some(IV_EMPTY)` when nothing is reached.
-    fn propagate(
-        &self,
-        mesh: &Mesh,
-        g: usize,
-        prev: Iv,
-        rows: &mut [bool],
-        forward: bool,
-    ) -> Option<Iv> {
-        if iv_is_empty(prev) {
-            return Some(IV_EMPTY);
-        }
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
+    /// The words of diagonals `range` in a buffer laid out like `reach`.
+    #[inline]
+    fn span(&self, range: Range<usize>) -> Range<usize> {
+        range.start * self.words..range.end * self.words
+    }
+
+    /// Copies the stored useful sets of diagonals `range` into `sets`.
+    fn copy_reach(&self, sets: &mut [u64], range: Range<usize>) {
+        let span = self.span(range);
+        sets[span.clone()].copy_from_slice(&self.reach[span]);
+    }
+
+    /// One reachability step across diagonal group `g` inside `sets`, a
+    /// buffer laid out like `reach`. Forward, diagonal `g + 1`'s set
+    /// becomes the rows reached from diagonal `g`'s set through the
+    /// group's alive links; backward, diagonal `g`'s set becomes the rows
+    /// reaching diagonal `g + 1`'s set. Returns whether the written set
+    /// equals the stored useful set (the stop rule).
+    fn propagate(&self, mesh: &Mesh, g: usize, sets: &mut [u64], forward: bool) -> bool {
+        let (head, tail) = sets.split_at_mut((g + 1) * self.words);
+        let (prev, next, dst) = if forward {
+            (&head[self.span(g..g + 1)], &mut tail[..self.words], g + 1)
+        } else {
+            (&tail[..self.words], &mut head[self.span(g..g + 1)], g)
+        };
+        next.fill(0);
+        let (base_from, base_to) = (self.base_rows[g].0, self.base_rows[g + 1].0);
         for (j, &l) in self.band.group(g).iter().enumerate() {
             if self.alive[g][j] {
                 let (from, to) = mesh.link_endpoints(l);
-                let (key, dst) = if forward {
-                    (from.u, to.u)
-                } else {
-                    (to.u, from.u)
-                };
-                if iv_contains(prev, key) {
-                    rows[dst] = true;
-                    lo = lo.min(dst);
-                    hi = hi.max(dst);
+                let (from, to) = (from.u - base_from, to.u - base_to);
+                let (key, r) = if forward { (from, to) } else { (to, from) };
+                if has_row(prev, key) {
+                    next[r / 64] |= 1 << (r % 64);
                 }
             }
         }
-        if lo == usize::MAX {
-            return Some(IV_EMPTY);
-        }
-        let mut contiguous = true;
-        for r in rows.iter_mut().take(hi + 1).skip(lo) {
-            contiguous &= *r;
-            *r = false;
-        }
-        contiguous.then_some((lo, hi))
+        *next == self.reach[self.span(dst..dst + 1)]
     }
 
     /// Removes link `(t_rm, j_rm)` and performs the paper's "path cleaning"
     /// and re-sharing, recomputing reachability only on the diagonals the
-    /// removal can affect: forward intervals downstream of `t_rm` and
-    /// backward intervals upstream, each propagation stopping as soon as it
-    /// re-matches the stored `reach` interval. Cleaning then touches only
-    /// the groups adjacent to a changed diagonal (plus `t_rm` itself) — the
+    /// removal can affect: forward sets downstream of `t_rm` and backward
+    /// sets upstream, each propagation stopping as soon as it re-matches
+    /// the stored `reach` set. Cleaning then touches only the groups
+    /// adjacent to a changed diagonal (plus `t_rm` itself) — the
     /// bit-identical subset of the operations the full sweep performs,
     /// because unchanged groups reproduce the identical share quotient and
     /// skip their load updates entirely.
@@ -358,120 +333,83 @@ impl BandedComm {
         bufs.links.drop_removable(l_rm);
         bufs.links.add_load(l_rm, -self.share[t_rm]);
 
-        if self.fragmented {
-            return self.full_reshare(mesh, ci, bufs);
-        }
         let len = self.band.len();
-        if bufs.fwd_iv.len() < len + 1 {
-            bufs.fwd_iv.resize(len + 1, IV_EMPTY);
-            bufs.bwd_iv.resize(len + 1, IV_EMPTY);
+        if bufs.fwd.len() < self.reach.len() {
+            bufs.fwd.resize(self.reach.len(), 0);
+            bufs.bwd.resize(self.reach.len(), 0);
         }
-        if bufs.rows.len() < mesh.rows() {
-            bufs.rows.resize(mesh.rows(), false);
-        }
-
         // Forward reachability, recomputed downstream of the removed group
-        // until it re-matches the stored useful interval. `f_stop` is the
-        // first diagonal ≥ t_rm+1 whose forward set did not change.
-        let mut f_stop = len + 1;
-        let mut prev = self.reach[t_rm];
-        for t in t_rm + 1..=len {
-            let Some(next) = self.propagate(mesh, t - 1, prev, bufs.rows, true) else {
-                self.fragmented = true;
-                return self.full_reshare(mesh, ci, bufs);
-            };
-            if next == self.reach[t] {
-                f_stop = t;
-                break;
-            }
-            bufs.fwd_iv[t] = next;
-            prev = next;
-        }
+        // until it re-matches the stored useful set. `f_stop` is the first
+        // diagonal ≥ t_rm+1 whose forward set did not change.
+        self.copy_reach(bufs.fwd, t_rm..t_rm + 1);
+        let f_stop = (t_rm + 1..=len)
+            .find(|&t| self.propagate(mesh, t - 1, bufs.fwd, true))
+            .unwrap_or(len + 1);
         // Backward reachability upstream. `b_start` is the first (lowest)
         // diagonal whose backward set changed.
-        let mut b_start = 0;
-        let mut prev = self.reach[t_rm + 1];
-        let mut matched = false;
-        for t in (0..=t_rm).rev() {
-            let Some(next) = self.propagate(mesh, t, prev, bufs.rows, false) else {
-                self.fragmented = true;
-                return self.full_reshare(mesh, ci, bufs);
-            };
-            if next == self.reach[t] {
-                b_start = t + 1;
-                matched = true;
-                break;
-            }
-            bufs.bwd_iv[t] = next;
-            prev = next;
-        }
-        if !matched {
-            b_start = 0;
-        }
+        self.copy_reach(bufs.bwd, t_rm + 1..t_rm + 2);
+        let b_start = (0..=t_rm)
+            .rev()
+            .find(|&t| self.propagate(mesh, t, bufs.bwd, false))
+            .map_or(0, |t| t + 1);
 
         // Clean and re-share the affected groups, in increasing order so a
         // structural error names the same group as the full sweep. Group t
         // is affected iff its source diagonal's forward set changed
         // (t_rm < t < f_stop), its sink diagonal's backward set changed
         // (b_start ≤ t+1 ≤ t_rm), or it lost the removed link (t = t_rm).
-        let g_lo = b_start.saturating_sub(1);
-        let g_hi = (f_stop - 1).min(len - 1);
+        // The range's unchanged sets are copied in beside the recomputed
+        // ones, so cleaning reads both sides from the buffers.
+        let (g_lo, g_hi) = (b_start.saturating_sub(1), (f_stop - 1).min(len - 1));
+        self.copy_reach(bufs.fwd, g_lo..t_rm);
+        self.copy_reach(bufs.bwd, t_rm + 2..g_hi + 2);
         for t in g_lo..=g_hi {
-            let fwd_t = if t > t_rm && t < f_stop {
-                bufs.fwd_iv[t]
-            } else {
-                self.reach[t]
-            };
-            let bwd_t1 = if t + 1 >= b_start && t < t_rm {
-                bufs.bwd_iv[t + 1]
-            } else {
-                self.reach[t + 1]
-            };
-            self.clean_group(mesh, ci, t, &mut bufs.links, |from, to| {
-                iv_contains(fwd_t, from.u) && iv_contains(bwd_t1, to.u)
-            })?;
+            let fwd_t = &bufs.fwd[self.span(t..t + 1)];
+            let bwd_t1 = &bufs.bwd[self.span(t + 1..t + 2)];
+            self.clean_group(mesh, ci, t, &mut bufs.links, fwd_t, bwd_t1)?;
         }
 
         // Fold the recomputed reachability into the stored useful sets:
         // after cleaning, the useful cores of a diagonal are exactly the
         // forward-reachable ∩ backward-reachable ones, and an empty
         // intersection would have surfaced above as an emptied group.
-        for t in b_start..=t_rm {
-            self.reach[t] = iv_intersect(self.reach[t], bufs.bwd_iv[t]);
-            debug_assert!(!iv_is_empty(self.reach[t]));
-        }
-        for t in t_rm + 1..f_stop {
-            self.reach[t] = iv_intersect(bufs.fwd_iv[t], self.reach[t]);
-            debug_assert!(!iv_is_empty(self.reach[t]));
+        let upstream = (self.span(b_start..t_rm + 1), bufs.bwd.as_slice());
+        let downstream = (self.span(t_rm + 1..f_stop), bufs.fwd.as_slice());
+        for (span, sets) in [upstream, downstream] {
+            for (r, s) in self.reach[span.clone()].iter_mut().zip(&sets[span]) {
+                *r &= s;
+            }
         }
         Ok(())
     }
 
-    /// Path cleaning and re-sharing of diagonal group `t`, the one step
-    /// the banded path and the full sweep both run per group: kills every
-    /// alive link `keep(from, to)` rejects, spreads the weight equally
-    /// over the survivors, and updates `counts`, `multi` and the removable
-    /// counts — a killed link of a multi-link group loses this
-    /// communication as a removable user, and so does the survivor of a
-    /// group cleaned down to one link. The load operations are the
-    /// full-sweep oracle's, in its order; `ci` labels the error of an
-    /// emptied group.
+    /// Path cleaning and re-sharing of diagonal group `t`: kills every
+    /// alive link that does not join a core of `fwd_t` (diagonal `t`'s
+    /// forward set) to a core of `bwd_t1` (diagonal `t + 1`'s backward
+    /// set), spreads the weight equally over the survivors, and updates
+    /// `counts`, `multi` and the removable counts — a killed link of a
+    /// multi-link group loses this communication as a removable user, and
+    /// so does the survivor of a group cleaned down to one link. The load
+    /// operations are the full-sweep oracle's, in its order; `ci` labels
+    /// the error of an emptied group.
     fn clean_group(
         &mut self,
         mesh: &Mesh,
         ci: usize,
         t: usize,
         links: &mut QueuedLoads<'_>,
-        keep: impl Fn(Coord, Coord) -> bool,
+        fwd_t: &[u64],
+        bwd_t1: &[u64],
     ) -> Result<(), PrError> {
         let g = self.band.group(t);
+        let (base_from, base_to) = (self.base_rows[t].0, self.base_rows[t + 1].0);
         let old_share = self.share[t];
         let was_multi = self.counts[t] > 1;
         let (mut count, mut last) = (0usize, 0usize);
         for (j, &l) in g.iter().enumerate() {
             if self.alive[t][j] {
                 let (from, to) = mesh.link_endpoints(l);
-                if keep(from, to) {
+                if has_row(fwd_t, from.u - base_from) && has_row(bwd_t1, to.u - base_to) {
                     count += 1;
                     last = j;
                 } else {
@@ -503,94 +441,6 @@ impl BandedComm {
         }
         self.counts[t] = count;
         Ok(())
-    }
-
-    /// The full-sweep fallback: identical to the reference engine's
-    /// cleaning pass (same operations on the load map, in the same order),
-    /// run through the shared per-group step ([`BandedComm::clean_group`]).
-    /// Afterwards the `reach` intervals are rebuilt from the sweep's
-    /// reachability flags ([`BandedComm::rebuild_reach`]); when every
-    /// diagonal's useful set is a contiguous run again, `fragmented` clears
-    /// and later removals re-enter the fast banded path.
-    fn full_reshare(
-        &mut self,
-        mesh: &Mesh,
-        ci: usize,
-        bufs: &mut BandBufs<'_>,
-    ) -> Result<(), PrError> {
-        let n = mesh.num_cores();
-        reset_flags(bufs.fwd, n);
-        bufs.fwd[mesh.core_index(self.band.src())] = true;
-        for (t, g) in self.band.groups().enumerate() {
-            for (j, &l) in g.iter().enumerate() {
-                if self.alive[t][j] {
-                    let (from, to) = mesh.link_endpoints(l);
-                    if bufs.fwd[mesh.core_index(from)] {
-                        bufs.fwd[mesh.core_index(to)] = true;
-                    }
-                }
-            }
-        }
-        reset_flags(bufs.bwd, n);
-        bufs.bwd[mesh.core_index(self.band.snk())] = true;
-        for (t, g) in self.band.groups().enumerate().rev() {
-            for (j, &l) in g.iter().enumerate() {
-                if self.alive[t][j] {
-                    let (from, to) = mesh.link_endpoints(l);
-                    if bufs.bwd[mesh.core_index(to)] {
-                        bufs.bwd[mesh.core_index(from)] = true;
-                    }
-                }
-            }
-        }
-        let (fwd, bwd) = (&*bufs.fwd, &*bufs.bwd);
-        for t in 0..self.band.len() {
-            self.clean_group(mesh, ci, t, &mut bufs.links, |from, to| {
-                fwd[mesh.core_index(from)] && bwd[mesh.core_index(to)]
-            })?;
-        }
-        self.fragmented = !self.rebuild_reach(mesh, fwd, bwd);
-        Ok(())
-    }
-
-    /// Rebuilds the per-diagonal useful-core intervals from a full sweep's
-    /// reachability flags, returning `true` when every diagonal's useful
-    /// set is one contiguous row run (the banded invariant) and `false`
-    /// when any set is still fragmented.
-    ///
-    /// The flags were computed *before* path cleaning, but `fwd ∩ bwd` is
-    /// the same set either way: a core that is forward- and
-    /// backward-reachable lies on a full source→sink path, and every link
-    /// of that path survives cleaning. On `false` the partially-rewritten
-    /// intervals are left stale, which is safe because the caller keeps
-    /// `fragmented` set and the next removal full-sweeps again.
-    fn rebuild_reach(&mut self, mesh: &Mesh, fwd: &[bool], bwd: &[bool]) -> bool {
-        for t in 0..=self.band.len() {
-            let (b_lo, b_hi) = self.base_rows[t];
-            let mut iv = IV_EMPTY;
-            for u in b_lo..=b_hi {
-                let c = self
-                    .band
-                    .core_on_diag(mesh, t, u)
-                    // pamr-lint: allow(P001, reason = "base_rows stores per-diagonal row ranges computed from this band's geometry, so every (t, u) it yields is a band core")
-                    .expect("diag_rows rows hold a band core");
-                let i = mesh.core_index(c);
-                if fwd[i] && bwd[i] {
-                    if iv_is_empty(iv) {
-                        iv = (u, u);
-                    } else if u == iv.1 + 1 {
-                        iv.1 = u;
-                    } else {
-                        return false; // still fragmented
-                    }
-                }
-            }
-            // Path cleaning already errored on an emptied group, so every
-            // diagonal keeps at least one useful core here.
-            debug_assert!(!iv_is_empty(iv));
-            self.reach[t] = iv;
-        }
-        true
     }
 
     /// Number of alive links in the group containing `link` and the link's
@@ -762,11 +612,8 @@ impl PathRemover {
                     queue: &mut scratch.top,
                     removable: &mut scratch.removable,
                 },
-                fwd_iv: &mut scratch.fwd_iv,
-                bwd_iv: &mut scratch.bwd_iv,
-                rows: &mut scratch.rows,
-                fwd: &mut scratch.fwd,
-                bwd: &mut scratch.bwd,
+                fwd: &mut scratch.fwd_rows,
+                bwd: &mut scratch.bwd_rows,
             };
             comms[i].remove_and_reshare(mesh, i, (t, j), &mut bufs)?;
             if comms[i].resolved() {
@@ -982,14 +829,21 @@ mod tests {
         n
     }
 
+    /// The mesh rows of diagonal `t`'s stored useful set.
+    fn stored_rows(c: &BandedComm, t: usize) -> Vec<usize> {
+        let (lo, hi) = c.base_rows[t];
+        let set = &c.reach[c.span(t..t + 1)];
+        (lo..=hi).filter(|&u| has_row(set, u - lo)).collect()
+    }
+
     #[test]
-    fn fragmentation_falls_back_to_the_full_sweep() {
+    fn split_useful_sets_stay_on_the_banded_path() {
         // Drive a banded comm and a reference comm through the identical
         // removal sequence, picking removals that disconnect the middle of
-        // a diagonal: the diagonal-2 reachable rows of a 4×4 corner-to-
-        // corner band become {0, 2} (not contiguous), which must flip the
-        // banded comm to its full-sweep fallback and keep the states
-        // bit-identical throughout. A second, smaller comm shares part of
+        // a diagonal: the diagonal-2 useful rows of a 4×4 corner-to-corner
+        // band become {0, 2} (two runs), which the banded path must store
+        // and keep bit-identical to the full sweep throughout. A second,
+        // smaller comm shares part of
         // the band and is never removed from, so some links keep a
         // removable user (and their tree entry) after the first comm
         // gives them up, and others leave the tree.
@@ -1032,10 +886,7 @@ mod tests {
             .collect::<Vec<_>>()
             .into_iter();
         assert_eq!(into_middle.len(), 2);
-        // The fragmented flag after each removal. A removal that starts
-        // fragmented runs the full sweep; one that starts and ends
-        // unfragmented runs the banded path.
-        let mut flag_history = Vec::new();
+        let mut step = 0;
         while !banded.resolved() {
             let (t, j) = into_middle.next().unwrap_or_else(|| {
                 let t = banded.counts.iter().position(|&c| c >= 2).unwrap();
@@ -1047,11 +898,8 @@ mod tests {
                     queue: &mut scratch.top,
                     removable: &mut removable,
                 },
-                fwd_iv: &mut scratch.fwd_iv,
-                bwd_iv: &mut scratch.bwd_iv,
-                rows: &mut scratch.rows,
-                fwd: &mut scratch.fwd,
-                bwd: &mut scratch.bwd,
+                fwd: &mut scratch.fwd_rows,
+                bwd: &mut scratch.bwd_rows,
             };
             banded
                 .remove_and_reshare(&mesh, 0, (t, j), &mut bufs)
@@ -1059,8 +907,7 @@ mod tests {
             reference
                 .remove_and_reshare(&mesh, 0, (t, j), &mut loads_r, &mut fwd, &mut bwd)
                 .unwrap();
-            flag_history.push(banded.fragmented);
-            let step = flag_history.len();
+            step += 1;
             assert_eq!(banded.alive, reference.alive, "alive sets diverged");
             for l in mesh.links() {
                 assert_eq!(
@@ -1069,7 +916,21 @@ mod tests {
                     "load of {l} diverged"
                 );
             }
-            // The maintained counts equal a fresh recount…
+            if step == 2 {
+                assert_eq!(stored_rows(&banded, 2), [0, 2], "diagonal 2 did not split");
+            }
+            // The stored sets are the cores the oracle's sweep found both
+            // forward- and backward-reachable…
+            for c in banded.band.rect().cores() {
+                let t = mesh.diag_index(c, banded.band.quadrant()) - banded.band.k_src();
+                let i = mesh.core_index(c);
+                assert_eq!(
+                    stored_rows(&banded, t).contains(&c.u),
+                    fwd[i] && bwd[i],
+                    "removal {step}: useful set of diagonal {t} at {c}"
+                );
+            }
+            // …the maintained counts equal a fresh recount…
             assert_eq!(
                 removable,
                 recount_removable(&mesh, &[&banded, &other]),
@@ -1107,27 +968,6 @@ mod tests {
             mesh.links()
                 .any(|l| loads_b.get(l) > 0.0 && scratch.top.get(l) == 0.0),
             "no link left the tree"
-        );
-        assert_eq!(
-            flag_history[..2],
-            [false, true],
-            "fragmentation must trigger exactly on the second removal"
-        );
-        // The fallback is not sticky: each full sweep rebuilds the
-        // per-diagonal intervals, so the comm re-enters the banded path as
-        // soon as every useful set is contiguous again, before resolution.
-        assert!(
-            !flag_history.last().unwrap(),
-            "fragmentation fallback stayed sticky to the end"
-        );
-        let unstuck_at = 1 + flag_history[1..]
-            .iter()
-            .position(|&f| !f)
-            .expect("flag must clear after fragmenting");
-        assert!(
-            unstuck_at < flag_history.len() - 1,
-            "un-sticking must happen before the final removal so later \
-             removals exercise the banded path (history: {flag_history:?})"
         );
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Every §6 campaign trial used to rebuild structures that depend only on
 //! the mesh topology and the `(src, snk)` endpoint pair: [`Band`] geometry
-//! (IG's ideal-sharing pass, PR's staircase), the per-diagonal useful-row
-//! intervals PR's banded reachability starts from, and the XY seed paths
+//! (IG's ideal-sharing pass, PR's staircase), the per-diagonal row ranges
+//! PR's banded reachability row sets are laid over, and the XY seed paths
 //! XYI improves. None of that depends on the communication *weights*, so —
 //! following the metric-independent / metric-customization split of
 //! customizable contraction hierarchies — the engines now consume it from
@@ -11,10 +11,10 @@
 //!
 //! 1. **Precompute** ([`MeshPrecompute`]): per-mesh state built once and
 //!    shared — a flat CSR-style out-link adjacency, plus an interner of
-//!    per-`(src, snk)` [`EndpointTables`] (band, diagonal row intervals,
-//!    Manhattan path count, XY seed path) behind `Arc`s, so every trial,
-//!    heuristic and [`crate::session::RoutingSession`] touching the same
-//!    endpoint pair shares one allocation.
+//!    per-`(src, snk)` [`EndpointTables`] (band, diagonal row ranges, XY
+//!    seed path) behind `Arc`s, so every trial, heuristic and
+//!    [`crate::session::RoutingSession`] touching the same endpoint pair
+//!    shares one allocation.
 //! 2. **Customize** ([`MeshPrecompute::customize`]): a cheap
 //!    weight-dependent pass per [`CommSet`] that resolves each
 //!    communication's tables and the decreasing-weight processing order
@@ -45,7 +45,6 @@
 //! let a = pre.endpoint_tables(Coord::new(0, 0), Coord::new(2, 3));
 //! let b = pre.endpoint_tables(Coord::new(0, 0), Coord::new(2, 3));
 //! assert!(Arc::ptr_eq(&a, &b));
-//! assert_eq!(a.path_count(), 10); // C(2+3, 2) Manhattan paths (Lemma 1)
 //!
 //! // The cheap weight-dependent phase: per-comm tables + processing order.
 //! let cs = CommSet::new(
@@ -82,12 +81,10 @@ pub struct EndpointTables {
     snk: Coord,
     /// The staircase band (§3.3): per-diagonal useful-link groups.
     band: Arc<Band>,
-    /// Per-diagonal inclusive useful-row intervals, indexed by the
-    /// band-relative diagonal `t ∈ 0..=band.len()` — the start state of
-    /// PR's banded reachability ([`Band::diag_rows`] values).
+    /// Per-diagonal inclusive row ranges, indexed by the band-relative
+    /// diagonal `t ∈ 0..=band.len()` — the bit offsets of PR's banded
+    /// reachability row sets ([`Band::diag_rows`] values).
     diag_rows: Arc<Vec<(usize, usize)>>,
-    /// Number of Manhattan paths, `C(Δu + Δv, Δu)` (Lemma 1).
-    path_count: u128,
     /// The XY (row-first) seed path XYI starts from.
     xy: Path,
     /// Flat IG support: every band link as `(link, endpoint, endpoint)`,
@@ -108,7 +105,7 @@ impl EndpointTables {
     /// bit-transparent.
     pub fn build(mesh: &Mesh, src: Coord, snk: Coord) -> EndpointTables {
         let band = Band::new(mesh, src, snk);
-        let diag_rows = (0..=band.len()).map(|t| band.diag_rows(mesh, t)).collect();
+        let diag_rows = (0..=band.len()).map(|t| band.diag_rows(t)).collect();
         let mut ig_flat = Vec::new();
         let mut ig_off = Vec::with_capacity(band.len() + 1);
         let mut ig_div = Vec::with_capacity(band.len());
@@ -128,7 +125,6 @@ impl EndpointTables {
             snk,
             band: Arc::new(band),
             diag_rows: Arc::new(diag_rows),
-            path_count: Path::count(src, snk),
             xy: Path::xy(src, snk),
             ig_flat,
             ig_off,
@@ -156,21 +152,15 @@ impl EndpointTables {
         &self.band
     }
 
-    /// Per-diagonal inclusive `(low, high)` useful-row intervals,
-    /// `diag_rows()[t]` = [`Band::diag_rows`]`(mesh, t)`.
+    /// Per-diagonal inclusive `(low, high)` row ranges,
+    /// `diag_rows()[t]` = [`Band::diag_rows`]`(t)`.
     pub fn diag_rows(&self) -> &[(usize, usize)] {
         &self.diag_rows
     }
 
-    /// The row intervals behind their shared handle.
+    /// The row ranges behind their shared handle.
     pub fn diag_rows_arc(&self) -> &Arc<Vec<(usize, usize)>> {
         &self.diag_rows
-    }
-
-    /// Number of Manhattan `src → snk` paths (Lemma 1's
-    /// `C(p + q − 2, p − 1)` on the band's bounding rectangle).
-    pub fn path_count(&self) -> u128 {
-        self.path_count
     }
 
     /// The XY (row-first) path of the pair — the seed every improvement
@@ -589,10 +579,9 @@ mod tests {
                 assert_eq!(cached.band().group(t), band.group(t), "({src},{snk}) t={t}");
             }
             for t in 0..=band.len() {
-                assert_eq!(cached.diag_rows()[t], band.diag_rows(&m, t));
+                assert_eq!(cached.diag_rows()[t], band.diag_rows(t));
                 assert_eq!(fresh.diag_rows()[t], cached.diag_rows()[t]);
             }
-            assert_eq!(cached.path_count(), Path::count(src, snk));
             assert_eq!(cached.xy(), &Path::xy(src, snk));
         }
     }

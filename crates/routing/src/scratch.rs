@@ -38,9 +38,11 @@ pub struct RouteScratch {
     /// Sorted `(link, load)` working list (the reference oracles'
     /// `select_max` loaded-link scan).
     pub(crate) active: Vec<(LinkId, f64)>,
-    /// Forward-reachability flags, one per core (PR's path cleaning).
+    /// Forward-reachability flags, one per core (the PR oracle's path
+    /// cleaning).
     pub(crate) fwd: Vec<bool>,
-    /// Backward-reachability flags, one per core (PR's path cleaning).
+    /// Backward-reachability flags, one per core (the PR oracle's path
+    /// cleaning).
     pub(crate) bwd: Vec<bool>,
     /// Per-link list of communications whose band contains the link —
     /// the PR oracle's table. The optimized engines use the flat
@@ -65,13 +67,13 @@ pub struct RouteScratch {
     /// XYI keys its *pending* links, the loaded links a flip may still
     /// improve, so its top is the next link to evaluate.
     pub(crate) top: MaxTree,
-    /// Per-diagonal forward reachable-interval run (banded PR): the row
-    /// intervals recomputed downstream of a removed link.
-    pub(crate) fwd_iv: Vec<(usize, usize)>,
-    /// Per-diagonal backward reachable-interval run (banded PR).
-    pub(crate) bwd_iv: Vec<(usize, usize)>,
-    /// Row-coverage marks for one diagonal (banded PR's contiguity check).
-    pub(crate) rows: Vec<bool>,
+    /// Per-diagonal forward row sets of one removal (banded PR): the
+    /// communication's words-per-diagonal bitsets, recomputed downstream of
+    /// the removed link.
+    pub(crate) fwd_rows: Vec<u64>,
+    /// Per-diagonal backward row sets of one removal (banded PR),
+    /// recomputed upstream of the removed link.
+    pub(crate) bwd_rows: Vec<u64>,
     /// Flat per-group `(load bits, link)` keys of one communication's band,
     /// each group sorted ascending (indexed IG's min-load tail bound).
     pub(crate) ig_keys: Vec<(u64, u32)>,

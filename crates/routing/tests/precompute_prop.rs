@@ -57,11 +57,9 @@ fn assert_tables_bit_identical(mesh: &Mesh, cached: &EndpointTables, src: Coord,
         assert_eq!(cached.band().group(t), band.group(t), "group {t}");
     }
     for t in 0..=band.len() {
-        assert_eq!(cached.diag_rows()[t], band.diag_rows(mesh, t), "rows {t}");
+        assert_eq!(cached.diag_rows()[t], band.diag_rows(t), "rows {t}");
         assert_eq!(cached.diag_rows()[t], fresh.diag_rows()[t]);
     }
-    assert_eq!(cached.path_count(), Path::count(src, snk));
-    assert_eq!(cached.path_count(), fresh.path_count());
     assert_eq!(cached.xy(), &Path::xy(src, snk));
     assert_eq!(cached.xy(), fresh.xy());
 }

@@ -448,6 +448,24 @@ mod tests {
     }
 
     #[test]
+    fn corner_to_corner_on_70x70_is_answered() {
+        // C(138, 69) Manhattan paths do not fit a u128, so nothing on the
+        // add path may count them.
+        let mut srv = Server::new(
+            Mesh::new(70, 70),
+            PowerModel::kim_horowitz(),
+            SessionConfig::default(),
+        );
+        let add = srv.handle_line(
+            r#"{"op":"add_comm","id":"a","src":{"u":0,"v":0},"snk":{"u":69,"v":69},"weight":100}"#,
+        );
+        assert!(
+            add.starts_with(r#"{"ok":true,"op":"add_comm","id":"a","path_len":138"#),
+            "{add}"
+        );
+    }
+
+    #[test]
     fn errors_are_structured_not_fatal() {
         let mut srv = server();
         for (line, expect) in [

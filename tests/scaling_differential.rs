@@ -18,7 +18,8 @@
 //! 2. seeded 64×64 instances — length-targeted traffic like the scaling
 //!    lane's, plus a uniform draw — where a band-vs-scan asymmetry that
 //!    stays hidden at 8×8 (wide bands, long diagonals, thousands of
-//!    crossing rows) would surface;
+//!    crossing rows) would surface, and near-corner-to-corner pairs on
+//!    70×70, whose 69-row diagonals need two words per PR row set;
 //! 3. a whole-campaign run on [`EngineConfig::REFERENCE`], asserting the
 //!    rendered §6.4 summary report byte for byte.
 //!
@@ -67,6 +68,26 @@ fn all_engines_agree_on_64x64_uniform() {
     let mut rng = SmallRng::seed_from_u64(0xB16_CA7);
     let cs = UniformWorkload::new(32, 100.0, 1500.0).generate(&mesh, &mut rng);
     assert_all_engines_agree(&cs, "64x64 uniform n=32");
+}
+
+#[test]
+#[ignore = "large-mesh oracle, slow in debug builds: run by the CI determinism job via --include-ignored"]
+fn all_engines_agree_on_70x70_two_word_bands() {
+    // Near-corner-to-corner pairs: the widest diagonal of each band spans
+    // 69 rows, so banded PR stores every row set in two 64-bit words and
+    // removals land on both sides of the word boundary. The pairs cross,
+    // so their removals interact through the shared loads.
+    let mesh = Mesh::new(70, 70);
+    let cs = CommSet::new(
+        mesh,
+        vec![
+            Comm::new(Coord::new(0, 0), Coord::new(69, 68), 700.0),
+            Comm::new(Coord::new(0, 69), Coord::new(68, 0), 500.0),
+            Comm::new(Coord::new(69, 1), Coord::new(0, 69), 300.0),
+            Comm::new(Coord::new(68, 68), Coord::new(0, 0), 200.0),
+        ],
+    );
+    assert_all_engines_agree(&cs, "70x70 near-corner n=4");
 }
 
 #[test]

@@ -98,7 +98,7 @@ const RUN_FLAGS: &[Flag] = &[
         Unset::Default("smoke"),
     ),
     ("--trials", Kind::Count, Unset::Optional),
-    ("--seed", Kind::Int, Unset::Default(SEED)),
+    ("--seed", Kind::Seed, Unset::Default(SEED)),
     ("--out", Kind::Text, Unset::Default(SUMMARY)),
 ];
 
@@ -114,7 +114,7 @@ const SCALING_FLAGS: &[Flag] = &[
         Kind::OneOf(&["smoke", "full", "serve"]),
         Unset::Default("smoke"),
     ),
-    ("--seed", Kind::Int, Unset::Default(SEED)),
+    ("--seed", Kind::Seed, Unset::Default(SEED)),
     ("--out", Kind::Text, Unset::Default(SUMMARY)),
     ("--check-only", Kind::Switch, Unset::Optional),
 ];
@@ -122,14 +122,14 @@ const SCALING_FLAGS: &[Flag] = &[
 const SHARD_FLAGS: &[Flag] = &[
     ("--shards", Kind::Count, Unset::Default("2")),
     ("--trials", Kind::Count, Unset::Default("10")),
-    ("--seed", Kind::Int, Unset::Default(SEED)),
+    ("--seed", Kind::Seed, Unset::Default(SEED)),
     ("--pamr", Kind::Text, Unset::Optional),
     ("--out", Kind::Text, Unset::Default("BENCH_shard.json")),
 ];
 
 /// The flags every paired lane takes besides its own.
 const LANE_FLAGS: &[Flag] = &[
-    ("--seed", Kind::Int, Unset::Default(SEED)),
+    ("--seed", Kind::Seed, Unset::Default(SEED)),
     ("--out", Kind::Text, Unset::Default(SUMMARY)),
 ];
 

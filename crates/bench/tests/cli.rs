@@ -62,6 +62,9 @@ fn bad_flags_exit_2_with_one_message() {
         "scaling --profile serve --check-only",
         "shard --trials 0",
         "run --trials x",
+        // Sizes above the shared u32::MAX bound.
+        "pr --instances 18446744073709551615",
+        "ig --comms 18446744073709551615 --instances 1",
         "bogus",
         "",
     ] {

@@ -11,21 +11,20 @@
 //!
 //! [`CrossingIndex`] is the flat CSR replacement, following the
 //! `first_out`/`head` layout of `rust_road_router`'s `FirstOutGraph` (the
-//! same idiom as [`MeshPrecompute`](crate::precompute::MeshPrecompute)'s
-//! adjacency and [`Band`](pamr_mesh::Band)'s group table): all rows live in
+//! same idiom as [`Band`](pamr_mesh::Band)'s group table): all rows live in
 //! one arena, a row is a slice, and a bulk [`rebuild`](CrossingIndex::rebuild)
 //! lays the rows out exactly-fit in two counting passes. Dynamic consumers
-//! (the session's incremental mutations, queued XYI's accepted flips) get
-//! sorted insert/remove with per-row amortised doubling: an overflowing row
-//! relocates to the end of the arena, so one insert costs `O(row)` worst
-//! case and `O(log row)` search — never a whole-index rebuild.
+//! (the session's incremental mutations, pending-link XYI's accepted flips)
+//! get sorted insert/remove with per-row amortised doubling: an overflowing
+//! row relocates to the end of the arena, so one insert costs `O(row)`
+//! worst case and `O(log row)` search — never a whole-index rebuild.
 //!
 //! **Bit-identity.** Row contents and row order are exactly what the
 //! Vec-of-Vec index held, so every consumer iterates candidates in the same
-//! order and computes the same floats. The Vec-of-Vec index survives in the
-//! reference engines (`pr::reference`, `xyi::reference`) as the oracle side;
-//! `tests/scaling_differential.rs` and `crates/routing/tests/csr_prop.rs`
-//! pin the equivalence.
+//! order and computes the same floats. The Vec-of-Vec index survives in
+//! `pr::reference` as the oracle side (`xyi::reference` keeps no index: it
+//! probes every communication); `tests/scaling_differential.rs` and
+//! `crates/routing/tests/csr_prop.rs` pin the equivalence.
 
 /// A flat CSR map from dense row ids (link slots) to sorted ascending
 /// `u32` entries (comm indices or session slots). See the [module
@@ -117,13 +116,6 @@ impl CrossingIndex {
     pub fn row(&self, row: usize) -> &[u32] {
         let lo = self.start[row] as usize;
         &self.data[lo..lo + self.len[row] as usize]
-    }
-
-    /// Mutable access to `row`'s entries (e.g. PR's per-row presort).
-    #[inline]
-    pub fn row_mut(&mut self, row: usize) -> &mut [u32] {
-        let lo = self.start[row] as usize;
-        &mut self.data[lo..lo + self.len[row] as usize]
     }
 
     /// Number of entries in `row`.

@@ -50,7 +50,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// The optimized engines (banded PR, pending-link XYI, indexed IG), fed from
-    /// the interned precompute tables — the default everywhere.
+    /// the interned bands — the default everywhere.
     pub const LIVE: EngineConfig = EngineConfig { reference: false };
 
     /// The literal full-scan oracles the engines are differentially pinned

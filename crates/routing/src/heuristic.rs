@@ -131,7 +131,7 @@ impl HeuristicKind {
             HeuristicKind::Sg => SimpleGreedy::default().route_with(cs, model, scratch),
             HeuristicKind::Ig => ImprovedGreedy::default().route_with(cs, model, scratch),
             HeuristicKind::Tb => TwoBend::default().route_with(cs, model, scratch),
-            HeuristicKind::Xyi => XyImprover::default().route_with(cs, model, scratch),
+            HeuristicKind::Xyi => XyImprover.route_with(cs, model, scratch),
             HeuristicKind::Pr => PathRemover.route_with(cs, model, scratch),
         }
     }

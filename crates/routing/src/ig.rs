@@ -30,10 +30,10 @@
 
 use crate::comm::{Comm, CommSet, SortOrder};
 use crate::heuristic::{link_cost, Heuristic};
-use crate::precompute::{CostLadder, EndpointTables};
+use crate::precompute::CostLadder;
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
-use pamr_mesh::{Band, LoadMap, Mesh, Path, Rect, Step};
+use pamr_mesh::{Band, LinkId, LoadMap, Mesh, Path, Rect, Step};
 use pamr_power::PowerModel;
 
 mod reference;
@@ -71,36 +71,23 @@ pub(super) fn apply_ideal(loads: &mut LoadMap, band: &Band, weight: f64, sign: f
     }
 }
 
-/// The reused min-index buffers (`ig_keys`, `ig_off`, `ig_info` of
-/// [`RouteScratch`]), borrowed together.
+/// The reused min-index buffers of [`RouteScratch`], borrowed together:
+/// `ig_keys` (each band group's `(load bits, link id)` keys), `ig_off`
+/// (group offsets into them) and `ig_info` (each key's cost and link
+/// endpoints).
 type MinIndexBufs<'a> = (
     &'a mut Vec<(u64, u32)>,
     &'a mut Vec<usize>,
     &'a mut Vec<(f64, pamr_mesh::Coord, pamr_mesh::Coord)>,
 );
 
-/// [`apply_ideal`] over the pair's tables: the same shares (`weight /
-/// group.len() as f64`, the divisor converted once at table-build time),
-/// added over the flat id-sorted link array instead of the nested band
-/// groups. Each link receives exactly one add per call, so the in-group
-/// ordering cannot change any sum — the load map is bit-identical.
-fn apply_ideal_flat(loads: &mut LoadMap, et: &EndpointTables, weight: f64, sign: f64) {
-    for t in 0..et.band().len() {
-        let share = sign * weight / et.ig_div(t);
-        for &(l, _, _) in et.ig_group(t) {
-            loads.add(l, share);
-        }
-    }
-}
-
 /// Builds the per-group min-load index of one communication's band into the
 /// reused `keys`/`off`/`info` buffers: `keys[off[t]..off[t + 1]]` holds
-/// group `t`'s links as `(load bits, flat position)` pairs sorted
+/// [`Band::group`]`(t)`'s links as `(load bits, link id)` pairs sorted
 /// ascending, and `info` carries, in the same order, each entry's
 /// surrogate cost at `load + weight` plus its link endpoints. Loads are
-/// non-negative and the table lists each group's links id-ascending, so
-/// the key order is the load order with ties towards the smaller link id —
-/// the exact mirror of the max-load queue's key.
+/// non-negative, so the key order is the load order with ties towards the
+/// smaller link id — the exact mirror of the max-load queue's key.
 ///
 /// Precomputing the costs here is what moves the expensive power-model
 /// evaluation out of the hop loop: the load map is frozen while the
@@ -108,10 +95,11 @@ fn apply_ideal_flat(loads: &mut LoadMap, et: &EndpointTables, weight: f64, sign:
 /// hop — `O(band links)` model calls per communication instead of
 /// `O(path length × band links)`.
 fn build_min_index(
+    mesh: &Mesh,
     loads: &LoadMap,
     model: &PowerModel,
     ladder: Option<&CostLadder>,
-    et: &EndpointTables,
+    band: &Band,
     weight: f64,
     (keys, off, info): MinIndexBufs<'_>,
 ) {
@@ -119,21 +107,14 @@ fn build_min_index(
     off.clear();
     info.clear();
     off.push(0);
-    for t in 0..et.band().len() {
-        let base = et.ig_group_start(t);
+    for g in band.groups() {
         let start = keys.len();
-        keys.extend(
-            et.ig_group(t)
-                .iter()
-                .enumerate()
-                .map(|(j, &(l, _, _))| (loads.get(l).to_bits(), base + j as u32)),
-        );
+        keys.extend(g.iter().map(|&l| (loads.get(l).to_bits(), l.0 as u32)));
         keys[start..].sort_unstable();
         off.push(keys.len());
     }
-    let flat = et.ig_flat();
-    info.extend(keys.iter().map(|&(bits, pos)| {
-        let (_, a, b) = flat[pos as usize];
+    info.extend(keys.iter().map(|&(bits, id)| {
+        let (a, b) = mesh.link_endpoints(LinkId(id as usize));
         (
             link_cost(model, ladder, f64::from_bits(bits) + weight),
             a,
@@ -226,7 +207,7 @@ impl ImprovedGreedy {
         scratch: &mut RouteScratch,
     ) -> Routing {
         scratch.ensure_ladder(model);
-        // One interned table per communication, used both for the virtual
+        // One interned band per communication, used both for the virtual
         // pre-routing (Figure 3 ideal sharing) and for the per-hop tail
         // bound below.
         let cust = scratch.ensure_customized(cs);
@@ -241,8 +222,8 @@ impl ImprovedGreedy {
         } = scratch;
         let ladder = ladder.as_ref();
         loads.fit(mesh);
-        for (c, t) in cs.comms().iter().zip(cust.tables()) {
-            apply_ideal_flat(loads, t, c.weight, 1.0);
+        for (c, band) in cs.comms().iter().zip(cust.bands()) {
+            apply_ideal(loads, band, c.weight, 1.0);
         }
         // The decreasing-weight order is cached by the customize phase
         // (bit-identical: it is CommSet::by_order's own result).
@@ -260,15 +241,16 @@ impl ImprovedGreedy {
             // Remove this communication's own pre-routing before choosing
             // its real path; the load map is then frozen until the path
             // commits, which is what keeps the min-load index valid.
-            apply_ideal_flat(loads, cust.table(i), c.weight, -1.0);
+            apply_ideal(loads, cust.band(i), c.weight, -1.0);
             // Straight and local communications never branch, so their hop
             // loop consults no tail bound: skip the index build outright.
             if c.src.u != c.snk.u && c.src.v != c.snk.v {
                 build_min_index(
+                    mesh,
                     loads,
                     model,
                     ladder,
-                    cust.table(i),
+                    cust.band(i),
                     c.weight,
                     (&mut *ig_keys, &mut *ig_off, &mut *ig_info),
                 );

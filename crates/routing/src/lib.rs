@@ -83,7 +83,7 @@ pub use ig::ImprovedGreedy;
 pub use loadq::MaxTree;
 pub use multipath::{FwMp, SplitMp};
 pub use pr::{PathRemover, PrError};
-pub use precompute::{CostLadder, CustomizedInstance, EndpointTables, MeshPrecompute};
+pub use precompute::{CostLadder, CustomizedInstance, MeshPrecompute};
 pub use routing::Routing;
 pub use rules::{xy_routing, yx_routing};
 pub use scratch::RouteScratch;

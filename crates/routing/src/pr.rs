@@ -45,7 +45,6 @@
 use crate::comm::CommSet;
 use crate::heuristic::Heuristic;
 use crate::loadq::MaxTree;
-use crate::precompute::EndpointTables;
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
 use pamr_mesh::{Band, LinkId, LoadMap, Mesh, Path, Step};
@@ -189,16 +188,11 @@ fn has_row(set: &[u64], r: usize) -> bool {
 
 /// Per-communication removal state of the banded engine.
 ///
-/// `band` and `base_rows` are metric-independent and therefore shared:
-/// they are `Arc` clones of the interned [`EndpointTables`]. (They stay
-/// plain struct fields, not accessor calls, so `remove_and_reshare`'s
-/// disjoint field borrows keep compiling.)
+/// `band` is metric-independent and therefore shared: an `Arc` clone of
+/// the pair's interned [`Band`]. Bit `r` of diagonal `t`'s row set stands
+/// for row `band.diag_rows(t).0 + r`.
 struct BandedComm {
     band: Arc<Band>,
-    /// The pristine per-diagonal row ranges ([`Band::diag_rows`] for
-    /// `t ∈ 0..=len`): bit `r` of diagonal `t`'s row set stands for row
-    /// `base_rows[t].0 + r`.
-    base_rows: Arc<Vec<(usize, usize)>>,
     weight: f64,
     /// Aliveness aligned with `band.groups()`.
     alive: Vec<Vec<bool>>,
@@ -219,27 +213,25 @@ struct BandedComm {
 }
 
 impl BandedComm {
-    /// Builds the removal state from the pair's interned band and row
-    /// ranges.
-    fn new(weight: f64, tables: &EndpointTables) -> Self {
-        let band = Arc::clone(tables.band_arc());
-        let base_rows = Arc::clone(tables.diag_rows_arc());
+    /// Builds the removal state from the pair's interned band.
+    fn new(weight: f64, band: &Arc<Band>) -> Self {
+        let band = Arc::clone(band);
         let alive: Vec<Vec<bool>> = band.groups().map(|g| vec![true; g.len()]).collect();
         let share: Vec<f64> = band.groups().map(|g| weight / g.len() as f64).collect();
         let counts: Vec<usize> = band.groups().map(|g| g.len()).collect();
         let multi = counts.iter().filter(|&&c| c > 1).count();
-        let widest = base_rows.iter().map(|&(lo, hi)| hi - lo + 1).max();
+        let rows = || (0..=band.len()).map(|t| band.diag_rows(t));
+        let widest = rows().map(|(lo, hi)| hi - lo + 1).max();
         let words = widest.unwrap_or(1).div_ceil(64);
         // Every row of every diagonal starts useful.
-        let mut reach = vec![0u64; base_rows.len() * words];
-        for (set, &(lo, hi)) in reach.chunks_exact_mut(words).zip(base_rows.iter()) {
+        let mut reach = vec![0u64; (band.len() + 1) * words];
+        for (set, (lo, hi)) in reach.chunks_exact_mut(words).zip(rows()) {
             for r in 0..=hi - lo {
                 set[r / 64] |= 1 << (r % 64);
             }
         }
         BandedComm {
             band,
-            base_rows,
             weight,
             alive,
             share,
@@ -294,7 +286,7 @@ impl BandedComm {
             (&tail[..self.words], &mut head[self.span(g..g + 1)], g)
         };
         next.fill(0);
-        let (base_from, base_to) = (self.base_rows[g].0, self.base_rows[g + 1].0);
+        let (base_from, base_to) = (self.band.diag_rows(g).0, self.band.diag_rows(g + 1).0);
         for (j, &l) in self.band.group(g).iter().enumerate() {
             if self.alive[g][j] {
                 let (from, to) = mesh.link_endpoints(l);
@@ -402,7 +394,7 @@ impl BandedComm {
         bwd_t1: &[u64],
     ) -> Result<(), PrError> {
         let g = self.band.group(t);
-        let (base_from, base_to) = (self.base_rows[t].0, self.base_rows[t + 1].0);
+        let (base_from, base_to) = (self.band.diag_rows(t).0, self.band.diag_rows(t + 1).0);
         let old_share = self.share[t];
         let was_multi = self.counts[t] > 1;
         let (mut count, mut last) = (0usize, 0usize);
@@ -518,8 +510,8 @@ impl PathRemover {
     ) -> Result<Routing, PrError> {
         let mesh = cs.mesh();
         let cust = scratch.ensure_customized(cs);
-        let mut comms: Vec<BandedComm> = (cs.comms().iter().zip(cust.tables()))
-            .map(|(c, t)| BandedComm::new(c.weight, t))
+        let mut comms: Vec<BandedComm> = (cs.comms().iter().zip(cust.bands()))
+            .map(|(c, band)| BandedComm::new(c.weight, band))
             .collect();
         scratch.loads.fit(mesh);
         for c in &comms {
@@ -831,7 +823,7 @@ mod tests {
 
     /// The mesh rows of diagonal `t`'s stored useful set.
     fn stored_rows(c: &BandedComm, t: usize) -> Vec<usize> {
-        let (lo, hi) = c.base_rows[t];
+        let (lo, hi) = c.band.diag_rows(t);
         let set = &c.reach[c.span(t..t + 1)];
         (lo..=hi).filter(|&u| has_row(set, u - lo)).collect()
     }
@@ -850,9 +842,9 @@ mod tests {
         let mesh = Mesh::new(4, 4);
         let (src, snk) = (Coord::new(0, 0), Coord::new(3, 3));
         let (src2, snk2) = (Coord::new(0, 1), Coord::new(2, 3));
-        let mut banded = BandedComm::new(2.0, &EndpointTables::build(&mesh, src, snk));
+        let mut banded = BandedComm::new(2.0, &Arc::new(Band::new(&mesh, src, snk)));
         let mut reference = reference::RefComm::new(&mesh, src, snk, 2.0);
-        let other = BandedComm::new(1.0, &EndpointTables::build(&mesh, src2, snk2));
+        let other = BandedComm::new(1.0, &Arc::new(Band::new(&mesh, src2, snk2)));
         let other_ref = reference::RefComm::new(&mesh, src2, snk2, 1.0);
         let mut loads_b = pamr_mesh::LoadMap::new(&mesh);
         let mut loads_r = pamr_mesh::LoadMap::new(&mesh);

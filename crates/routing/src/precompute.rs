@@ -1,31 +1,30 @@
 //! The two-phase **precompute / customize** split (beyond the paper).
 //!
-//! Every §6 campaign trial used to rebuild structures that depend only on
-//! the mesh topology and the `(src, snk)` endpoint pair: [`Band`] geometry
-//! (IG's ideal-sharing pass, PR's staircase), the per-diagonal row ranges
-//! PR's banded reachability row sets are laid over, and the XY seed paths
-//! XYI improves. None of that depends on the communication *weights*, so —
-//! following the metric-independent / metric-customization split of
+//! Every §6 campaign trial used to rebuild the §3.3 [`Band`] of each
+//! communication: its diagonal link groups (IG's ideal-sharing pass and
+//! tail bound, PR's staircase) and its per-diagonal row ranges (the bit
+//! offsets of PR's reachability row sets). A band depends only on the mesh
+//! and the `(src, snk)` endpoint pair, not on the communication *weights*,
+//! so — following the metric-independent / metric-customization split of
 //! customizable contraction hierarchies — the engines now consume it from
 //! two phases:
 //!
 //! 1. **Precompute** ([`MeshPrecompute`]): per-mesh state built once and
-//!    shared — a flat CSR-style out-link adjacency, plus an interner of
-//!    per-`(src, snk)` [`EndpointTables`] (band, diagonal row ranges, XY
-//!    seed path) behind `Arc`s, so every trial, heuristic and
+//!    shared — an interner mapping each `(src, snk)` pair to one
+//!    `Arc<Band>`, so every trial, heuristic and
 //!    [`crate::session::RoutingSession`] touching the same endpoint pair
 //!    shares one allocation.
 //! 2. **Customize** ([`MeshPrecompute::customize`]): a cheap
 //!    weight-dependent pass per [`CommSet`] that resolves each
-//!    communication's tables and the decreasing-weight processing order
+//!    communication's band and the decreasing-weight processing order
 //!    into a [`CustomizedInstance`].
 //!
 //! The engines reach both through their [`crate::RouteScratch`], so the
 //! `Heuristic::route_with` signature is unchanged; a scratch with no
 //! attached precompute lazily builds one for the mesh it sees.
 //!
-//! **Bit-identity.** Cached tables are pure functions of `(mesh, src,
-//! snk)`, and the engines have no other input path. The reference oracles
+//! **Bit-identity.** An interned band is [`Band::new`] of its pair, and the
+//! engines have no other input path. The reference oracles
 //! (`EngineConfig::REFERENCE`) rebuild every band and evaluate the power
 //! fit on every query, so the PR, XYI and scaling differential suites
 //! meet every cached value with a literal rebuild: identical routings,
@@ -41,12 +40,13 @@
 //! let mesh = Mesh::new(4, 4);
 //! let pre = MeshPrecompute::new(mesh);
 //!
-//! // Interned endpoint tables: same (src, snk) ⇒ same allocation.
-//! let a = pre.endpoint_tables(Coord::new(0, 0), Coord::new(2, 3));
-//! let b = pre.endpoint_tables(Coord::new(0, 0), Coord::new(2, 3));
+//! // Interned bands: same (src, snk) ⇒ same allocation.
+//! let a = pre.band(Coord::new(0, 0), Coord::new(2, 3));
+//! let b = pre.band(Coord::new(0, 0), Coord::new(2, 3));
 //! assert!(Arc::ptr_eq(&a, &b));
+//! assert_eq!(a.len(), 5);
 //!
-//! // The cheap weight-dependent phase: per-comm tables + processing order.
+//! // The cheap weight-dependent phase: per-comm bands + processing order.
 //! let cs = CommSet::new(
 //!     mesh,
 //!     vec![
@@ -55,208 +55,40 @@
 //!     ],
 //! );
 //! let cust = pre.customize(&cs);
-//! assert!(Arc::ptr_eq(cust.table(0), &a));
+//! assert!(Arc::ptr_eq(cust.band(0), &a));
 //! assert_eq!(cust.by_weight(), [1, 0]); // heaviest first
 //! ```
 
 use crate::comm::{Comm, CommSet, SortOrder};
 use crate::heuristic::SURROGATE_PENALTY;
-use pamr_mesh::{Band, Coord, LinkId, Mesh, Path, Step};
+use pamr_mesh::{Band, Coord, Mesh};
 use pamr_power::model::CAPACITY_EPS;
 use pamr_power::{FrequencyScale, PowerModel};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// The metric-independent tables of one `(src, snk)` endpoint pair:
-/// everything the engines need that does not depend on communication
-/// weights.
-///
-/// Interned by [`MeshPrecompute::endpoint_tables`] behind an `Arc`, so
-/// the thousands of trials of a campaign sweep point (and the requests of
-/// a `pamr serve` session) share one allocation per distinct pair.
-#[derive(Debug, Clone)]
-pub struct EndpointTables {
-    src: Coord,
-    snk: Coord,
-    /// The staircase band (§3.3): per-diagonal useful-link groups.
-    band: Arc<Band>,
-    /// Per-diagonal inclusive row ranges, indexed by the band-relative
-    /// diagonal `t ∈ 0..=band.len()` — the bit offsets of PR's banded
-    /// reachability row sets ([`Band::diag_rows`] values).
-    diag_rows: Arc<Vec<(usize, usize)>>,
-    /// The XY (row-first) seed path XYI starts from.
-    xy: Path,
-    /// Flat IG support: every band link as `(link, endpoint, endpoint)`,
-    /// group-major with links **id-ascending within each group**, so the
-    /// flat position is a drop-in tie-breaker for the `(load bits, link
-    /// id)` sort key and the endpoints need no per-trial mesh lookups.
-    ig_flat: Vec<(LinkId, Coord, Coord)>,
-    /// Group offsets into `ig_flat` (`band.len() + 1` entries).
-    ig_off: Vec<u32>,
-    /// Per-group `group.len() as f64` — the Figure 3 ideal-share divisor,
-    /// converted once.
-    ig_div: Vec<f64>,
-}
-
-impl EndpointTables {
-    /// Computes the tables from scratch — exactly the values the reference
-    /// oracles rebuild per call, which is what makes caching them
-    /// bit-transparent.
-    pub fn build(mesh: &Mesh, src: Coord, snk: Coord) -> EndpointTables {
-        let band = Band::new(mesh, src, snk);
-        let diag_rows = (0..=band.len()).map(|t| band.diag_rows(t)).collect();
-        let mut ig_flat = Vec::new();
-        let mut ig_off = Vec::with_capacity(band.len() + 1);
-        let mut ig_div = Vec::with_capacity(band.len());
-        ig_off.push(0u32);
-        for g in band.groups() {
-            let mut ids = g.to_vec();
-            ids.sort_unstable();
-            ig_flat.extend(ids.into_iter().map(|l| {
-                let (a, b) = mesh.link_endpoints(l);
-                (l, a, b)
-            }));
-            ig_off.push(ig_flat.len() as u32);
-            ig_div.push(g.len() as f64);
-        }
-        EndpointTables {
-            src,
-            snk,
-            band: Arc::new(band),
-            diag_rows: Arc::new(diag_rows),
-            xy: Path::xy(src, snk),
-            ig_flat,
-            ig_off,
-            ig_div,
-        }
-    }
-
-    /// The source core.
-    pub fn src(&self) -> Coord {
-        self.src
-    }
-
-    /// The sink core.
-    pub fn snk(&self) -> Coord {
-        self.snk
-    }
-
-    /// The staircase band of the pair.
-    pub fn band(&self) -> &Band {
-        &self.band
-    }
-
-    /// The band behind its shared handle (cloned by PR's per-comm state).
-    pub fn band_arc(&self) -> &Arc<Band> {
-        &self.band
-    }
-
-    /// Per-diagonal inclusive `(low, high)` row ranges,
-    /// `diag_rows()[t]` = [`Band::diag_rows`]`(t)`.
-    pub fn diag_rows(&self) -> &[(usize, usize)] {
-        &self.diag_rows
-    }
-
-    /// The row ranges behind their shared handle.
-    pub fn diag_rows_arc(&self) -> &Arc<Vec<(usize, usize)>> {
-        &self.diag_rows
-    }
-
-    /// The XY (row-first) path of the pair — the seed every improvement
-    /// engine starts from.
-    pub fn xy(&self) -> &Path {
-        &self.xy
-    }
-
-    /// Group `t`'s links as flat `(link, endpoint, endpoint)` entries,
-    /// **id-ascending** (the [`Band::group`] slice re-sorted once at build
-    /// time; same set of links, different order).
-    pub fn ig_group(&self, t: usize) -> &[(LinkId, Coord, Coord)] {
-        &self.ig_flat[self.ig_off[t] as usize..self.ig_off[t + 1] as usize]
-    }
-
-    /// Flat offset of group `t`'s first [`ig_group`](Self::ig_group) entry.
-    pub fn ig_group_start(&self, t: usize) -> u32 {
-        self.ig_off[t]
-    }
-
-    /// The whole flat link array, group-major ([`ig_group`](Self::ig_group)
-    /// concatenated).
-    pub fn ig_flat(&self) -> &[(LinkId, Coord, Coord)] {
-        &self.ig_flat
-    }
-
-    /// Group `t`'s size as `f64` — exactly `band.group(t).len() as f64`,
-    /// the ideal-share divisor of Figure 3.
-    pub fn ig_div(&self, t: usize) -> f64 {
-        self.ig_div[t]
-    }
-}
-
-/// Phase-one state of one mesh: flat CSR link adjacency plus the
-/// endpoint-tables interner. Built once per mesh (per sweep point, per
-/// server) and shared via `Arc` clones; all methods take `&self`, so one
-/// instance serves every campaign worker thread concurrently.
+/// Phase-one state of one mesh: the band interner. Built once per mesh
+/// (per sweep point, per server) and shared via `Arc` clones; all methods
+/// take `&self`, so one instance serves every campaign worker thread
+/// concurrently.
 #[derive(Debug)]
 pub struct MeshPrecompute {
     mesh: Mesh,
-    /// CSR offsets: core `i`'s outgoing links are
-    /// `out_links[first_out[i] .. first_out[i + 1]]`.
-    first_out: Vec<u32>,
-    /// Flat outgoing-link array, cores in [`Mesh::core_index`] order,
-    /// links in [`Step::ALL`] order.
-    out_links: Vec<LinkId>,
-    /// Aligned with `out_links`: the head core (destination index) of each
-    /// outgoing link — the `first_out`/`head` pair of a classic CSR graph,
-    /// so neighbourhood walks read the next core straight from the arrays
-    /// instead of re-deriving it from coordinates per step.
-    heads: Vec<u32>,
-    /// The `(src, snk) → tables` interner. Ordered map: never iterated on
+    /// The `(src, snk) → band` interner. Ordered map: never iterated on
     /// a report path today, but the interner is shared across sessions and
     /// an ordered debug dump costs nothing here (lookups dominate).
-    tables: RwLock<BTreeMap<(Coord, Coord), Arc<EndpointTables>>>,
+    bands: RwLock<BTreeMap<(Coord, Coord), Arc<Band>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl MeshPrecompute {
-    /// Builds the per-mesh state (adjacency only — endpoint tables are
-    /// interned lazily on first use).
-    ///
-    /// ```
-    /// use pamr_mesh::Mesh;
-    /// use pamr_routing::MeshPrecompute;
-    ///
-    /// let mesh = Mesh::new(3, 3);
-    /// let pre = MeshPrecompute::new(mesh);
-    /// // A corner core has 2 outgoing links, an interior core 4.
-    /// assert_eq!(pre.out_links(pamr_mesh::Coord::new(0, 0)).len(), 2);
-    /// assert_eq!(pre.out_links(pamr_mesh::Coord::new(1, 1)).len(), 4);
-    /// // The flat arrays cover every directed link exactly once.
-    /// let total: usize = mesh.cores().map(|c| pre.out_links(c).len()).sum();
-    /// assert_eq!(total, mesh.num_links());
-    /// ```
+    /// An empty interner for `mesh`: bands are built lazily on first use.
     pub fn new(mesh: Mesh) -> MeshPrecompute {
-        let mut first_out = Vec::with_capacity(mesh.num_cores() + 1);
-        let mut out_links = Vec::with_capacity(mesh.num_links());
-        let mut heads = Vec::with_capacity(mesh.num_links());
-        first_out.push(0u32);
-        for c in mesh.cores() {
-            for s in Step::ALL {
-                if let Some(l) = mesh.link_id(c, s) {
-                    out_links.push(l);
-                    heads.push(mesh.core_index(mesh.link_endpoints(l).1) as u32);
-                }
-            }
-            first_out.push(out_links.len() as u32);
-        }
         MeshPrecompute {
             mesh,
-            first_out,
-            out_links,
-            heads,
-            tables: RwLock::new(BTreeMap::new()),
+            bands: RwLock::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -267,60 +99,30 @@ impl MeshPrecompute {
         &self.mesh
     }
 
-    /// The outgoing links of `core`, in [`Step::ALL`] order (CSR slice —
-    /// no per-call allocation, the groundwork for large-mesh adjacency
-    /// scans).
-    pub fn out_links(&self, core: Coord) -> &[LinkId] {
-        let i = self.mesh.core_index(core);
-        let (lo, hi) = (self.first_out[i] as usize, self.first_out[i + 1] as usize);
-        &self.out_links[lo..hi]
-    }
-
-    /// The head cores (as [`Mesh::core_index`] indices) of `core`'s
-    /// outgoing links, aligned entry-for-entry with
-    /// [`out_links`](Self::out_links) — `(link, head)` pairs come from
-    /// zipping the two slices.
-    ///
-    /// ```
-    /// use pamr_mesh::{Coord, Mesh};
-    /// use pamr_routing::MeshPrecompute;
-    ///
-    /// let mesh = Mesh::new(3, 3);
-    /// let pre = MeshPrecompute::new(mesh);
-    /// for (l, &h) in pre.out_links(Coord::new(1, 1)).iter().zip(pre.out_heads(Coord::new(1, 1))) {
-    ///     assert_eq!(mesh.core_index(mesh.link_endpoints(*l).1), h as usize);
-    /// }
-    /// ```
-    pub fn out_heads(&self, core: Coord) -> &[u32] {
-        let i = self.mesh.core_index(core);
-        let (lo, hi) = (self.first_out[i] as usize, self.first_out[i + 1] as usize);
-        &self.heads[lo..hi]
-    }
-
-    /// The interned tables of one endpoint pair: returns the shared
+    /// The interned band of one endpoint pair: returns the shared
     /// allocation, building it on first request.
     ///
     /// Concurrent callers of a fresh pair may race to build it; the first
     /// insert wins and the content is deterministic either way.
-    pub fn endpoint_tables(&self, src: Coord, snk: Coord) -> Arc<EndpointTables> {
+    pub fn band(&self, src: Coord, snk: Coord) -> Arc<Band> {
         // A poisoned interner lock is recoverable: the map only ever holds
-        // fully-built immutable tables (the insert below is the sole write,
+        // fully-built immutable bands (the insert below is the sole write,
         // and it cannot leave a partial entry), so a panic elsewhere does
         // not invalidate the cache.
-        let tables = self.tables.read().unwrap_or_else(PoisonError::into_inner);
-        if let Some(t) = tables.get(&(src, snk)) {
+        let bands = self.bands.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(b) = bands.get(&(src, snk)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(t);
+            return Arc::clone(b);
         }
-        drop(tables);
+        drop(bands);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(EndpointTables::build(&self.mesh, src, snk));
-        let mut map = self.tables.write().unwrap_or_else(PoisonError::into_inner);
+        let built = Arc::new(Band::new(&self.mesh, src, snk));
+        let mut map = self.bands.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry((src, snk)).or_insert(built))
     }
 
     /// Phase two: resolves a weighted instance against the interner —
-    /// per-communication tables plus the decreasing-weight processing
+    /// per-communication bands plus the decreasing-weight processing
     /// order. Cheap relative to routing: one interner lookup per
     /// communication and one sort.
     pub fn customize(&self, cs: &CommSet) -> CustomizedInstance {
@@ -332,31 +134,30 @@ impl MeshPrecompute {
         // One read-lock pass resolves every already-interned pair (the
         // steady state of a campaign), with the hit counter batched;
         // only absent pairs fall back to the per-pair build path.
-        let mut tables: Vec<Option<Arc<EndpointTables>>> = Vec::with_capacity(cs.len());
+        let mut bands: Vec<Option<Arc<Band>>> = Vec::with_capacity(cs.len());
         {
-            let map = self.tables.read().unwrap_or_else(PoisonError::into_inner);
-            tables.extend(cs.comms().iter().map(|c| map.get(&(c.src, c.snk)).cloned()));
+            let map = self.bands.read().unwrap_or_else(PoisonError::into_inner);
+            bands.extend(cs.comms().iter().map(|c| map.get(&(c.src, c.snk)).cloned()));
         }
-        let hits = tables.iter().filter(|t| t.is_some()).count() as u64;
+        let hits = bands.iter().filter(|b| b.is_some()).count() as u64;
         if hits > 0 {
             self.hits.fetch_add(hits, Ordering::Relaxed);
         }
-        let tables = tables
+        let bands = bands
             .into_iter()
             .zip(cs.comms())
-            .map(|(t, c)| t.unwrap_or_else(|| self.endpoint_tables(c.src, c.snk)))
+            .map(|(b, c)| b.unwrap_or_else(|| self.band(c.src, c.snk)))
             .collect();
         CustomizedInstance {
             mesh: self.mesh,
             comms: cs.comms().to_vec(),
-            tables,
+            bands,
             by_weight: cs.by_order(SortOrder::DecreasingWeight),
         }
     }
 
-    /// Interner statistics: `(hits, misses)` of
-    /// [`endpoint_tables`](Self::endpoint_tables) so far. Misses bound
-    /// the number of distinct pairs seen.
+    /// Interner statistics: `(hits, misses)` of [`band`](Self::band) so
+    /// far. Misses bound the number of distinct pairs seen.
     pub fn cache_stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -458,14 +259,14 @@ impl CostLadder {
 }
 
 /// The output of the weight-dependent customize phase: one routed
-/// instance's endpoint tables and processing order, ready for the
-/// engines. Validated against the `CommSet` it was built from (see
-/// [`matches`](Self::matches)), so a stale instance is never consumed.
+/// instance's bands and processing order, ready for the engines. Validated
+/// against the `CommSet` it was built from (see [`matches`](Self::matches)),
+/// so a stale instance is never consumed.
 #[derive(Debug, Clone)]
 pub struct CustomizedInstance {
     mesh: Mesh,
     comms: Vec<Comm>,
-    tables: Vec<Arc<EndpointTables>>,
+    bands: Vec<Arc<Band>>,
     by_weight: Vec<usize>,
 }
 
@@ -486,14 +287,14 @@ impl CustomizedInstance {
         self.comms.is_empty()
     }
 
-    /// Tables of communication `i` (same indexing as the `CommSet`).
-    pub fn table(&self, i: usize) -> &Arc<EndpointTables> {
-        &self.tables[i]
+    /// The band of communication `i` (same indexing as the `CommSet`).
+    pub fn band(&self, i: usize) -> &Arc<Band> {
+        &self.bands[i]
     }
 
-    /// All per-communication tables, in `CommSet` order.
-    pub fn tables(&self) -> &[Arc<EndpointTables>] {
-        &self.tables
+    /// All per-communication bands, in `CommSet` order.
+    pub fn bands(&self) -> &[Arc<Band>] {
+        &self.bands
     }
 
     /// Communication indices in decreasing-weight order (ties by index) —
@@ -524,38 +325,14 @@ mod tests {
     }
 
     #[test]
-    fn csr_adjacency_matches_the_mesh() {
-        let m = mesh();
-        let pre = MeshPrecompute::new(m);
-        let mut seen = Vec::new();
-        for c in m.cores() {
-            let out = pre.out_links(c);
-            // Same links, same order, as querying the mesh directly.
-            let direct: Vec<LinkId> = Step::ALL
-                .into_iter()
-                .filter_map(|s| m.link_id(c, s))
-                .collect();
-            assert_eq!(out, direct.as_slice(), "core {c}");
-            for &l in out {
-                let (from, _) = m.link_endpoints(l);
-                assert_eq!(from, c);
-            }
-            seen.extend_from_slice(out);
-        }
-        seen.sort();
-        seen.dedup();
-        assert_eq!(seen.len(), m.num_links());
-    }
-
-    #[test]
-    fn endpoint_tables_are_interned() {
+    fn bands_are_interned() {
         let pre = MeshPrecompute::new(mesh());
         let (src, snk) = (Coord::new(0, 1), Coord::new(3, 4));
-        let a = pre.endpoint_tables(src, snk);
-        let b = pre.endpoint_tables(src, snk);
+        let a = pre.band(src, snk);
+        let b = pre.band(src, snk);
         assert!(Arc::ptr_eq(&a, &b), "same pair must share one allocation");
         // The reverse pair is a different band.
-        let c = pre.endpoint_tables(snk, src);
+        let c = pre.band(snk, src);
         assert!(!Arc::ptr_eq(&a, &c));
         let (hits, misses) = pre.cache_stats();
         assert_eq!((hits, misses), (1, 2));
@@ -571,18 +348,22 @@ mod tests {
             (Coord::new(1, 4), Coord::new(1, 0)), // straight, leftwards
             (Coord::new(4, 0), Coord::new(0, 5)), // up-right quadrant
         ] {
-            let cached = pre.endpoint_tables(src, snk);
-            let fresh = EndpointTables::build(&m, src, snk);
-            let band = Band::new(&m, src, snk);
-            assert_eq!(cached.band().len(), band.len());
-            for t in 0..band.len() {
-                assert_eq!(cached.band().group(t), band.group(t), "({src},{snk}) t={t}");
+            let cached = pre.band(src, snk);
+            let fresh = Band::new(&m, src, snk);
+            assert_eq!((cached.src(), cached.snk()), (src, snk));
+            assert_eq!(cached.quadrant(), fresh.quadrant());
+            assert_eq!(cached.k_src(), fresh.k_src());
+            assert_eq!(cached.len(), fresh.len());
+            for t in 0..fresh.len() {
+                assert_eq!(cached.group(t), fresh.group(t), "({src},{snk}) t={t}");
             }
-            for t in 0..=band.len() {
-                assert_eq!(cached.diag_rows()[t], band.diag_rows(t));
-                assert_eq!(fresh.diag_rows()[t], cached.diag_rows()[t]);
+            for t in 0..=fresh.len() {
+                assert_eq!(
+                    cached.diag_rows(t),
+                    fresh.diag_rows(t),
+                    "({src},{snk}) t={t}"
+                );
             }
-            assert_eq!(cached.xy(), &Path::xy(src, snk));
         }
     }
 
@@ -603,8 +384,8 @@ mod tests {
         assert_eq!(cust.len(), 3);
         // Identical endpoints intern to the same allocation even within
         // one instance.
-        assert!(Arc::ptr_eq(cust.table(0), cust.table(1)));
-        assert!(!Arc::ptr_eq(cust.table(0), cust.table(2)));
+        assert!(Arc::ptr_eq(cust.band(0), cust.band(1)));
+        assert!(!Arc::ptr_eq(cust.band(0), cust.band(2)));
         // The cached order is CommSet::by_order's result, verbatim.
         assert_eq!(cust.by_weight(), cs.by_order(SortOrder::DecreasingWeight));
         assert_eq!(

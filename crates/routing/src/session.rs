@@ -243,7 +243,7 @@ pub struct RoutingSession {
     mesh: Mesh,
     model: PowerModel,
     config: SessionConfig,
-    /// Shared per-mesh precompute: band geometry and per-endpoint tables,
+    /// Shared per-mesh precompute: the interned per-endpoint bands,
     /// reused across requests (and across sessions when constructed via
     /// [`RoutingSession::with_precompute`]).
     pre: Arc<MeshPrecompute>,
@@ -288,8 +288,8 @@ impl RoutingSession {
     }
 
     /// An empty session on `pre`'s mesh under `model`, reusing the shared
-    /// precompute: endpoint tables built for one request (or one batch
-    /// trial) are hits for every later request on the same `(src, snk)`.
+    /// precompute: a band built for one request (or one batch trial) is a
+    /// hit for every later request on the same `(src, snk)`.
     pub fn with_precompute(
         pre: Arc<MeshPrecompute>,
         model: PowerModel,
@@ -334,10 +334,9 @@ impl RoutingSession {
         &self.pre
     }
 
-    /// The band of `comm`, from the shared precompute's interned endpoint
-    /// tables.
+    /// The band of `comm`, interned by the shared precompute.
     fn comm_band(&self, comm: &Comm) -> Arc<Band> {
-        Arc::clone(self.pre.endpoint_tables(comm.src, comm.snk).band_arc())
+        self.pre.band(comm.src, comm.snk)
     }
 
     /// The mesh.
@@ -869,7 +868,7 @@ mod tests {
                 s.remove_comm(h);
             }
             let (cs, routing) = s.live_routing();
-            let batch = XyImprover::default().route(&cs, s.model());
+            let batch = XyImprover.route(&cs, s.model());
             assert_eq!(
                 routing, batch,
                 "full-repair session diverged from batch XYI"
@@ -942,7 +941,7 @@ mod tests {
         // XY stacks 6.0 > 4; XYI (bounded or batch) separates XY + YX.
         assert!(s.power().is_ok(), "the session must repair the overload");
         let (cs, routing) = s.live_routing();
-        let batch = XyImprover::default().route(&cs, s.model());
+        let batch = XyImprover.route(&cs, s.model());
         assert_eq!(
             routing
                 .power(&cs, s.model())

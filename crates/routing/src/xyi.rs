@@ -18,7 +18,7 @@
 //!   drops it. On acceptance, apply the flip, then re-key at its current
 //!   load every directed link of the flipped unit square and of that
 //!   square's four edge-neighbour squares (`flip_neighbourhood`);
-//! * **stop** when the tree is empty or `max_moves` flips were accepted.
+//! * **stop** when the tree is empty or `MAX_MOVES` flips were accepted.
 //!
 //! A per-link *crossing index* (`LinkId → sorted comm indices`, the same
 //! `xusers` scratch table banded PR uses) restricts each evaluation to the
@@ -62,6 +62,11 @@ use reference::ReferenceXyImprover;
 /// with the session's bounded repair pass ([`crate::session`]).
 pub(crate) const IMPROVE_EPS: f64 = 1e-9;
 
+/// Safety bound on accepted modifications, shared with the oracle (the
+/// surrogate strictly decreases at every step, so this is virtually never
+/// reached).
+const MAX_MOVES: usize = 1_000_000;
+
 /// **XYI — XY improver** (§5.4).
 ///
 /// Starts from the XY routing and iteratively relieves the most loaded
@@ -88,20 +93,8 @@ pub(crate) const IMPROVE_EPS: f64 = 1e-9;
 /// This is the pending-link implementation (see the module docs);
 /// its bit-identical full-scan oracle runs in its place on
 /// [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
-#[derive(Debug, Clone, Copy)]
-pub struct XyImprover {
-    /// Safety bound on accepted modifications (the surrogate strictly
-    /// decreases at every step, so this is virtually never reached).
-    pub max_moves: usize,
-}
-
-impl Default for XyImprover {
-    fn default() -> Self {
-        XyImprover {
-            max_moves: 1_000_000,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct XyImprover;
 
 /// The paper's single candidate modification of `path` to avoid `link`,
 /// without building the new path: the position of the move swap plus the
@@ -374,8 +367,7 @@ impl XyImprover {
     ) -> Routing {
         let mesh = cs.mesh();
         scratch.ensure_ladder(model);
-        let cust = scratch.ensure_customized(cs);
-        let mut paths: Vec<Path> = cust.tables().iter().map(|t| t.xy().clone()).collect();
+        let mut paths: Vec<Path> = cs.comms().iter().map(|c| Path::xy(c.src, c.snk)).collect();
         scratch.loads.fit(mesh);
         for (c, p) in cs.comms().iter().zip(&paths) {
             scratch.loads.add_path(mesh, p, c.weight);
@@ -400,7 +392,7 @@ impl XyImprover {
         // power fit is evaluated per query).
         let ladder = scratch.ladder.as_ref();
         let mut moves_done = 0;
-        while moves_done < self.max_moves {
+        while moves_done < MAX_MOVES {
             let Some((link, _)) = scratch.top.peek_max() else {
                 break; // no link admits an improving modification
             };
@@ -458,10 +450,7 @@ impl Heuristic for XyImprover {
 
     fn route_with(&self, cs: &CommSet, model: &PowerModel, scratch: &mut RouteScratch) -> Routing {
         if scratch.engine().is_reference() {
-            let oracle = ReferenceXyImprover {
-                max_moves: self.max_moves,
-            };
-            oracle.route_with(cs, model, scratch)
+            ReferenceXyImprover.route_with(cs, model, scratch)
         } else {
             self.route_pending_with(cs, model, scratch)
         }
@@ -580,7 +569,7 @@ mod tests {
             ],
         );
         let model = PowerModel::fig2();
-        let r = XyImprover::default().route(&cs, &model);
+        let r = XyImprover.route(&cs, &model);
         assert!(r.is_structurally_valid(&cs, 1));
         let p = r.power(&cs, &model).unwrap().total();
         let p_xy = xy_routing(&cs).power(&cs, &model).unwrap().total();
@@ -605,7 +594,7 @@ mod tests {
         );
         let model = PowerModel::fig2();
         assert!(!xy_routing(&cs).is_feasible(&cs, &model));
-        let r = XyImprover::default().route(&cs, &model);
+        let r = XyImprover.route(&cs, &model);
         assert!(r.is_feasible(&cs, &model), "XYI must repair the overload");
     }
 
@@ -623,7 +612,7 @@ mod tests {
         );
         let model = PowerModel::theory(2.5);
         let p_xy = xy_routing(&cs).power(&cs, &model).unwrap().total();
-        let p = XyImprover::default()
+        let p = XyImprover
             .route(&cs, &model)
             .power(&cs, &model)
             .unwrap()
@@ -654,8 +643,8 @@ mod tests {
                 })
                 .collect();
             let cs = CommSet::new(mesh, comms);
-            let pending = XyImprover::default().route_with(&cs, &model, &mut scratch);
-            let reference = ReferenceXyImprover::default().route_with(&cs, &model, &mut scratch);
+            let pending = XyImprover.route_with(&cs, &model, &mut scratch);
+            let reference = ReferenceXyImprover.route_with(&cs, &model, &mut scratch);
             assert_eq!(
                 pending, reference,
                 "seed {seed}: pending-link XYI diverged from the full-scan oracle"
@@ -680,8 +669,8 @@ mod tests {
         let model = PowerModel::theory(3.0);
         let mut live = RouteScratch::with_engine(EngineConfig::LIVE);
         let mut oracle = RouteScratch::with_engine(EngineConfig::REFERENCE);
-        let pending = XyImprover::default().route_with(&cs, &model, &mut live);
-        let reference = XyImprover::default().route_with(&cs, &model, &mut oracle);
+        let pending = XyImprover.route_with(&cs, &model, &mut live);
+        let reference = XyImprover.route_with(&cs, &model, &mut oracle);
         assert_eq!(pending, reference);
     }
 }

@@ -13,7 +13,7 @@
 //! `#[cfg]`), so the oracle is always available to tests, benchmarks and
 //! [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 
-use super::{flip_candidate, IMPROVE_EPS};
+use super::{flip_candidate, IMPROVE_EPS, MAX_MOVES};
 use crate::comm::CommSet;
 use crate::heuristic::{surrogate_link_cost, Heuristic};
 use crate::loadq::select_max;
@@ -27,20 +27,8 @@ use pamr_power::PowerModel;
 /// Produces bit-identical routings to [`crate::XyImprover`] (the
 /// pending-link implementation) at a higher per-link selection cost; see
 /// the module docs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReferenceXyImprover {
-    /// Safety bound on accepted modifications (mirrors
-    /// [`XyImprover::max_moves`](crate::XyImprover)).
-    pub max_moves: usize,
-}
-
-impl Default for ReferenceXyImprover {
-    fn default() -> Self {
-        ReferenceXyImprover {
-            max_moves: 1_000_000,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ReferenceXyImprover;
 
 impl Heuristic for ReferenceXyImprover {
     fn name(&self) -> &'static str {
@@ -56,7 +44,7 @@ impl Heuristic for ReferenceXyImprover {
             loads.add_path(mesh, p, c.weight);
         }
         let mut moves_done = 0;
-        'outer: while moves_done < self.max_moves {
+        'outer: while moves_done < MAX_MOVES {
             // Loaded links examined in decreasing-load order, selected
             // lazily: an improving modification is usually found within the
             // first few links, so the full sort is almost never needed.
@@ -133,7 +121,7 @@ mod tests {
             ],
         );
         let model = PowerModel::fig2();
-        let r = ReferenceXyImprover::default().route(&cs, &model);
+        let r = ReferenceXyImprover.route(&cs, &model);
         let p = r.power(&cs, &model).unwrap().total();
         let p_xy = xy_routing(&cs).power(&cs, &model).unwrap().total();
         assert!(p < p_xy);

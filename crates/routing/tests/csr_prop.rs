@@ -1,25 +1,23 @@
-//! Property tests pinning the flat-CSR indices against the naive
-//! structures they replace.
+//! Property tests pinning the flat-CSR crossing index against the naive
+//! multimap it replaces.
 //!
 //! Two contracts, both *order-exact*:
 //!
 //! 1. [`CrossingIndex`] — the shared link→users arena behind the PR
-//!    presort, the queued XY improver and the routing session — must hold
-//!    exactly the rows a plain `Vec<Vec<u32>>` multimap would under any
-//!    interleaving of bulk rebuilds, sorted inserts (including the
-//!    slab-doubling relocation path), sorted removals and clears;
-//! 2. the [`MeshPrecompute`] CSR adjacency (`first_out`/`out_links`/
-//!    `heads`) must enumerate every core's outgoing `(link, head)` pairs
-//!    in [`Step::ALL`] order on arbitrary mesh shapes, degenerate 1×N and
-//!    N×1 paths included, and a crossing index rebuilt from routed paths
-//!    must match a naive per-link recount even with duplicate-endpoint
-//!    and core-local communications.
+//!    presort, the pending-link XY improver and the routing session —
+//!    must hold exactly the rows a plain `Vec<Vec<u32>>` multimap would
+//!    under any interleaving of bulk rebuilds, sorted inserts (including
+//!    the slab-doubling relocation path), sorted removals and clears;
+//! 2. a crossing index rebuilt from routed paths must match a naive
+//!    per-link recount on arbitrary mesh shapes, degenerate 1×N and N×1
+//!    paths included, even with duplicate-endpoint and core-local
+//!    communications.
 //!
 //! Shrinking is enabled (the vendored proptest records the choice tape);
 //! replay failures with `PAMR_PROPTEST_SEED=<seed>`.
 
-use pamr_mesh::{Coord, Mesh, Step};
-use pamr_routing::{xy_routing, Comm, CommSet, CrossingIndex, MeshPrecompute};
+use pamr_mesh::{Coord, Mesh};
+use pamr_routing::{xy_routing, Comm, CommSet, CrossingIndex, Routing};
 use proptest::prelude::*;
 
 /// Number of rows the modelled index operates over.
@@ -129,34 +127,6 @@ proptest! {
     }
 
     #[test]
-    fn precompute_adjacency_matches_naive_enumeration(
-        (p, q) in (1usize..=9, 1usize..=9),
-    ) {
-        let mesh = Mesh::new(p, q);
-        let pre = MeshPrecompute::new(mesh);
-        let mut total = 0usize;
-        for c in mesh.cores() {
-            let naive: Vec<_> = Step::ALL
-                .into_iter()
-                .filter_map(|s| {
-                    mesh.link_id(c, s)
-                        .map(|l| (l, mesh.core_index(mesh.link_endpoints(l).1) as u32))
-                })
-                .collect();
-            let got: Vec<_> = pre
-                .out_links(c)
-                .iter()
-                .copied()
-                .zip(pre.out_heads(c).iter().copied())
-                .collect();
-            prop_assert_eq!(got, naive, "adjacency of {} diverged on {p}x{q}", c);
-            prop_assert_eq!(pre.out_links(c).len(), pre.out_heads(c).len());
-            total += pre.out_links(c).len();
-        }
-        prop_assert_eq!(total, mesh.num_links(), "CSR adjacency dropped links");
-    }
-
-    #[test]
     fn crossing_index_of_routed_paths_matches_naive_recount(
         (p, q) in (1usize..=8, 1usize..=8),
         raw in prop::collection::vec(((0usize..8, 0usize..8), (0usize..8, 0usize..8)), 1..=20),
@@ -176,41 +146,55 @@ proptest! {
             comms.push(comms[i]);
         }
         let cs = CommSet::new(mesh, comms);
-        let routing = xy_routing(&cs);
-        let mut naive: Vec<Vec<u32>> = vec![Vec::new(); mesh.num_link_slots()];
-        for i in 0..routing.len() {
-            for l in routing.path(i).links(&mesh) {
-                naive[l.index()].push(i as u32);
-            }
-        }
-        let mut index = CrossingIndex::new();
-        index.rebuild(mesh.num_link_slots(), |push| {
-            for i in 0..routing.len() {
-                for l in routing.path(i).links(&mesh) {
-                    push(l.index(), i as u32);
-                }
-            }
-        });
-        assert_rows_match(&index, &naive);
+        assert_crossings_match_recount(&mesh, &xy_routing(&cs));
     }
 }
 
+/// Rebuilds a crossing index from `routing`'s paths and asserts it equals
+/// a naive per-link recount of the same paths.
+fn assert_crossings_match_recount(mesh: &Mesh, routing: &Routing) {
+    let mut naive: Vec<Vec<u32>> = vec![Vec::new(); mesh.num_link_slots()];
+    for i in 0..routing.len() {
+        for l in routing.path(i).links(mesh) {
+            naive[l.index()].push(i as u32);
+        }
+    }
+    let mut index = CrossingIndex::new();
+    index.rebuild(mesh.num_link_slots(), |push| {
+        for i in 0..routing.len() {
+            for l in routing.path(i).links(mesh) {
+                push(l.index(), i as u32);
+            }
+        }
+    });
+    assert_rows_match(&index, &naive);
+}
+
 /// The degenerate meshes spelled out: a 1×N path has no vertical links
-/// at all and every band is the path itself.
+/// at all and every band is the path itself. Every ordered core pair
+/// routes once, so each link's row lists every pair whose span covers it.
 #[test]
 fn adjacency_and_crossings_on_degenerate_1xn() {
     for (p, q) in [(1, 8), (8, 1), (1, 1)] {
         let mesh = Mesh::new(p, q);
-        let pre = MeshPrecompute::new(mesh);
-        let mut total = 0;
-        for c in mesh.cores() {
-            for (l, &h) in pre.out_links(c).iter().zip(pre.out_heads(c)) {
-                assert_eq!(mesh.link_endpoints(*l).0, c);
-                assert_eq!(mesh.core_index(mesh.link_endpoints(*l).1), h as usize);
-            }
-            total += pre.out_links(c).len();
+        let comms: Vec<Comm> = mesh
+            .cores()
+            .flat_map(|a| mesh.cores().map(move |b| Comm::new(a, b, 100.0)))
+            .collect();
+        let cs = CommSet::new(mesh, comms);
+        let routing = xy_routing(&cs);
+        assert_crossings_match_recount(&mesh, &routing);
+        // On a path every link is crossed by the pairs it separates:
+        // k·(n−k) of them for the link leaving core k−1 in either direction.
+        let n = p * q;
+        for l in mesh.links() {
+            let (a, b) = mesh.link_endpoints(l);
+            let k = mesh.core_index(a).max(mesh.core_index(b));
+            let crossing = (0..routing.len())
+                .filter(|&i| routing.path(i).crosses(&mesh, l))
+                .count();
+            assert_eq!(crossing, k * (n - k), "{p}x{q} link {l}");
         }
-        assert_eq!(total, mesh.num_links(), "{p}x{q} adjacency dropped links");
     }
 }
 

@@ -1,20 +1,20 @@
-//! Regression and property tests for the endpoint-tables interner.
+//! Regression and property tests for the band interner.
 //!
 //! `MeshPrecompute` promises two things the engines lean on: identical
 //! `(src, snk)` pairs share **one** allocation (the interning regression
-//! below), and an interned table is **bit-identical** to a table built
+//! below), and an interned band is **bit-identical** to a band built
 //! from scratch for the same pair (the shrinking property test — caching
 //! may only ever change speed, never values).
 
-use pamr_mesh::{Band, Coord, Mesh, Path};
-use pamr_routing::{Comm, CommSet, EndpointTables, MeshPrecompute};
+use pamr_mesh::{Band, Coord, Mesh};
+use pamr_routing::{Comm, CommSet, MeshPrecompute};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 #[test]
 fn duplicate_endpoint_pairs_share_one_table_allocation() {
     // Two communications with the same endpoints (different weights —
-    // weights play no part in the tables) resolve to the same Arc, both
+    // weights play no part in the band) resolve to the same Arc, both
     // through the raw interner and through the customize phase.
     let mesh = Mesh::new(6, 6);
     let pre = MeshPrecompute::new(mesh);
@@ -29,12 +29,12 @@ fn duplicate_endpoint_pairs_share_one_table_allocation() {
     );
     let cust = pre.customize(&cs);
     assert!(
-        Arc::ptr_eq(cust.table(0), cust.table(2)),
-        "identical (src, snk) pairs must share one EndpointTables allocation"
+        Arc::ptr_eq(cust.band(0), cust.band(2)),
+        "identical (src, snk) pairs must share one Band allocation"
     );
-    assert!(!Arc::ptr_eq(cust.table(0), cust.table(1)));
+    assert!(!Arc::ptr_eq(cust.band(0), cust.band(1)));
     assert!(
-        Arc::ptr_eq(cust.table(0), &pre.endpoint_tables(src, snk)),
+        Arc::ptr_eq(cust.band(0), &pre.band(src, snk)),
         "customize must resolve through the same interner as direct lookups"
     );
     // Re-customizing a different instance over the same pairs allocates
@@ -43,25 +43,24 @@ fn duplicate_endpoint_pairs_share_one_table_allocation() {
     let cust2 = pre.customize(&cs);
     let (_, misses_after) = pre.cache_stats();
     assert_eq!(misses_before, misses_after, "re-customize must be all hits");
-    assert!(Arc::ptr_eq(cust.table(0), cust2.table(0)));
+    assert!(Arc::ptr_eq(cust.band(0), cust2.band(0)));
+    assert!(Arc::ptr_eq(&cust.bands()[2], cust2.band(2)));
 }
 
-/// Asserts every field of a cached table equals a from-scratch rebuild.
-fn assert_tables_bit_identical(mesh: &Mesh, cached: &EndpointTables, src: Coord, snk: Coord) {
-    let fresh = EndpointTables::build(mesh, src, snk);
-    let band = Band::new(mesh, src, snk);
-    assert_eq!(cached.src(), src);
-    assert_eq!(cached.snk(), snk);
-    assert_eq!(cached.band().len(), band.len());
-    for t in 0..band.len() {
-        assert_eq!(cached.band().group(t), band.group(t), "group {t}");
+/// Asserts an interned band equals a from-scratch [`Band::new`]: every
+/// group, every diagonal's row range and the pair's geometry.
+fn assert_tables_bit_identical(mesh: &Mesh, cached: &Band, src: Coord, snk: Coord) {
+    let fresh = Band::new(mesh, src, snk);
+    assert_eq!((cached.src(), cached.snk()), (src, snk));
+    assert_eq!(cached.quadrant(), fresh.quadrant());
+    assert_eq!(cached.k_src(), fresh.k_src());
+    assert_eq!(cached.len(), fresh.len());
+    for t in 0..fresh.len() {
+        assert_eq!(cached.group(t), fresh.group(t), "group {t}");
     }
-    for t in 0..=band.len() {
-        assert_eq!(cached.diag_rows()[t], band.diag_rows(t), "rows {t}");
-        assert_eq!(cached.diag_rows()[t], fresh.diag_rows()[t]);
+    for t in 0..=fresh.len() {
+        assert_eq!(cached.diag_rows(t), fresh.diag_rows(t), "rows {t}");
     }
-    assert_eq!(cached.xy(), &Path::xy(src, snk));
-    assert_eq!(cached.xy(), fresh.xy());
 }
 
 proptest! {
@@ -79,8 +78,8 @@ proptest! {
         for &((a, b), (c, d)) in &endpoints {
             let (src, snk) = (Coord::new(a, b), Coord::new(c, d));
             // Look up twice: the second hit must return the same Arc.
-            let first = pre.endpoint_tables(src, snk);
-            let second = pre.endpoint_tables(src, snk);
+            let first = pre.band(src, snk);
+            let second = pre.band(src, snk);
             prop_assert!(Arc::ptr_eq(&first, &second));
             assert_tables_bit_identical(&mesh, &first, src, snk);
         }

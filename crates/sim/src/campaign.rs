@@ -108,10 +108,10 @@ pub struct Campaign<'a> {
     /// The sweep points this process owns ([`ShardSpec::FULL`] = all).
     pub shard: ShardSpec,
     /// Shared per-mesh precompute handed (as `Arc` clones) to every
-    /// worker's scratch, so endpoint tables are built once per `(src, snk)`
-    /// pair for the whole campaign. `None`: [`Campaign::run_point`] builds
-    /// a fresh one per call, [`Campaign::run_grid`] one for the whole grid.
-    /// Caching never changes results — the tables are pure functions of
+    /// worker's scratch, so bands are built once per `(src, snk)` pair for
+    /// the whole campaign. `None`: [`Campaign::run_point`] builds a fresh
+    /// one per call, [`Campaign::run_grid`] one for the whole grid.
+    /// Caching never changes results — the bands are pure functions of
     /// `(mesh, src, snk)` — so determinism and shard/merge byte-identity
     /// are untouched.
     pub pre: Option<&'a Arc<MeshPrecompute>>,

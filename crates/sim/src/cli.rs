@@ -8,13 +8,22 @@ use crate::shard::figure_results;
 use crate::table::{render_figure, write_csv};
 use std::collections::BTreeMap;
 
+/// The largest value a size flag takes, and the largest instance a
+/// command expands from one: the engines' crossing indices and the
+/// session's slots hold communication ids as `u32`.
+pub const MAX_SIZE: u64 = u32::MAX as u64;
+
 /// How a flag's value is read.
 #[derive(Debug, Clone, Copy)]
 pub enum Kind {
-    /// A positive integer: a size or a repeat count (zero is refused).
+    /// A positive integer up to [`MAX_SIZE`]: a size or a repeat count
+    /// (zero is refused).
     Count,
-    /// A non-negative integer: a seed, or a bound where 0 means "none".
+    /// A non-negative integer up to [`MAX_SIZE`]: a size, or a bound where
+    /// 0 means "none".
     Int,
+    /// Any 64-bit unsigned integer: a seed.
+    Seed,
     /// A positive finite number.
     Ratio,
     /// One of a fixed set of names.
@@ -116,8 +125,9 @@ impl Flags {
 }
 
 /// The one flag parser: reads `args` against the union of `specs`,
-/// refusing unknown flags, missing values, non-numbers, zero counts and
-/// (unless a spec takes [`Kind::Files`]) positional arguments.
+/// refusing unknown flags, missing values, non-numbers, zero counts, sizes
+/// above [`MAX_SIZE`] and (unless a spec takes [`Kind::Files`]) positional
+/// arguments.
 ///
 /// # Errors
 /// A one-line message naming the offending argument.
@@ -164,14 +174,30 @@ pub fn parse(specs: &[&[Flag]], args: &[String]) -> Result<Flags, String> {
     Ok(flags)
 }
 
+/// Refuses a size above [`MAX_SIZE`]: the one check behind every size
+/// flag, and behind any instance a command expands from one.
+///
+/// # Errors
+/// Names `what`, its value and the bound.
+pub fn size(what: &str, n: u64) -> Result<u64, String> {
+    if n > MAX_SIZE {
+        return Err(format!("{what} must be at most {MAX_SIZE}, got {n}"));
+    }
+    Ok(n)
+}
+
 fn read(name: &str, kind: Kind, raw: &str) -> Result<Value, String> {
     match kind {
         Kind::Count => match raw.parse::<u64>() {
             Ok(0) => Err(format!("{name} must be positive")),
-            Ok(n) => Ok(Value::Num(n)),
+            Ok(n) => size(name, n).map(Value::Num),
             Err(_) => Err(format!("{name} needs a positive integer, got {raw:?}")),
         },
-        Kind::Int => raw
+        Kind::Int => match raw.parse::<u64>() {
+            Ok(n) => size(name, n).map(Value::Num),
+            Err(_) => Err(format!("{name} needs a non-negative integer, got {raw:?}")),
+        },
+        Kind::Seed => raw
             .parse()
             .map(Value::Num)
             .map_err(|_| format!("{name} needs a non-negative integer, got {raw:?}")),
@@ -192,7 +218,7 @@ fn read(name: &str, kind: Kind, raw: &str) -> Result<Value, String> {
 /// The flags of one §6 campaign run: the sim binaries' and `pamr shard`'s.
 pub const CAMPAIGN_FLAGS: &[Flag] = &[
     ("--trials", Kind::Count, Unset::Default("2000")),
-    ("--seed", Kind::Int, Unset::Default("12648430")),
+    ("--seed", Kind::Seed, Unset::Default("12648430")),
     ("--threads", Kind::Count, Unset::Optional),
 ];
 
@@ -366,5 +392,27 @@ mod tests {
         let flags = parse(&[SPEC, with_files], &args("a.json --on b.json")).unwrap();
         assert_eq!(flags.files(), ["a.json", "b.json"]);
         assert!(parse(&[SPEC, with_files], &args("--on")).is_err());
+    }
+
+    #[test]
+    fn sizes_stop_at_the_bound_and_seeds_do_not() {
+        const SPEC: &[Flag] = &[
+            ("--n", Kind::Int, Unset::Optional),
+            ("--k", Kind::Count, Unset::Optional),
+            ("--seed", Kind::Seed, Unset::Optional),
+        ];
+        let (max, over) = (MAX_SIZE.to_string(), (MAX_SIZE + 1).to_string());
+        for ok in ["--n 0", "--k 1", &format!("--n {max} --k {max}")] {
+            assert!(parse(&[SPEC], &args(ok)).is_ok(), "{ok:?} refused");
+        }
+        for flag in ["--n", "--k"] {
+            for bad in [&over, "18446744073709551615"] {
+                let err = parse(&[SPEC], &args(&format!("{flag} {bad}"))).unwrap_err();
+                assert_eq!(err, format!("{flag} must be at most {max}, got {bad}"));
+            }
+        }
+        let flags = parse(&[SPEC], &args("--seed 18446744073709551615")).unwrap();
+        assert_eq!(flags.num("--seed"), u64::MAX);
+        assert!(size("x", MAX_SIZE).is_ok() && size("x", MAX_SIZE + 1).is_err());
     }
 }

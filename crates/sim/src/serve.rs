@@ -70,9 +70,9 @@ pub struct Server {
 
 impl Server {
     /// A server over an empty session, sharing one [`MeshPrecompute`]
-    /// across every request it will serve: the band geometry and endpoint
-    /// tables an `add_comm` builds are cache hits for all later requests on
-    /// the same `(src, snk)` pair.
+    /// across every request it will serve: the band an `add_comm` builds
+    /// is a cache hit for all later requests on the same `(src, snk)`
+    /// pair.
     pub fn new(mesh: pamr_mesh::Mesh, model: PowerModel, config: SessionConfig) -> Self {
         let pre = Arc::new(MeshPrecompute::new(mesh));
         Server {

@@ -111,9 +111,7 @@ pub type RouteFn = fn(&CommSet, &PowerModel, &mut RouteScratch) -> Result<Routin
 pub const PR: (&str, RouteFn) = ("PR", |cs, m, s| PathRemover.try_route_with(cs, m, s));
 
 /// The pending-link XY improver (§5.4) and its full-scan oracle.
-pub const XYI: (&str, RouteFn) = ("XYI", |cs, m, s| {
-    Ok(XyImprover::default().route_with(cs, m, s))
-});
+pub const XYI: (&str, RouteFn) = ("XYI", |cs, m, s| Ok(XyImprover.route_with(cs, m, s)));
 
 /// The indexed Improved greedy (§5.2) and its full-scan oracle.
 pub const IG: (&str, RouteFn) = ("IG", |cs, m, s| {

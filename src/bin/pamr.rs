@@ -83,7 +83,7 @@ const RANDOM_FLAGS: &[Flag] = &[
     ("--n", Kind::Int, Unset::Default("20")),
     ("--wmin", Kind::Ratio, Unset::Default("100")),
     ("--wmax", Kind::Ratio, Unset::Default("2500")),
-    ("--seed", Kind::Int, Unset::Default("1")),
+    ("--seed", Kind::Seed, Unset::Default("1")),
 ];
 
 const ROUTE_FLAGS: &[Flag] = &[
@@ -98,7 +98,7 @@ const FRONTIER_FLAGS: &[Flag] = &[
     ("--instance", Kind::Text, Unset::Optional),
     MESH,
     ("--n", Kind::Int, Unset::Default("20")),
-    ("--seed", Kind::Int, Unset::Default("1")),
+    ("--seed", Kind::Seed, Unset::Default("1")),
     MODEL,
     ("--segments", Kind::Count, Unset::Default("16")),
     ("--split", Kind::Int, Unset::Default("2")),
@@ -248,7 +248,12 @@ fn cmd_route(flags: &Flags) -> Outcome {
     let cs = load(flags.text("--instance"), serde_json::from_str::<CommSet>)?;
     let model = model(flags);
     let name = flags.text("--heuristic");
-    let split = flags.num("--split") as usize;
+    let split = flags.num("--split");
+    // The s-MP lift routes `--split` parts of every communication as one
+    // instance, which the size bound covers too.
+    let parts = format!("--split {split} × {} communications", cs.len());
+    cli::size(&parts, (cs.len() as u64).saturating_mul(split)).map_err(Failure::Usage)?;
+    let split = split as usize;
 
     let (label, routing): (String, Routing) = if name.eq_ignore_ascii_case("best") {
         let best = Best::default().route(&cs, &model);

@@ -213,6 +213,14 @@ fn bad_input_gets_one_message_and_no_panic() {
     let blocker = std::env::temp_dir().join(format!("pamr_cli_blocker_{}", std::process::id()));
     std::fs::write(&blocker, "").unwrap();
     let unusable = blocker.join("part.json").display().to_string();
+    // A valid instance, so `route` reaches its `--split` expansion.
+    let inst = std::env::temp_dir().join(format!("pamr_cli_split_{}.json", std::process::id()));
+    let json = r#"{"mesh":{"p":2,"q":2},"comms":[{"src":{"u":0,"v":0},"snk":{"u":1,"v":1},"weight":100}]}"#;
+    std::fs::write(&inst, json).unwrap();
+    let inst = inst.display().to_string();
+    // Sizes above the bound every size flag shares (u32::MAX): each used
+    // to reach an allocation and panic with "capacity overflow".
+    let huge = u64::MAX;
     for (line, code) in [
         ("random --mesh 0x4".to_string(), 2),
         ("random --mesh 1x1".into(), 2),
@@ -230,8 +238,18 @@ fn bad_input_gets_one_message_and_no_panic() {
         ("demo extra".into(), 2),
         (format!("route --instance {unusable}"), 1),
         (format!("frontier --n 3 --shard 0/2 --out {unusable}"), 1),
+        (
+            format!("route --instance {inst} --heuristic PR --split {huge}"),
+            2,
+        ),
+        (format!("random --mesh 4x4 --n {huge}"), 2),
+        (
+            format!("frontier --mesh 4x4 --n 3 --segments {huge} --check-only"),
+            2,
+        ),
     ] {
         assert_one_message(&line, code);
     }
     let _ = std::fs::remove_file(&blocker);
+    let _ = std::fs::remove_file(&inst);
 }

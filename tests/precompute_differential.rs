@@ -1,20 +1,20 @@
 //! Differential oracle for what the shared precompute carries between
 //! instances.
 //!
-//! The live engines read interned per-endpoint tables — bands, diagonal
-//! row intervals, XY paths, sorted orders — from a [`MeshPrecompute`]
-//! shared across trials, plus the per-instance customization a
-//! [`RouteScratch`] keeps for its last instance. The tables are pure
-//! functions of `(mesh, src, snk)` and the customization is revalidated
-//! against every instance, so what a scratch or campaign has cached may
-//! only change *speed*, never results. `tests/pr_differential.rs` and
+//! The live engines read one interned band per endpoint pair — its
+//! diagonal link groups and row intervals — from a [`MeshPrecompute`]
+//! shared across trials, plus the per-instance customization (bands and
+//! sorted orders) a [`RouteScratch`] keeps for its last instance. The
+//! bands are pure functions of `(mesh, src, snk)` and the customization
+//! is revalidated against every instance, so what a scratch or campaign
+//! has cached may only change *speed*, never results. `tests/pr_differential.rs` and
 //! `tests/xyi_differential.rs` meet every cached value with the oracles'
 //! literal rebuilds; this suite checks the cache *state*, warm against
 //! cold:
 //!
 //! 1. the three §6-style sweeps of [`testutil`], each instance routed by
-//!    every table-consuming heuristic on one scratch reused across the
-//!    whole sweep (its interner already holds the tables of earlier
+//!    every band-consuming heuristic on one scratch reused across the
+//!    whole sweep (its interner already holds the bands of earlier
 //!    instances on the same mesh) and on a fresh scratch;
 //! 2. a shrinking property test whose warm scratch last routed the same
 //!    endpoints with the weights reversed, so its customization must be
@@ -42,15 +42,15 @@ use std::sync::Arc;
 type Outcome = (Vec<Result<Routing, PrError>>, Vec<u64>);
 
 /// Routes `cs` with every heuristic that reads the precompute — SG (its
-/// cached processing order), IG, XYI and PR — and returns the routings
-/// (PR's structured error included) and the bit patterns of their load
-/// maps.
+/// cached processing order), IG and PR — plus XYI, which shares their
+/// scratch, and returns the routings (PR's structured error included) and
+/// the bit patterns of their load maps.
 fn route_all(cs: &CommSet, scratch: &mut RouteScratch) -> Outcome {
     let model = PowerModel::kim_horowitz();
     let mut routings: Vec<_> = [
         &SimpleGreedy::default() as &dyn Heuristic,
         &ImprovedGreedy::default(),
-        &XyImprover::default(),
+        &XyImprover,
     ]
     .into_iter()
     .map(|h| Ok(h.route_with(cs, &model, scratch)))
@@ -121,7 +121,7 @@ proptest! {
 fn campaign_summary_is_byte_identical_across_implementations() {
     // A campaign builds its own precompute unless the caller shares one,
     // as `pamr-bench` and the repository benchmark do. Share one already
-    // warmed by a campaign on another seed: the tables it serves were
+    // warmed by a campaign on another seed: the bands it serves were
     // interned while routing other instances, and the report must not
     // tell.
     let (mesh, model) = (pamr::sim::paper_mesh(), pamr::sim::paper_model());

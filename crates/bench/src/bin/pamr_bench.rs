@@ -3,7 +3,7 @@
 //! ```text
 //! pamr-bench run [--profile smoke|full] [--trials N] [--seed S] [--out FILE]
 //! pamr-bench check --baseline FILE --current FILE [--max-ratio R]
-//! pamr-bench pr|xyi|ig|serve|precompute|frontier [lane flags] [--seed S] [--out FILE]
+//! pamr-bench pr|xyi|ig|tb|serve|precompute|frontier [lane flags] [--seed S] [--out FILE]
 //! pamr-bench scaling [--profile smoke|full|serve] [--seed S] [--out FILE] [--check-only]
 //! pamr-bench shard [--shards N] [--trials T] [--seed S] [--pamr PATH] [--out FILE]
 //! pamr-bench help
@@ -21,6 +21,7 @@
 //! | `pr` | banded Path-Remover | full-sweep oracle | instance |
 //! | `xyi` | pending-link XY improver | full-scan oracle | instance |
 //! | `ig` | indexed Improved greedy | full-scan oracle | instance |
+//! | `tb` | in-place ladder-priced Two-bend | enumerate-and-price oracle | instance |
 //! | `serve` | resident `RoutingSession` | XYI re-route of the live set | request |
 //! | `precompute` | one shared precompute (SG + IG) | fresh scratch per trial | trial |
 //! | `frontier` | pooled ε-constraint sweep | sequential `frontier_points` | sweep |
@@ -56,7 +57,7 @@ use pamr_routing::{
 };
 use pamr_sim::cli::{self, Failure, Flag, Flags, Kind, Outcome, Unset};
 use pamr_sim::experiments::campaign_figures;
-use pamr_sim::testutil::{self, RouteFn, IG, PR, XYI};
+use pamr_sim::testutil::{self, RouteFn, IG, PR, TB, XYI};
 use pamr_sim::{Campaign, FrontierReport};
 use pamr_workload::{LengthTargetedWorkload, UniformWorkload};
 use rand::rngs::SmallRng;
@@ -522,6 +523,12 @@ const LANES: &[Lane] = &[
         per: "instance",
         flags: ENGINE_FLAGS,
         measure: |p| measure_engine(p, IG),
+    },
+    Lane {
+        name: "tb",
+        per: "instance",
+        flags: ENGINE_FLAGS,
+        measure: |p| measure_engine(p, TB),
     },
     Lane {
         name: "serve",

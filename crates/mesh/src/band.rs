@@ -29,7 +29,10 @@ use crate::Mesh;
 /// is a slice into the shared array. The per-diagonal row ranges
 /// ([`Band::diag_rows`]) are tabulated at construction, so PR's
 /// reachability row sets read their bit offsets in `O(1)` instead of
-/// re-scanning the bounding box's rows per query.
+/// re-scanning the bounding box's rows per query. Aligned with the link
+/// array, each link's endpoint rows relative to those ranges
+/// ([`Band::row_offsets`]) are stored too: PR's reachability steps read a
+/// link's bit positions directly instead of decoding its endpoints.
 #[derive(Debug, Clone)]
 pub struct Band {
     src: Coord,
@@ -47,6 +50,9 @@ pub struct Band {
     /// Inclusive row range `(u_lo, u_hi)` of relative diagonal
     /// `t ∈ 0..=len` — the [`Band::diag_rows`] values, tabulated once.
     rows: Vec<(u32, u32)>,
+    /// Aligned with `links`: the link's from-row and to-row, each relative
+    /// to the low row of its diagonal (`t` and `t + 1`).
+    offsets: Vec<(u32, u32)>,
 }
 
 impl Band {
@@ -88,6 +94,7 @@ impl Band {
         // Fill pass: identical iteration, so the flat array holds exactly
         // the link sequence the historical Vec-of-Vec build pushed.
         let mut links = vec![LinkId(0); group_off[len] as usize];
+        let mut offsets = vec![(0u32, 0u32); links.len()];
         let mut cursor: Vec<u32> = group_off[..len].to_vec();
         for c in rect.cores() {
             let t = mesh.diag_index(c, quadrant) - k_src;
@@ -97,7 +104,9 @@ impl Band {
             for s in [sv, sh] {
                 if let Some(n) = mesh.step(c, s) {
                     if rect.contains(n) {
-                        links[cursor[t] as usize] = mesh.link_id(c, s).unwrap();
+                        let at = cursor[t] as usize;
+                        links[at] = mesh.link_id(c, s).unwrap();
+                        offsets[at] = (c.u as u32 - rows[t].0, n.u as u32 - rows[t + 1].0);
                         cursor[t] += 1;
                     }
                 }
@@ -112,6 +121,7 @@ impl Band {
             group_off,
             links,
             rows,
+            offsets,
         }
     }
 
@@ -162,6 +172,23 @@ impl Band {
     #[inline]
     pub fn group(&self, t: usize) -> &[LinkId] {
         &self.links[self.group_off[t] as usize..self.group_off[t + 1] as usize]
+    }
+
+    /// The positions of group `t`'s links in the band's flat link array
+    /// ([`Band::links`] order): per-link data kept aligned with that array
+    /// is indexed by this range.
+    #[inline]
+    pub fn group_range(&self, t: usize) -> std::ops::Range<usize> {
+        self.group_off[t] as usize..self.group_off[t + 1] as usize
+    }
+
+    /// Aligned with [`Band::group`]`(t)`: each link's `(from, to)` rows
+    /// relative to the low rows of diagonals `t` and `t + 1`, i.e.
+    /// `from.u − diag_rows(t).0` and `to.u − diag_rows(t + 1).0` — the bit
+    /// positions of the link's endpoints in row sets over those ranges.
+    #[inline]
+    pub fn row_offsets(&self, t: usize) -> &[(u32, u32)] {
+        &self.offsets[self.group_range(t)]
     }
 
     /// All groups, in diagonal order, as slices into the flat link array.
@@ -322,6 +349,43 @@ mod tests {
             assert_eq!(band.diag_rows(0), (src.u, src.u));
             assert_eq!(band.diag_rows(band.len()), (snk.u, snk.u));
         }
+    }
+
+    #[test]
+    fn row_offsets_are_the_endpoint_rows_minus_the_diagonal_lows() {
+        let check = |mesh: &Mesh, src: Coord, snk: Coord| {
+            let band = Band::new(mesh, src, snk);
+            for t in 0..band.len() {
+                let (lo_from, lo_to) = (band.diag_rows(t).0, band.diag_rows(t + 1).0);
+                let want: Vec<(u32, u32)> = band
+                    .group(t)
+                    .iter()
+                    .map(|&l| {
+                        let (from, to) = mesh.link_endpoints(l);
+                        ((from.u - lo_from) as u32, (to.u - lo_to) as u32)
+                    })
+                    .collect();
+                assert_eq!(band.row_offsets(t), want, "{src}->{snk} t={t}");
+                assert_eq!(band.group_range(t).len(), band.group(t).len());
+            }
+        };
+        // The five direction cases of `diag_rows_cover_exactly_the_band_cores`.
+        let mesh = Mesh::new(5, 6);
+        for (src, snk) in [
+            (Coord::new(0, 0), Coord::new(4, 5)), // down-right
+            (Coord::new(1, 5), Coord::new(4, 1)), // down-left
+            (Coord::new(4, 4), Coord::new(1, 0)), // up-left
+            (Coord::new(3, 1), Coord::new(0, 4)), // up-right
+            (Coord::new(2, 0), Coord::new(2, 5)), // straight
+        ] {
+            check(&mesh, src, snk);
+        }
+        // One-row and one-column meshes, both ways along the line.
+        let (row, col) = (Mesh::new(1, 8), Mesh::new(8, 1));
+        check(&row, Coord::new(0, 1), Coord::new(0, 7));
+        check(&row, Coord::new(0, 6), Coord::new(0, 0));
+        check(&col, Coord::new(0, 0), Coord::new(7, 0));
+        check(&col, Coord::new(5, 0), Coord::new(2, 0));
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //! (the session's incremental mutations, pending-link XYI's accepted flips)
 //! get sorted insert/remove with per-row amortised doubling: an overflowing
 //! row relocates to the end of the arena, so one insert costs `O(row)`
-//! worst case and `O(log row)` search — never a whole-index rebuild.
+//! worst case and `O(log row)` search — never a whole-index rebuild. A
+//! rebuilt row keeps emission order and nothing is sorted afterwards: a
+//! consumer that wants another order emits in it, as banded PR emits its
+//! bands in decreasing weight so each row lists the link's users in the
+//! order its removal scan visits them.
 //!
 //! **Bit-identity.** Row contents and row order are exactly what the
 //! Vec-of-Vec index held, so every consumer iterates candidates in the same
@@ -41,10 +45,6 @@ pub struct CrossingIndex {
     /// the next [`rebuild`](Self::rebuild) compacts the arena; leaked space
     /// is bounded by the doubling schedule (< 2× the live total).
     data: Vec<u32>,
-    /// Rows holding at least one entry, ascending — filled by
-    /// [`rebuild`](Self::rebuild) (dynamic inserts do **not** maintain it;
-    /// see [`active_rows`](Self::active_rows)).
-    active: Vec<u32>,
 }
 
 impl CrossingIndex {
@@ -70,7 +70,6 @@ impl CrossingIndex {
         self.len.clear();
         self.len.resize(n_rows, 0);
         self.data.clear();
-        self.active.clear();
     }
 
     /// Bulk rebuild from an emitter called **twice** (count pass, fill
@@ -78,7 +77,9 @@ impl CrossingIndex {
     /// sequence both times. Rows are laid out exactly-fit in arena order of
     /// first appearance of their counts (dense prefix sums), each row
     /// receiving its values in emission order — identical row contents, in
-    /// identical order, to pushing into a `Vec<Vec<_>>`.
+    /// identical order, to pushing into a `Vec<Vec<_>>`. A consumer that
+    /// wants its rows ordered emits in that order: banded PR emits its
+    /// bands in decreasing weight, so no row is ever sorted afterwards.
     pub fn rebuild<F>(&mut self, n_rows: usize, mut emit: F)
     where
         F: FnMut(&mut dyn FnMut(usize, u32)),
@@ -91,15 +92,11 @@ impl CrossingIndex {
         self.start.reserve(n_rows);
         self.cap.clear();
         self.cap.reserve(n_rows);
-        self.active.clear();
         let mut total = 0u32;
-        for (row, &n) in self.len.iter().enumerate() {
+        for &n in &self.len {
             self.start.push(total);
             self.cap.push(n);
             total += n;
-            if n > 0 {
-                self.active.push(row as u32);
-            }
         }
         self.data.clear();
         self.data.resize(total as usize, 0);
@@ -129,31 +126,6 @@ impl CrossingIndex {
     pub fn get(&self, row: usize, i: usize) -> u32 {
         debug_assert!(i < self.len_of(row));
         self.data[self.start[row] as usize + i]
-    }
-
-    /// The rows holding at least one entry after the last
-    /// [`rebuild`](Self::rebuild), ascending. Dynamic inserts do not extend
-    /// this list — consult it only between a rebuild and the first mutation
-    /// (the PR engine's presort does exactly that).
-    #[inline]
-    pub fn active_rows(&self) -> &[u32] {
-        &self.active
-    }
-
-    /// Sorts every non-empty row with `cmp`, touching only the rows the
-    /// last [`rebuild`](Self::rebuild) populated — the banded PR's
-    /// decreasing-weight presort, which used to iterate *all* `p·q·4` link
-    /// slots to sort the occupied few. Like [`active_rows`](Self::active_rows),
-    /// only meaningful between a rebuild and the first mutation.
-    pub fn sort_rows_by<F>(&mut self, mut cmp: F)
-    where
-        F: FnMut(u32, u32) -> std::cmp::Ordering,
-    {
-        for &r in &self.active {
-            let lo = self.start[r as usize] as usize;
-            let n = self.len[r as usize] as usize;
-            self.data[lo..lo + n].sort_by(|&a, &b| cmp(a, b));
-        }
     }
 
     /// Inserts `value` into `row`, keeping the row sorted ascending.
@@ -233,7 +205,6 @@ mod tests {
             assert_eq!(idx.row(r), row.as_slice(), "row {r}");
             assert_eq!(idx.len_of(r), row.len());
         }
-        assert_eq!(idx.active_rows(), &[0, 3, 5]);
         assert_eq!(idx.get(3, 1), 2);
     }
 

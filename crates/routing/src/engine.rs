@@ -1,7 +1,7 @@
 //! Engine selection: one explicit [`EngineConfig`] per call site.
 //!
-//! Each of the three rewritten heuristics (banded PR, pending-link XYI, indexed
-//! IG) ships with its literal full-scan oracle (see ARCHITECTURE.md § "The
+//! Each of the four rewritten heuristics (banded PR, pending-link XYI, indexed
+//! IG, in-place TB) ships with its literal oracle (see ARCHITECTURE.md § "The
 //! engine / reference-oracle pattern"). Which side runs is chosen per call
 //! site, never process-wide: a process-global switch flipped from one test
 //! leaks into every other test in the binary.
@@ -49,8 +49,8 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The optimized engines (banded PR, pending-link XYI, indexed IG), fed from
-    /// the interned bands — the default everywhere.
+    /// The optimized engines (banded PR, pending-link XYI, indexed IG,
+    /// in-place TB), fed from the interned bands — the default everywhere.
     pub const LIVE: EngineConfig = EngineConfig { reference: false };
 
     /// The literal full-scan oracles the engines are differentially pinned

@@ -356,6 +356,11 @@ mod tests {
             assert_eq!(cached.len(), fresh.len());
             for t in 0..fresh.len() {
                 assert_eq!(cached.group(t), fresh.group(t), "({src},{snk}) t={t}");
+                assert_eq!(
+                    cached.row_offsets(t),
+                    fresh.row_offsets(t),
+                    "({src},{snk}) t={t}"
+                );
             }
             for t in 0..=fresh.len() {
                 assert_eq!(

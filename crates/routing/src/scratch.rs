@@ -56,6 +56,10 @@ pub struct RouteScratch {
     pub(crate) xusers: CrossingIndex,
     /// Candidate-communication index buffer (PR's per-link scan).
     pub(crate) cands: Vec<usize>,
+    /// Per-link selection cursor into the link's `xusers` row (banded PR),
+    /// reset on every route: the candidates before it were rejected, and a
+    /// rejection lasts for the rest of the route.
+    pub(crate) cursor: Vec<u32>,
     /// Per-link count of the communications that could give the link up
     /// (banded PR): the link is still alive for them and its diagonal group
     /// keeps at least one other alive link. A link whose count is 0 can
@@ -82,6 +86,10 @@ pub struct RouteScratch {
     /// Aligned with `ig_keys`: each entry's precomputed surrogate cost at
     /// `load + weight` and its link endpoints (indexed IG).
     pub(crate) ig_info: Vec<(f64, pamr_mesh::Coord, pamr_mesh::Coord)>,
+    /// Per link slot: the marginal surrogate cost of the communication TB
+    /// is routing, written for its band links before its candidates are
+    /// priced.
+    pub(crate) marginals: Vec<f64>,
     /// The attached phase-one precompute (shared across trials /
     /// sessions); lazily created for the mesh in use when absent.
     pub(crate) pre: Option<Arc<MeshPrecompute>>,

@@ -57,6 +57,7 @@ fn assert_tables_bit_identical(mesh: &Mesh, cached: &Band, src: Coord, snk: Coor
     assert_eq!(cached.len(), fresh.len());
     for t in 0..fresh.len() {
         assert_eq!(cached.group(t), fresh.group(t), "group {t}");
+        assert_eq!(cached.row_offsets(t), fresh.row_offsets(t), "offsets {t}");
     }
     for t in 0..=fresh.len() {
         assert_eq!(cached.diag_rows(t), fresh.diag_rows(t), "rows {t}");

@@ -5,6 +5,7 @@
 use pamr_mesh::{Coord, Mesh, Path};
 use pamr_power::PowerModel;
 use pamr_routing::{Comm, CommSet, Routing};
+use pamr_sim::outln;
 
 fn main() {
     pamr_sim::cli::no_args().unwrap_or_else(pamr_sim::cli::exit_usage);
@@ -24,7 +25,7 @@ fn main() {
         vec![(Path::xy(src, snk), 1.0), (Path::yx(src, snk), 2.0)],
     ]);
 
-    println!("Figure 2 — comparison of routing rules (paper values: 128 / 56 / 32)");
+    outln!("Figure 2 — comparison of routing rules (paper values: 128 / 56 / 32)");
     for (name, routing, paper) in [
         ("XY  ", &xy, 128.0),
         ("1-MP", &mp1, 56.0),
@@ -34,8 +35,8 @@ fn main() {
             .power(&cs, &model)
             .expect("Fig. 2 routings are feasible")
             .total();
-        println!("P_{name} = {p:7.2}   (paper: {paper})");
+        outln!("P_{name} = {p:7.2}   (paper: {paper})");
         assert!((p - paper).abs() < 1e-9, "mismatch vs the paper");
     }
-    println!("all three match the paper exactly");
+    outln!("all three match the paper exactly");
 }

@@ -6,6 +6,7 @@
 //! wall-clock-dependent lines (progress, mean routing times) go to stderr.
 
 use pamr_sim::cli::{self, Options};
+use pamr_sim::out;
 use pamr_sim::summary::Summary;
 
 fn main() {
@@ -18,6 +19,6 @@ fn main() {
         rayon::current_num_threads()
     );
     let s = Summary::run(&mesh, &model, opts.trials, opts.seed);
-    print!("{}", s.render_report());
+    out!("{}", s.render_report());
     eprint!("{}", s.render_timings());
 }

@@ -1,7 +1,9 @@
 //! Command-line plumbing shared by every binary of the workspace: the one
 //! table-driven flag parser ([`parse`]) that the sim binaries, `pamr` and
 //! `pamr-bench` read their flags through, the sim binaries' [`Options`],
-//! the exit path, and the `fig7`–`fig9` entry point.
+//! the exit path, the one standard-output writer ([`write_out`], behind
+//! the [`out!`](crate::out) and [`outln!`](crate::outln) macros), and the
+//! `fig7`–`fig9` entry point.
 
 use crate::campaign::Campaign;
 use crate::shard::figure_results;
@@ -307,6 +309,44 @@ pub fn exit(who: &str, failure: Failure) -> ! {
     std::process::exit(code);
 }
 
+/// The one writer of the binaries' standard output; [`out!`](crate::out)
+/// and [`outln!`](crate::outln) expand to it. A closed pipe — the reader
+/// went away, as under `| head` — ends the process quietly with status 0;
+/// any other write error ends it through [`exit`], one line and status 1.
+pub fn write_out(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(args).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => exit(
+            &bin_name(),
+            Failure::Failed(format!("writing to standard output: {e}")),
+        ),
+    }
+}
+
+/// `print!` through [`write_out`](crate::cli::write_out): a closed stdout
+/// ends the process instead of panicking it.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_out`](crate::cli::write_out): a closed
+/// stdout ends the process instead of panicking it.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::write_out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// The running binary's file name, which prefixes its error messages.
 fn bin_name() -> String {
     std::env::args()
@@ -349,7 +389,7 @@ pub fn figure_main(figure: usize) {
     let (mesh, model) = (crate::paper_mesh(), crate::paper_model());
     let campaign = Campaign::new(&mesh, &model, opts.trials, opts.seed);
     let results = figure_results(figure, &campaign.run_grid(Some(figure)));
-    print!("{}", render_figure(figure, &results, opts.trials));
+    crate::out!("{}", render_figure(figure, &results, opts.trials));
     if let Some(dir) = &opts.csv {
         for res in &results {
             write_csv(res, dir).unwrap_or_else(|e| {

@@ -8,9 +8,10 @@
 //! draw order are part of the oracles' contracts, so changing anything
 //! here intentionally shifts every differential suite at once. It also
 //! holds the one comparison of the rewritten engines ([`PR`], [`XYI`],
-//! [`IG`]) against their literal oracles, [`engines_agree`]: the test
-//! suites call it through its panicking wrapper [`assert_engines_agree`],
-//! and the `pamr-bench` `pr`/`xyi`/`ig` and `scaling` lanes call it
+//! [`IG`], [`TB`]) against their literal oracles, [`engines_agree`]: the
+//! test suites call it through its panicking wrapper
+//! [`assert_engines_agree`], and the `pamr-bench` `pr`/`xyi`/`ig`/`tb` and
+//! `scaling` lanes call it
 //! directly before they time anything. Its whole-campaign form is
 //! [`assert_campaign_matches_reference`].
 
@@ -19,7 +20,7 @@ use pamr_mesh::{LinkId, Mesh};
 use pamr_power::PowerModel;
 use pamr_routing::{
     CommSet, EngineConfig, Heuristic, ImprovedGreedy, PathRemover, PrError, RouteScratch, Routing,
-    XyImprover,
+    TwoBend, XyImprover,
 };
 use pamr_workload::taskgraph::merge_applications;
 use pamr_workload::{LengthTargetedWorkload, Mapping, TaskGraph, UniformWorkload};
@@ -104,7 +105,7 @@ pub fn standard_sweep(mut visit: impl FnMut(&CommSet, &str)) {
 /// One rewritten engine, dispatched on its scratch's [`EngineConfig`]:
 /// the optimized engine on [`EngineConfig::LIVE`], its literal oracle on
 /// [`EngineConfig::REFERENCE`]. PR's structured [`PrError`] compares like
-/// a routing; XYI and IG cannot fail.
+/// a routing; XYI, IG and TB cannot fail.
 pub type RouteFn = fn(&CommSet, &PowerModel, &mut RouteScratch) -> Result<Routing, PrError>;
 
 /// The banded Path-Remover (§5.5) and its full-sweep oracle.
@@ -117,6 +118,10 @@ pub const XYI: (&str, RouteFn) = ("XYI", |cs, m, s| Ok(XyImprover.route_with(cs,
 pub const IG: (&str, RouteFn) = ("IG", |cs, m, s| {
     Ok(ImprovedGreedy::default().route_with(cs, m, s))
 });
+
+/// The in-place, ladder-priced Two-bend (§5.3) and its
+/// enumerate-and-price oracle.
+pub const TB: (&str, RouteFn) = ("TB", |cs, m, s| Ok(TwoBend::default().route_with(cs, m, s)));
 
 /// Routes `cs` through each of `engines` on a [`EngineConfig::LIVE`] and
 /// on a [`EngineConfig::REFERENCE`] scratch and compares the outcomes:
@@ -245,7 +250,7 @@ mod tests {
             "unexpected message: {err}"
         );
         assert_eq!(
-            engines_agree(&[PR, XYI, IG], &cs, &model, "corner pair"),
+            engines_agree(&[PR, XYI, IG, TB], &cs, &model, "corner pair"),
             Ok(())
         );
     }

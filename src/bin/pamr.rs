@@ -51,6 +51,7 @@ use pamr::sim::shard::{merge_figures, merge_partials, MergeError, ShardPartial};
 use pamr::sim::table::render_figure;
 use pamr::sim::viz::render_heatmap;
 use pamr::sim::ShardSpec;
+use pamr::sim::{out, outln};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -228,7 +229,7 @@ fn cmd_random(flags: &Flags) -> Outcome {
         )));
     }
     let cs = draw(flags, w_min, w_max)?;
-    println!("{}", serde_json::to_string_pretty(&cs).expect("serialise"));
+    outln!("{}", serde_json::to_string_pretty(&cs).expect("serialise"));
     Ok(())
 }
 
@@ -312,30 +313,30 @@ fn cmd_route(flags: &Flags) -> Outcome {
     };
 
     if flags.given("--json") {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&report).expect("serialise")
         );
         return Ok(());
     }
-    println!("routed {} communications with {label}", cs.len());
+    outln!("routed {} communications with {label}", cs.len());
     match breakdown {
-        Some(b) => println!(
+        Some(b) => outln!(
             "power: {:.1} mW ({} active links, {:.1} leakage + {:.1} dynamic)",
             b.total(),
             b.active_links,
             b.leakage,
             b.dynamic
         ),
-        None => println!(
+        None => outln!(
             "INFEASIBLE: max link load {:.0} exceeds capacity",
             loads.max_load()
         ),
     }
-    println!("\nall policies:");
+    outln!("\nall policies:");
     print_policies(&cs, &model);
-    println!("\nutilisation heatmap:");
-    print!("{}", render_heatmap(cs.mesh(), &loads, model.capacity));
+    outln!("\nutilisation heatmap:");
+    out!("{}", render_heatmap(cs.mesh(), &loads, model.capacity));
     Ok(())
 }
 
@@ -391,11 +392,11 @@ fn cmd_frontier(flags: &Flags) -> Outcome {
             report.segments
         );
     } else if flags.given("--json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else if flags.given("--csv") {
-        print!("{}", report.to_csv());
+        out!("{}", report.to_csv());
     } else {
-        print!("{}", report.render());
+        out!("{}", report.render());
     }
     Ok(())
 }
@@ -428,7 +429,7 @@ fn cmd_merge(flags: &Flags) -> Outcome {
         // The Figure 7–9 tables instead of the pooled summary.
         let figures = merge_figures(&partials).map_err(cannot_merge)?;
         for (figure, results) in figures.iter().enumerate() {
-            print!("{}", render_figure(figure, results, partials[0].trials));
+            out!("{}", render_figure(figure, results, partials[0].trials));
         }
         return Ok(());
     }
@@ -437,7 +438,7 @@ fn cmd_merge(flags: &Flags) -> Outcome {
         "merged {} shard(s), {} trials per sweep point, seed {}",
         merged.shard_count, merged.trials, merged.seed
     );
-    print!("{}", merged.summary().render_report());
+    out!("{}", merged.summary().render_report());
     Ok(())
 }
 
@@ -468,12 +469,12 @@ fn cmd_demo(_: &Flags) -> Outcome {
     let mut rng = SmallRng::seed_from_u64(7);
     let cs = UniformWorkload::new(25, 100.0, 2500.0).generate(&mesh, &mut rng);
     let model = PowerModel::kim_horowitz();
-    println!("demo: 25 random communications on an 8×8 CMP\n");
+    outln!("demo: 25 random communications on an 8×8 CMP\n");
     print_policies(&cs, &model);
     let best = Best::default().route(&cs, &model);
     if let Some(power) = best.power {
-        println!("\nBEST = {} at {power:.1} mW", best.kind);
-        println!(
+        outln!("\nBEST = {} at {power:.1} mW", best.kind);
+        outln!(
             "{}",
             render_heatmap(&mesh, &best.routing.loads(&cs), model.capacity)
         );
@@ -485,8 +486,8 @@ fn cmd_demo(_: &Flags) -> Outcome {
 fn print_policies(cs: &CommSet, model: &PowerModel) {
     for kind in HeuristicKind::ALL {
         match kind.route(cs, model).power(cs, model) {
-            Ok(b) => println!("  {:<4} {:>10.1} mW", kind.name(), b.total()),
-            Err(_) => println!("  {:<4} {:>10}", kind.name(), "failed"),
+            Ok(b) => outln!("  {:<4} {:>10.1} mW", kind.name(), b.total()),
+            Err(_) => outln!("  {:<4} {:>10}", kind.name(), "failed"),
         }
     }
 }

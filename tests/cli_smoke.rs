@@ -253,3 +253,39 @@ fn bad_input_gets_one_message_and_no_panic() {
     let _ = std::fs::remove_file(&blocker);
     let _ = std::fs::remove_file(&inst);
 }
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // The read end of the child's stdout is closed before the child
+    // starts, so its first write always meets a broken pipe: the command
+    // must end quietly with status 0, not panic in a print.
+    for args in [
+        &["random", "--mesh", "8x8", "--n", "4000", "--seed", "3"][..],
+        &["demo"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_pamr"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("failed to spawn pamr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
+    // Any other write error is one line and status 1.
+    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        let out = Command::new(env!("CARGO_BIN_EXE_pamr"))
+            .arg("demo")
+            .stdout(full)
+            .output()
+            .expect("failed to spawn pamr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.starts_with("pamr: writing to standard output:") && stderr.lines().count() == 1,
+            "{stderr}"
+        );
+    }
+}

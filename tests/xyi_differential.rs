@@ -1,10 +1,11 @@
-//! Differential oracle for the pending-link XY improver and the indexed
-//! Improved greedy.
+//! Differential oracle for the pending-link XY improver, the indexed
+//! Improved greedy and the in-place Two-bend.
 //!
-//! Both rewritten improvement loops (`pamr_routing::XyImprover` on a
+//! The three rewritten engines (`pamr_routing::XyImprover` on a
 //! pending-link `MaxTree`, `pamr_routing::ImprovedGreedy` on the
-//! per-group min-load index) promise **bit-identical** behaviour to the
-//! literal full-scan references they dispatch to on
+//! per-group min-load index, `pamr_routing::TwoBend` pricing its
+//! candidates in place from the cost ladder) promise **bit-identical**
+//! behaviour to the literal references they dispatch to on
 //! [`EngineConfig::REFERENCE`]: same routings, same load maps, and —
 //! through the campaign — byte-identical §6.4 summary reports. Every
 //! comparison goes through [`testutil::assert_engines_agree`], the same
@@ -25,27 +26,27 @@ mod common;
 
 use common::any_instance;
 use pamr::prelude::*;
-use pamr::sim::testutil::{self, assert_engines_agree, IG, XYI};
+use pamr::sim::testutil::{self, assert_engines_agree, IG, TB, XYI};
 use proptest::prelude::*;
 
-/// XYI and IG against their oracles under the paper's discrete model.
-fn assert_xyi_ig_agree(cs: &CommSet, label: &str) {
-    assert_engines_agree(&[XYI, IG], cs, &PowerModel::kim_horowitz(), label);
+/// XYI, IG and TB against their oracles under the paper's discrete model.
+fn assert_xyi_ig_tb_agree(cs: &CommSet, label: &str) {
+    assert_engines_agree(&[XYI, IG, TB], cs, &PowerModel::kim_horowitz(), label);
 }
 
 #[test]
 fn uniform_workloads_match_across_mesh_sizes() {
-    testutil::uniform_sweep(assert_xyi_ig_agree);
+    testutil::uniform_sweep(assert_xyi_ig_tb_agree);
 }
 
 #[test]
 fn length_targeted_workloads_match() {
-    testutil::length_targeted_sweep(assert_xyi_ig_agree);
+    testutil::length_targeted_sweep(assert_xyi_ig_tb_agree);
 }
 
 #[test]
 fn task_graph_workloads_match() {
-    testutil::task_graph_sweep(assert_xyi_ig_agree);
+    testutil::task_graph_sweep(assert_xyi_ig_tb_agree);
 }
 
 proptest! {
@@ -73,6 +74,18 @@ proptest! {
     fn indexed_ig_loads_are_bit_identical(cs in any_instance(8, 24)) {
         // IG's candidate costs likewise come from the fit per query here.
         assert_engines_agree(&[IG], &cs, &PowerModel::kim_horowitz_continuous(), "continuous");
+    }
+
+    #[test]
+    fn tb_equals_reference_on_any_instance(cs in any_instance(8, 24)) {
+        assert_engines_agree(&[TB], &cs, &PowerModel::kim_horowitz(), "discrete");
+    }
+
+    #[test]
+    fn tb_loads_are_bit_identical(cs in any_instance(8, 24)) {
+        // No ladder under the continuous model: TB prices every link with
+        // the power fit, on the live engine's in-place walk.
+        assert_engines_agree(&[TB], &cs, &PowerModel::kim_horowitz_continuous(), "continuous");
     }
 }
 

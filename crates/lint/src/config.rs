@@ -3,7 +3,7 @@
 //! Every rule defaults to [`Severity::Error`]: the tree is expected to be
 //! clean (violations fixed or reason-waived), so anything the pass reports
 //! is an action item. `--set RULE=off|warn|error` overrides per invocation
-//! — e.g. `--set D003=warn` while migrating a new parallel combine site.
+//! — e.g. `--set P001=warn` while migrating a new routing hot path.
 
 use crate::report::Severity;
 use crate::rules;

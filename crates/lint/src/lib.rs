@@ -13,8 +13,8 @@
 //! Module map:
 //! * [`lexer`] — a small Rust lexer: comments, strings, raw strings, char
 //!   literals and lifetimes handled, so rules never fire inside text.
-//! * [`rules`] — the registry and the six passes (D001–D003, P001, U001,
-//!   V001) plus waiver-hygiene pseudo-rules (W000, W001).
+//! * [`rules`] — the registry and the five passes (D001, D002, P001,
+//!   U001, V001) plus waiver-hygiene pseudo-rules (W000, W001).
 //! * [`waivers`] — `// pamr-lint: allow(RULE, reason = "…")` parsing;
 //!   a waiver without a reason is itself a diagnostic.
 //! * [`config`] — per-rule severities (`--set RULE=off|warn|error`).

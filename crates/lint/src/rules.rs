@@ -1,4 +1,4 @@
-//! The rule registry and the six token-pattern passes.
+//! The rule registry and the five token-pattern passes.
 //!
 //! Every rule is grounded in a bug class this workspace has actually hit
 //! (see ARCHITECTURE.md § "Determinism invariants" for the full rationale):
@@ -8,10 +8,6 @@
 //!   messages. Use `BTreeMap`/sorted vecs.
 //! * **D002** — wall-clock reads outside the bench crate. Stdout reports
 //!   are byte-compared in CI; `Instant::now` on a report path breaks them.
-//! * **D003** — float accumulation (`sum`/`fold`/`reduce`) in a parallel
-//!   iterator chain. Only the vendored rayon's fixed-chunk in-order
-//!   combine keeps these byte-identical across thread counts; every such
-//!   site must carry a waiver citing that guarantee.
 //! * **P001** — `unwrap`/`expect`/`panic!`/literal indexing in the routing
 //!   hot paths. PR 3 converted release-mode panics to structured `PrError`s;
 //!   this rule keeps new ones out (or documented via waiver).
@@ -47,10 +43,6 @@ pub const REGISTRY: &[RuleInfo] = &[
     RuleInfo {
         id: "D002",
         summary: "Instant::now/SystemTime::now outside the bench allowlist (reports are time-free)",
-    },
-    RuleInfo {
-        id: "D003",
-        summary: "float sum/fold/reduce in a parallel chain (waive citing fixed-chunk combine)",
     },
     RuleInfo {
         id: "P001",
@@ -181,59 +173,6 @@ pub fn check_file(path: &str, tokens: &[Token], config: &Config, out: &mut Vec<D
                     ),
                     &mut diags,
                 );
-            }
-        }
-    }
-
-    if first_party(path) {
-        // D003: float accumulation inside a parallel chain. A chain starts
-        // at `.par_iter()`-family calls and ends when the bracket depth
-        // drops below the depth at which it started, or at a `;` at that
-        // depth — tracked over code tokens only, so strings/comments never
-        // confuse the bracket count.
-        const PAR: &[&str] = &[
-            "par_iter",
-            "into_par_iter",
-            "par_iter_mut",
-            "par_bridge",
-            "par_chunks",
-        ];
-        const ACC: &[&str] = &["sum", "fold", "reduce", "reduce_with"];
-        let mut depth: i64 = 0;
-        let mut chain_depth: Option<i64> = None;
-        for i in 0..code.len() {
-            let t = code[i];
-            match t.kind {
-                crate::lexer::TokKind::Punct('(' | '[' | '{') => depth += 1,
-                crate::lexer::TokKind::Punct(')' | ']' | '}') => {
-                    depth -= 1;
-                    if chain_depth.is_some_and(|d| depth < d) {
-                        chain_depth = None;
-                    }
-                }
-                crate::lexer::TokKind::Punct(';') if chain_depth.is_some_and(|d| depth <= d) => {
-                    chain_depth = None;
-                }
-                crate::lexer::TokKind::Ident => {
-                    let after_dot = i > 0 && code[i - 1].kind == crate::lexer::TokKind::Punct('.');
-                    if after_dot && PAR.contains(&t.text.as_str()) {
-                        chain_depth = Some(depth);
-                    } else if after_dot && chain_depth.is_some() && ACC.contains(&t.text.as_str()) {
-                        push(
-                            "D003",
-                            t,
-                            format!(
-                                ".{}() accumulates floats across a parallel chain; only the \
-                                 vendored rayon's fixed-chunk in-order combine keeps this \
-                                 byte-identical across thread counts — waive citing that \
-                                 guarantee, or restructure",
-                                t.text
-                            ),
-                            &mut diags,
-                        );
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -384,21 +323,6 @@ mod tests {
         let src = "fn f() { let t = std::time::Instant::now(); }";
         assert_eq!(run("crates/sim/src/x.rs", src).len(), 1);
         assert!(run("crates/bench/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d003_flags_par_chain_accumulation_only() {
-        let par = "fn f(v: &[f64]) -> f64 { v.par_iter().map(|x| x * 2.0).sum::<f64>() }";
-        let seq = "fn f(v: &[f64]) -> f64 { v.iter().map(|x| x * 2.0).sum::<f64>() }";
-        assert_eq!(run("crates/sim/src/x.rs", par).len(), 1);
-        assert!(run("crates/sim/src/x.rs", seq).is_empty());
-    }
-
-    #[test]
-    fn d003_chain_ends_at_statement_boundary() {
-        let src = "fn f(v: &[f64]) -> f64 { let w: Vec<f64> = v.par_iter().collect(); \
-                   w.iter().sum::<f64>() }";
-        assert!(run("crates/sim/src/x.rs", src).is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The power model: static + dynamic link power under frequency scaling.
 
-use pamr_mesh::{LoadMap, Mesh};
+use pamr_mesh::LoadMap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -189,8 +189,7 @@ impl PowerModel {
     }
 
     /// Total power of a whole load map, with its static/dynamic breakdown.
-    pub fn power(&self, mesh: &Mesh, loads: &LoadMap) -> Result<PowerBreakdown, Infeasible> {
-        let _ = mesh; // loads are already dense per-mesh; kept for symmetry
+    pub fn power(&self, loads: &LoadMap) -> Result<PowerBreakdown, Infeasible> {
         let mut out = PowerBreakdown::default();
         for (_, load) in loads.iter_active() {
             out.dynamic += self.link_dynamic_power(load)?;
@@ -201,15 +200,15 @@ impl PowerModel {
     }
 
     /// Convenience: total power or `Err` if any link is overloaded.
-    pub fn total_power(&self, mesh: &Mesh, loads: &LoadMap) -> Result<f64, Infeasible> {
-        Ok(self.power(mesh, loads)?.total())
+    pub fn total_power(&self, loads: &LoadMap) -> Result<f64, Infeasible> {
+        Ok(self.power(loads)?.total())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pamr_mesh::{Coord, Path, Step};
+    use pamr_mesh::{Coord, Mesh, Path, Step};
 
     #[test]
     fn idle_link_consumes_nothing() {
@@ -264,7 +263,7 @@ mod tests {
         let xy = Path::xy(Coord::new(0, 0), Coord::new(1, 1));
         loads.add_path(&mesh, &xy, 1.0);
         loads.add_path(&mesh, &xy, 3.0);
-        let p = model.power(&mesh, &loads).unwrap();
+        let p = model.power(&loads).unwrap();
         assert!((p.total() - 128.0).abs() < 1e-9);
         assert_eq!(p.active_links, 2);
         assert_eq!(p.leakage, 0.0);
@@ -280,13 +279,13 @@ mod tests {
         let mut loads = LoadMap::new(&mesh);
         loads.add_path(&mesh, &Path::xy(src, snk), 1.0);
         loads.add_path(&mesh, &Path::yx(src, snk), 3.0);
-        assert!((model.total_power(&mesh, &loads).unwrap() - 56.0).abs() < 1e-9);
+        assert!((model.total_power(&loads).unwrap() - 56.0).abs() < 1e-9);
         // 2-MP: split γ2 = 1 + 2 → every link carries 2 → 4·2³ = 32.
         let mut loads = LoadMap::new(&mesh);
         loads.add_path(&mesh, &Path::xy(src, snk), 1.0);
         loads.add_path(&mesh, &Path::xy(src, snk), 1.0);
         loads.add_path(&mesh, &Path::yx(src, snk), 2.0);
-        assert!((model.total_power(&mesh, &loads).unwrap() - 32.0).abs() < 1e-9);
+        assert!((model.total_power(&loads).unwrap() - 32.0).abs() < 1e-9);
     }
 
     #[test]
@@ -296,7 +295,7 @@ mod tests {
         let mut loads = LoadMap::new(&mesh);
         let l = mesh.link_id(Coord::new(0, 0), Step::Right).unwrap();
         loads.add(l, 4.5);
-        assert!(model.power(&mesh, &loads).is_err());
+        assert!(model.power(&loads).is_err());
     }
 
     #[test]

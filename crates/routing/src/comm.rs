@@ -94,8 +94,10 @@ impl fmt::Display for Comm {
     }
 }
 
-/// Processing order for the greedy-style heuristics (§5 discusses the
-/// variants; decreasing weight won and is the default everywhere).
+/// Processing order of the constructive heuristics (§5 discusses the
+/// variants; decreasing weight won). SG and IG always use decreasing
+/// weight; [`TwoBend`](crate::TwoBend) takes any order, for the ablation's
+/// order sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SortOrder {
     /// Heaviest communications first (the paper's choice).

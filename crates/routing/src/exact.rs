@@ -206,7 +206,7 @@ mod tests {
             }
         }
         // And BEST is bounded below by the optimum too.
-        if let Some(p) = Best::default().route(&cs, &model).power {
+        if let Some(p) = Best.route(&cs, &model).power {
             assert!(p + 1e-9 >= opt);
         }
     }

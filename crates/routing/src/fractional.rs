@@ -4,37 +4,26 @@
 //! *Ideal sharing* distributes a communication's traffic equally over all
 //! the links its Manhattan paths can use between two successive diagonals.
 //! The paper notes "such a splitting cannot be achieved but provides a
-//! bound on how to load-balance the communication across the links"; the
-//! IG and PR heuristics use it as a virtual initial distribution, and the
-//! theory uses the whole-diagonal variant as a lower bound on any
-//! Manhattan routing's dynamic power.
+//! bound on how to load-balance the communication across the links"; IG
+//! (§5.2) uses it as a virtual initial distribution, through this module's
+//! `apply_ideal` in both its engine and its oracle, and the theory uses
+//! the whole-diagonal variant as a lower bound on any Manhattan routing's
+//! dynamic power.
 
-use crate::comm::{Comm, CommSet};
-use pamr_mesh::{LinkId, LoadMap, Mesh, Quadrant};
+use crate::comm::CommSet;
+use pamr_mesh::{Band, LoadMap, Mesh, Quadrant};
 use pamr_power::{FrequencyScale, PowerModel};
 
-/// Per-link contribution of one communication under band-restricted ideal
-/// sharing: weight `δ / |group|` on every link of each of its band groups.
-pub fn comm_ideal_contribution(mesh: &Mesh, comm: &Comm) -> Vec<(LinkId, f64)> {
-    let band = comm.band(mesh);
-    let mut out = Vec::new();
+/// Adds (`sign = 1.0`) or removes (`-1.0`) a communication's Figure 3 ideal
+/// fractional contribution: `weight / |group|` on every link of each of its
+/// band's diagonal groups.
+pub(crate) fn apply_ideal(loads: &mut LoadMap, band: &Band, weight: f64, sign: f64) {
     for g in band.groups() {
-        let share = comm.weight / g.len() as f64;
-        out.extend(g.iter().map(|&l| (l, share)));
-    }
-    out
-}
-
-/// Aggregated ideal-sharing loads of a whole instance (the virtual
-/// pre-routing that IG removes communication by communication, §5.2).
-pub fn ideal_loads(cs: &CommSet) -> LoadMap {
-    let mut lm = LoadMap::new(cs.mesh());
-    for comm in cs.comms() {
-        for (l, share) in comm_ideal_contribution(cs.mesh(), comm) {
-            lm.add(l, share);
+        let share = sign * weight / g.len() as f64;
+        for &l in g {
+            loads.add(l, share);
         }
     }
-    lm
 }
 
 /// Number of links going from diagonal `k` to diagonal `k + 1` of direction
@@ -108,38 +97,26 @@ pub fn ideal_power_lower_bound(cs: &CommSet, model: &PowerModel) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::Comm;
     use crate::rules::xy_routing;
     use pamr_mesh::{Coord, Mesh};
 
     #[test]
-    fn contribution_conserves_weight_per_diagonal() {
+    fn ideal_sharing_conserves_weight_per_diagonal() {
         let mesh = Mesh::new(5, 5);
         let comm = Comm::new(Coord::new(0, 0), Coord::new(3, 2), 10.0);
         let band = comm.band(&mesh);
-        let contrib = comm_ideal_contribution(&mesh, &comm);
+        let mut loads = LoadMap::new(&mesh);
+        apply_ideal(&mut loads, &band, comm.weight, 1.0);
         // Per diagonal crossing, shares sum to the full weight.
-        let mut per_group = vec![0.0; band.len()];
-        for (l, share) in &contrib {
-            per_group[band.group_of(&mesh, *l)] += share;
-        }
-        for (t, s) in per_group.iter().enumerate() {
+        for (t, g) in band.groups().enumerate() {
+            let s: f64 = g.iter().map(|&l| loads.get(l)).sum();
             assert!((s - 10.0).abs() < 1e-9, "group {t} sums to {s}");
         }
-    }
-
-    #[test]
-    fn ideal_loads_total_is_weight_times_length() {
-        let mesh = Mesh::new(6, 6);
-        let cs = CommSet::new(
-            mesh,
-            vec![
-                Comm::new(Coord::new(0, 0), Coord::new(2, 2), 4.0),
-                Comm::new(Coord::new(5, 5), Coord::new(3, 0), 2.0),
-            ],
-        );
-        let lm = ideal_loads(&cs);
-        let expected = 4.0 * 4.0 + 2.0 * 7.0;
-        assert!((lm.total() - expected).abs() < 1e-9);
+        assert!((loads.total() - 10.0 * comm.len() as f64).abs() < 1e-9);
+        // Removing the contribution leaves the map idle.
+        apply_ideal(&mut loads, &band, comm.weight, -1.0);
+        assert!(loads.iter_active().all(|(_, l)| l.abs() < 1e-12));
     }
 
     #[test]

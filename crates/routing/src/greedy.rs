@@ -1,10 +1,11 @@
 //! The Simple-greedy heuristic (§5.1).
 //!
-//! Its sibling, Improved greedy (§5.2), lives in [`crate::ig`] — it shares
-//! the fractional pre-routing machinery with PR and got its own module when
-//! the candidate selection was rewritten on the shared load index.
+//! Its sibling, Improved greedy (§5.2), lives in [`crate::ig`] — it starts
+//! from Figure 3's fractional sharing ([`crate::fractional`]) and got its
+//! own module when the candidate selection was rewritten on the shared
+//! load index.
 
-use crate::comm::{Comm, CommSet, SortOrder};
+use crate::comm::{Comm, CommSet};
 use crate::heuristic::Heuristic;
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
@@ -18,10 +19,7 @@ use pamr_power::PowerModel;
 /// path, take the least loaded one; break ties by moving closer to the
 /// straight source–sink diagonal.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SimpleGreedy {
-    /// Processing order (decreasing weight by default, per the paper).
-    pub order: SortOrder,
-}
+pub struct SimpleGreedy;
 
 impl Heuristic for SimpleGreedy {
     fn name(&self) -> &'static str {
@@ -32,20 +30,10 @@ impl Heuristic for SimpleGreedy {
         let mesh = cs.mesh();
         let cust = scratch.ensure_customized(cs);
         scratch.loads.fit(mesh);
-        // The processing order is the only weight-dependent precomputation
-        // SG does; take the customize phase's cached copy when it caches
-        // this order (bit-identical — it is CommSet::by_order's own result).
-        let order_buf;
-        let order: &[usize] = match cust.order(self.order) {
-            Some(o) => o,
-            None => {
-                order_buf = cs.by_order(self.order);
-                &order_buf
-            }
-        };
         let loads = &mut scratch.loads;
         let mut paths: Vec<Option<Path>> = vec![None; cs.len()];
-        for &i in order {
+        // The decreasing-weight order, cached by the customize phase.
+        for &i in cust.by_weight() {
             let c = &cs.comms()[i];
             let path = sg_route_one(mesh, loads, c);
             loads.add_path(mesh, &path, c.weight);
@@ -129,7 +117,7 @@ mod tests {
             ],
         );
         let model = PowerModel::theory(3.0);
-        let r = check_valid(&SimpleGreedy::default(), &cs, &model);
+        let r = check_valid(&SimpleGreedy, &cs, &model);
         let loads = r.loads(&cs);
         // A perfect separation yields max load 1.0 (XY would give 2.0).
         assert!(loads.max_load() <= 1.0 + 1e-9, "max = {}", loads.max_load());
@@ -146,7 +134,7 @@ mod tests {
             vec![Comm::new(Coord::new(0, 0), Coord::new(5, 5), 1.0)],
         );
         let model = PowerModel::theory(3.0);
-        let r = SimpleGreedy::default().route(&cs, &model);
+        let r = SimpleGreedy.route(&cs, &model);
         for core in r.path(0).cores() {
             assert!(
                 dist_to_diagonal(Coord::new(0, 0), Coord::new(5, 5), core) <= 5,
@@ -167,10 +155,7 @@ mod tests {
             ],
         );
         let model = PowerModel::kim_horowitz();
-        for h in [
-            &SimpleGreedy::default() as &dyn Heuristic,
-            &ImprovedGreedy::default(),
-        ] {
+        for h in [&SimpleGreedy as &dyn Heuristic, &ImprovedGreedy] {
             let r = check_valid(h, &cs, &model);
             assert!(r.path(0).is_empty());
             assert_eq!(r.path(1).len(), 3);

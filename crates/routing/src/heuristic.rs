@@ -1,5 +1,5 @@
 //! The heuristic interface, the surrogate cost used during construction,
-//! and the BEST portfolio (§5–§6).
+//! and BEST, the best of the six policies (§5–§6).
 
 use crate::comm::CommSet;
 use crate::greedy::SimpleGreedy;
@@ -128,8 +128,8 @@ impl HeuristicKind {
     ) -> Routing {
         match self {
             HeuristicKind::Xy => xy_routing(cs),
-            HeuristicKind::Sg => SimpleGreedy::default().route_with(cs, model, scratch),
-            HeuristicKind::Ig => ImprovedGreedy::default().route_with(cs, model, scratch),
+            HeuristicKind::Sg => SimpleGreedy.route_with(cs, model, scratch),
+            HeuristicKind::Ig => ImprovedGreedy.route_with(cs, model, scratch),
             HeuristicKind::Tb => TwoBend::default().route_with(cs, model, scratch),
             HeuristicKind::Xyi => XyImprover.route_with(cs, model, scratch),
             HeuristicKind::Pr => PathRemover.route_with(cs, model, scratch),
@@ -143,82 +143,42 @@ impl std::fmt::Display for HeuristicKind {
     }
 }
 
-/// Error returned by [`Best::of`] when given an empty portfolio.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmptyPortfolio;
-
-impl std::fmt::Display for EmptyPortfolio {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("a BEST portfolio needs at least one heuristic")
-    }
-}
-
-impl std::error::Error for EmptyPortfolio {}
-
-/// The outcome of one [`Best::route`] call: which portfolio member won,
-/// its routing, and its power.
+/// The outcome of one [`Best::route`] call: which policy won, its
+/// routing, and its power.
 ///
-/// The winner is the feasible member of smallest power. When *no* member
-/// is feasible, `kind`/`routing` are the first portfolio member's attempt
-/// (XY for the default portfolio) and `power` is `None` — so callers
-/// always get a structurally valid routing to display, and feasibility is
-/// one `power.is_some()` check instead of an `unwrap` on the whole result.
+/// The winner is the feasible policy of smallest power. When *no* policy
+/// is feasible, `kind`/`routing` are XY's attempt and `power` is `None` —
+/// so callers always get a structurally valid routing to display, and
+/// feasibility is one `power.is_some()` check instead of an `unwrap` on
+/// the whole result.
 #[derive(Debug, Clone)]
 pub struct BestRoute {
-    /// The winning policy (or the first member when every member failed).
+    /// The winning policy (XY when every policy failed).
     pub kind: HeuristicKind,
     /// The winner's routing (always structurally valid, infeasible iff
     /// `power` is `None`).
     pub routing: Routing,
-    /// Total power of the winning routing; `None` when every portfolio
-    /// member produced an infeasible routing.
+    /// Total power of the winning routing; `None` when every policy
+    /// produced an infeasible routing.
     pub power: Option<f64>,
 }
 
 impl BestRoute {
-    /// True iff some portfolio member produced a feasible routing.
+    /// True iff some policy produced a feasible routing.
     #[inline]
     pub fn is_feasible(&self) -> bool {
         self.power.is_some()
     }
 }
 
-/// The virtual **BEST** heuristic of §6: run a portfolio and keep the
-/// feasible routing of smallest power.
-///
-/// Non-empty by construction: [`Best::of`] rejects an empty portfolio, so
-/// [`Best::route`] can always return a [`BestRoute`] (falling back to the
-/// first member's attempt when nothing is feasible) instead of an
-/// `Option` every caller must unwrap.
-#[derive(Debug, Clone)]
-pub struct Best {
-    portfolio: Vec<HeuristicKind>,
-}
-
-impl Default for Best {
-    fn default() -> Self {
-        Best {
-            portfolio: HeuristicKind::ALL.to_vec(),
-        }
-    }
-}
+/// The virtual **BEST** heuristic of §6: run all six policies
+/// ([`HeuristicKind::ALL`], XY included) and keep the feasible routing of
+/// smallest power.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Best;
 
 impl Best {
-    /// BEST over a custom portfolio. Fails on an empty portfolio — the
-    /// only way to build a `Best`, so every constructed value can route.
-    pub fn of(portfolio: Vec<HeuristicKind>) -> Result<Best, EmptyPortfolio> {
-        if portfolio.is_empty() {
-            return Err(EmptyPortfolio);
-        }
-        Ok(Best { portfolio })
-    }
-
-    /// The portfolio members (never empty).
-    pub fn portfolio(&self) -> &[HeuristicKind] {
-        &self.portfolio
-    }
-
-    /// Runs every member and returns the winner (see [`BestRoute`]).
+    /// Runs every policy and returns the winner (see [`BestRoute`]).
     pub fn route(&self, cs: &CommSet, model: &PowerModel) -> BestRoute {
         self.route_with(cs, model, &mut RouteScratch::new())
     }
@@ -233,7 +193,7 @@ impl Best {
     ) -> BestRoute {
         let mut best: Option<(HeuristicKind, Routing, f64)> = None;
         let mut fallback: Option<(HeuristicKind, Routing)> = None;
-        for &kind in &self.portfolio {
+        for kind in HeuristicKind::ALL {
             let routing = kind.route_with(cs, model, scratch);
             match routing.power(cs, model) {
                 Ok(p) => {
@@ -256,9 +216,9 @@ impl Best {
                 power: Some(power),
             },
             None => {
-                // Every member failed, so the first member is in `fallback`
-                // (the portfolio is non-empty by construction).
-                let (kind, routing) = fallback.expect("non-empty portfolio");
+                // Every policy failed, so `fallback` holds the first one's
+                // attempt: XY's.
+                let (kind, routing) = fallback.expect("HeuristicKind::ALL is non-empty");
                 BestRoute {
                     kind,
                     routing,
@@ -312,7 +272,7 @@ mod tests {
             ],
         );
         let model = PowerModel::fig2();
-        let best = Best::default().route(&cs, &model);
+        let best = Best.route(&cs, &model);
         assert!(best.routing.is_structurally_valid(&cs, 1));
         // Best single-path power on this instance is 56 (Fig. 2b).
         let power = best.power.expect("Fig. 2 instance is feasible");
@@ -327,25 +287,18 @@ mod tests {
     #[test]
     fn best_reports_infeasible_with_a_displayable_fallback() {
         // BW = 2 and one weight-3 communication: every single path (and
-        // hence every portfolio member) overloads some link. The result
-        // still carries the first member's attempt for display.
+        // hence every policy) overloads some link. The result still
+        // carries XY's attempt for display.
         let mesh = Mesh::new(2, 2);
         let cs = CommSet::new(
             mesh,
             vec![Comm::new(Coord::new(0, 0), Coord::new(1, 1), 3.0)],
         );
         let model = PowerModel::continuous(0.0, 1.0, 3.0, 2.0);
-        let best = Best::default().route(&cs, &model);
+        let best = Best.route(&cs, &model);
         assert!(!best.is_feasible());
         assert_eq!(best.power, None);
-        assert_eq!(best.kind, HeuristicKind::Xy, "fallback is the first member");
+        assert_eq!(best.kind, HeuristicKind::Xy, "the fallback is XY's attempt");
         assert!(best.routing.is_structurally_valid(&cs, 1));
-    }
-
-    #[test]
-    fn best_of_rejects_an_empty_portfolio() {
-        assert_eq!(Best::of(vec![]).unwrap_err(), EmptyPortfolio);
-        let one = Best::of(vec![HeuristicKind::Pr]).unwrap();
-        assert_eq!(one.portfolio(), [HeuristicKind::Pr]);
     }
 }

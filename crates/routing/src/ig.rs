@@ -28,7 +28,8 @@
 //! [`HeuristicKind::Ig`](crate::HeuristicKind) via
 //! [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 
-use crate::comm::{Comm, CommSet, SortOrder};
+use crate::comm::{Comm, CommSet};
+use crate::fractional::apply_ideal;
 use crate::heuristic::{link_cost, Heuristic};
 use crate::precompute::CostLadder;
 use crate::routing::Routing;
@@ -55,21 +56,7 @@ use reference::ReferenceImprovedGreedy;
 /// its bit-identical full-scan oracle runs in its place on
 /// [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ImprovedGreedy {
-    /// Processing order (decreasing weight by default, per the paper).
-    pub order: SortOrder,
-}
-
-/// Adds (`sign = 1.0`) or removes (`-1.0`) a communication's Figure 3 ideal
-/// fractional contribution: `weight / |group|` on every band-group link.
-pub(super) fn apply_ideal(loads: &mut LoadMap, band: &Band, weight: f64, sign: f64) {
-    for g in band.groups() {
-        let share = sign * weight / g.len() as f64;
-        for &l in g {
-            loads.add(l, share);
-        }
-    }
-}
+pub struct ImprovedGreedy;
 
 /// The reused min-index buffers of [`RouteScratch`], borrowed together:
 /// `ig_keys` (each band group's `(load bits, link id)` keys), `ig_off`
@@ -225,18 +212,9 @@ impl ImprovedGreedy {
         for (c, band) in cs.comms().iter().zip(cust.bands()) {
             apply_ideal(loads, band, c.weight, 1.0);
         }
-        // The decreasing-weight order is cached by the customize phase
-        // (bit-identical: it is CommSet::by_order's own result).
-        let order_buf;
-        let order: &[usize] = match cust.order(self.order) {
-            Some(o) => o,
-            None => {
-                order_buf = cs.by_order(self.order);
-                &order_buf
-            }
-        };
         let mut paths: Vec<Option<Path>> = vec![None; cs.len()];
-        for &i in order {
+        // The decreasing-weight order, cached by the customize phase.
+        for &i in cust.by_weight() {
             let c = &cs.comms()[i];
             // Remove this communication's own pre-routing before choosing
             // its real path; the load map is then frozen until the path
@@ -264,7 +242,7 @@ impl ImprovedGreedy {
             loads.add_path(mesh, &path, c.weight);
             paths[i] = Some(path);
         }
-        // pamr-lint: allow(P001, reason = "order is a permutation of 0..len (CommSet::by_order or its cached copy), so every slot was filled by the loop above")
+        // pamr-lint: allow(P001, reason = "by_weight is a permutation of 0..len, so every slot was filled by the loop above")
         Routing::single(cs, paths.into_iter().map(Option::unwrap).collect())
     }
 }
@@ -276,7 +254,7 @@ impl Heuristic for ImprovedGreedy {
 
     fn route_with(&self, cs: &CommSet, model: &PowerModel, scratch: &mut RouteScratch) -> Routing {
         if scratch.engine().is_reference() {
-            ReferenceImprovedGreedy { order: self.order }.route_with(cs, model, scratch)
+            ReferenceImprovedGreedy.route_with(cs, model, scratch)
         } else {
             self.route_indexed_with(cs, model, scratch)
         }
@@ -303,7 +281,7 @@ mod tests {
             ],
         );
         let model = PowerModel::theory(3.0);
-        let ig = ImprovedGreedy::default().route(&cs, &model);
+        let ig = ImprovedGreedy.route(&cs, &model);
         assert!(ig.is_structurally_valid(&cs, 1));
         let xy = crate::rules::xy_routing(&cs);
         let p_ig = ig.power(&cs, &model).unwrap().total();
@@ -326,7 +304,7 @@ mod tests {
             ],
         );
         let model = PowerModel::fig2();
-        let r = ImprovedGreedy::default().route(&cs, &model);
+        let r = ImprovedGreedy.route(&cs, &model);
         // Optimal 1-MP on Fig. 2 is 56: one comm on XY, the other on YX.
         let p = r.power(&cs, &model).unwrap().total();
         assert!(
@@ -358,9 +336,8 @@ mod tests {
                 })
                 .collect();
             let cs = CommSet::new(mesh, comms);
-            let indexed = ImprovedGreedy::default().route_with(&cs, &model, &mut scratch);
-            let reference =
-                ReferenceImprovedGreedy::default().route_with(&cs, &model, &mut scratch);
+            let indexed = ImprovedGreedy.route_with(&cs, &model, &mut scratch);
+            let reference = ReferenceImprovedGreedy.route_with(&cs, &model, &mut scratch);
             assert_eq!(
                 indexed, reference,
                 "seed {seed}: indexed IG diverged from the full-scan oracle"
@@ -385,8 +362,8 @@ mod tests {
         let model = PowerModel::theory(3.0);
         let mut live = RouteScratch::with_engine(EngineConfig::LIVE);
         let mut oracle = RouteScratch::with_engine(EngineConfig::REFERENCE);
-        let indexed = ImprovedGreedy::default().route_with(&cs, &model, &mut live);
-        let reference = ImprovedGreedy::default().route_with(&cs, &model, &mut oracle);
+        let indexed = ImprovedGreedy.route_with(&cs, &model, &mut live);
+        let reference = ImprovedGreedy.route_with(&cs, &model, &mut oracle);
         assert_eq!(indexed, reference);
     }
 }

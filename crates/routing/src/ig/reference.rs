@@ -11,8 +11,8 @@
 //! oracle is always available to tests, benchmarks and
 //! [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 
-use super::apply_ideal;
-use crate::comm::{Comm, CommSet, SortOrder};
+use crate::comm::{Comm, CommSet};
+use crate::fractional::apply_ideal;
 use crate::heuristic::{surrogate_link_cost, Heuristic};
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
@@ -24,11 +24,7 @@ use pamr_power::PowerModel;
 /// Produces bit-identical routings to [`crate::ImprovedGreedy`] (the
 /// indexed implementation) at a higher per-hop cost; see the module docs.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ReferenceImprovedGreedy {
-    /// Processing order (mirrors
-    /// [`ImprovedGreedy::order`](crate::ImprovedGreedy)).
-    pub order: SortOrder,
-}
+pub(crate) struct ReferenceImprovedGreedy;
 
 /// Lower bound on the power to go from `from` to `snk` assuming for each
 /// remaining diagonal crossing the least-loaded reachable link can be used.
@@ -127,7 +123,7 @@ impl Heuristic for ReferenceImprovedGreedy {
             apply_ideal(loads, band, c.weight, 1.0);
         }
         let mut paths: Vec<Option<Path>> = vec![None; cs.len()];
-        for &i in &cs.by_order(self.order) {
+        for &i in &cs.by_decreasing_weight() {
             let c = &cs.comms()[i];
             // Remove this communication's own pre-routing before choosing
             // its real path.
@@ -157,7 +153,7 @@ mod tests {
             ],
         );
         let model = PowerModel::fig2();
-        let r = ReferenceImprovedGreedy::default().route(&cs, &model);
+        let r = ReferenceImprovedGreedy.route(&cs, &model);
         let p = r.power(&cs, &model).unwrap().total();
         assert!(
             (p - 56.0).abs() < 1e-9,

@@ -11,9 +11,11 @@
 //! * the baseline rules XY and YX (§3.3);
 //! * the five single-path heuristics of §5 — [`SimpleGreedy`] (SG),
 //!   [`ImprovedGreedy`] (IG), [`TwoBend`] (TB), [`XyImprover`] (XYI) and
-//!   [`PathRemover`] (PR) — plus the portfolio [`Best`];
-//! * the ideal fractional sharing of Figure 3 ([`fractional`]), shared by
-//!   IG and PR and used as a power lower bound;
+//!   [`PathRemover`] (PR) — plus [`Best`], the best of all six policies
+//!   (XY included);
+//! * the ideal fractional sharing of Figure 3 ([`fractional`]): IG's
+//!   virtual pre-routing, and the whole-diagonal power lower bound of the
+//!   proofs of Theorems 1 and 2;
 //! * a Frank–Wolfe convex multi-commodity-flow solver ([`frank_wolfe`])
 //!   approximating the optimal **max-MP** routing under continuous
 //!   frequency scaling (the paper's future-work item on bounding the
@@ -37,8 +39,8 @@
 //! let p_xy = xy_routing(&cs).power(&cs, &model).unwrap().total();
 //! let pr = PathRemover.route(&cs, &model);
 //! assert!(pr.is_feasible(&cs, &model));
-//! // BEST never loses to XY (XY is in its portfolio).
-//! let best = Best::default().route(&cs, &model);
+//! // BEST never loses to XY (XY is one of its six policies).
+//! let best = Best.route(&cs, &model);
 //! assert!(best.power.expect("XY is feasible here") <= p_xy);
 //! ```
 
@@ -71,13 +73,12 @@ pub use comm::{Comm, CommSet, SortOrder};
 pub use csr::CrossingIndex;
 pub use engine::EngineConfig;
 pub use exact::optimal_single_path;
-pub use fractional::{ideal_loads, ideal_power_lower_bound};
+pub use fractional::ideal_power_lower_bound;
 pub use frontier::{frontier_points, FrontierPoint, FrontierProblem, Segment};
 pub use fw::{frank_wolfe, FrankWolfeResult};
 pub use greedy::SimpleGreedy;
 pub use heuristic::{
-    surrogate_link_cost, Best, BestRoute, EmptyPortfolio, Heuristic, HeuristicKind,
-    SURROGATE_PENALTY,
+    surrogate_link_cost, Best, BestRoute, Heuristic, HeuristicKind, SURROGATE_PENALTY,
 };
 pub use ig::ImprovedGreedy;
 pub use loadq::MaxTree;

@@ -110,29 +110,24 @@ impl<H: Heuristic> Heuristic for SplitMp<H> {
 ///
 /// Runs the fractional solver, strips the flow of each communication into
 /// at most `s` maximin-bottleneck Manhattan paths, and returns the better
-/// of the rounded routing and the 1-MP [`Best`] portfolio — so its power
+/// of the rounded routing and the 1-MP [`Best`] routing — so its power
 /// never exceeds the best single-path heuristic's.
 #[derive(Debug, Clone)]
 pub struct FwMp {
     s: usize,
     iterations: usize,
-    portfolio: Best,
 }
 
 impl FwMp {
     /// An s-MP rounder keeping at most `s ≥ 1` paths per communication,
-    /// with the default Frank–Wolfe iteration budget and the full 1-MP
-    /// portfolio as the floor.
+    /// with the default Frank–Wolfe iteration budget and 1-MP [`Best`] as
+    /// the floor.
     ///
     /// # Panics
     /// Panics if `s == 0`.
     pub fn new(s: usize) -> Self {
         assert!(s >= 1, "need at least one path per communication");
-        FwMp {
-            s,
-            iterations: 200,
-            portfolio: Best::default(),
-        }
+        FwMp { s, iterations: 200 }
     }
 
     /// This rounder with a different Frank–Wolfe iteration budget.
@@ -253,7 +248,7 @@ impl Heuristic for FwMp {
                 .map(|(i, c)| strip_paths(mesh, c, fw.routing.flows(i), self.s))
                 .collect(),
         );
-        let best1 = self.portfolio.route_with(cs, model, scratch);
+        let best1 = Best.route_with(cs, model, scratch);
         // Feasible beats infeasible; among feasible, smaller power wins;
         // ties keep the multi-path candidate.
         match (candidate.power(cs, model), best1.power) {
@@ -292,7 +287,7 @@ mod tests {
         for r in [
             SplitMp::new(PathRemover, 2).route(&cs, &model),
             SplitMp::new(TwoBend::default(), 2).route(&cs, &model),
-            SplitMp::new(ImprovedGreedy::default(), 2).route(&cs, &model),
+            SplitMp::new(ImprovedGreedy, 2).route(&cs, &model),
         ] {
             assert!(r.is_structurally_valid(&cs, 2));
             let p = r.power(&cs, &model).unwrap().total();
@@ -414,10 +409,7 @@ mod tests {
             ],
         );
         let model = PowerModel::theory(3.0);
-        let best1 = crate::heuristic::Best::default()
-            .route(&cs, &model)
-            .power
-            .unwrap();
+        let best1 = Best.route(&cs, &model).power.unwrap();
         for s in [2usize, 4] {
             let p = FwMp::new(s)
                 .route(&cs, &model)

@@ -17,7 +17,7 @@ use crate::comm::CommSet;
 use crate::heuristic::Heuristic;
 use crate::loadq::select_max;
 use crate::routing::Routing;
-use crate::scratch::{reset_flags, RouteScratch};
+use crate::scratch::RouteScratch;
 use pamr_mesh::{Band, Coord, LinkId, LoadMap, Mesh, Path, Step};
 use pamr_power::PowerModel;
 
@@ -91,7 +91,8 @@ impl RefComm {
 
         // Forward reachability from the source, diagonal by diagonal.
         let n = mesh.num_cores();
-        reset_flags(fwd, n);
+        fwd.clear();
+        fwd.resize(n, false);
         fwd[mesh.core_index(self.band.src())] = true;
         for (t, g) in self.band.groups().enumerate() {
             for (j, &l) in g.iter().enumerate() {
@@ -104,7 +105,8 @@ impl RefComm {
             }
         }
         // Backward reachability from the sink.
-        reset_flags(bwd, n);
+        bwd.clear();
+        bwd.resize(n, false);
         bwd[mesh.core_index(self.band.snk())] = true;
         for (t, g) in self.band.groups().enumerate().rev() {
             for (j, &l) in g.iter().enumerate() {
@@ -225,43 +227,44 @@ impl ReferencePathRemover {
         for c in &comms {
             c.apply_loads(&mut scratch.loads, 1.0);
         }
-        // Which communications' bands contain each link (static superset,
-        // built in reused buffers).
-        let nslots = mesh.num_link_slots();
-        scratch.users_fit(nslots);
+        // Which communications' bands contain each link (static superset).
+        let mut users: Vec<Vec<usize>> = vec![Vec::new(); mesh.num_link_slots()];
         for (i, c) in comms.iter().enumerate() {
             for l in c.band.links() {
-                scratch.users[l.index()].push(i);
+                users[l.index()].push(i);
             }
         }
+        // Working lists: the loaded links of `select_max`, one link's
+        // candidate communications and the per-core reachability flags.
+        let mut active: Vec<(LinkId, f64)> = Vec::new();
+        let mut cands: Vec<usize> = Vec::new();
+        let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
 
         // Iteratively remove the most loaded link from the largest
         // removable communication crossing it.
         let mut unresolved = comms.iter().filter(|c| !c.resolved).count();
         while unresolved > 0 {
-            scratch.active.clear();
-            scratch.active.extend(scratch.loads.iter_active());
+            active.clear();
+            active.extend(scratch.loads.iter_active());
             let mut removed = false;
             let mut next = 0;
             // Lazily select links in decreasing-load order: a removal
             // usually happens within the first few, so the full sort the
             // paper's description implies is almost never needed.
-            'links: while let Some((link, _)) = select_max(&mut scratch.active, next) {
+            'links: while let Some((link, _)) = select_max(&mut active, next) {
                 next += 1;
                 // Candidate communications by decreasing weight.
-                scratch.cands.clear();
-                scratch.cands.extend(
-                    scratch.users[link.index()]
+                cands.clear();
+                cands.extend(
+                    users[link.index()]
                         .iter()
                         .copied()
                         .filter(|&i| !comms[i].resolved),
                 );
                 // total_cmp: same order as partial_cmp for these finite
                 // positive weights, without the NaN panic path.
-                scratch
-                    .cands
-                    .sort_by(|&a, &b| comms[b].weight.total_cmp(&comms[a].weight).then(a.cmp(&b)));
-                for &i in &scratch.cands {
+                cands.sort_by(|&a, &b| comms[b].weight.total_cmp(&comms[a].weight).then(a.cmp(&b)));
+                for &i in &cands {
                     // Removable iff the link is alive for the communication
                     // and its group keeps another alive link (every alive
                     // link lies on some path after cleaning, so a sibling
@@ -273,8 +276,8 @@ impl ReferencePathRemover {
                                 i,
                                 (t, j),
                                 &mut scratch.loads,
-                                &mut scratch.fwd,
-                                &mut scratch.bwd,
+                                &mut fwd,
+                                &mut bwd,
                             )?;
                             if comms[i].resolved {
                                 unresolved -= 1;

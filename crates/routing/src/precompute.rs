@@ -168,9 +168,9 @@ impl MeshPrecompute {
 
 /// The metric-dependent half of customization: under a **discrete**
 /// frequency-scaled model the surrogate link cost takes only one value per
-/// frequency level, so the engines evaluate the power fit once per level
-/// up front and answer each per-hop cost query with a level lookup instead
-/// of a `powf`.
+/// frequency level, so the engines and the session's bounded repair
+/// evaluate the power fit once per level up front and answer each cost
+/// query with a level lookup instead of a `powf`.
 ///
 /// Every stored power is [`surrogate_link_cost`]'s own expression evaluated
 /// once, and the level search replicates the model's capacity slack, so
@@ -259,7 +259,9 @@ impl CostLadder {
 }
 
 /// The output of the weight-dependent customize phase: one routed
-/// instance's bands and processing order, ready for the engines. Validated
+/// instance's bands and its decreasing-weight processing order (the one
+/// order cached; TB sorts the ablation's other orders itself), ready for
+/// the engines. Validated
 /// against the `CommSet` it was built from (see [`matches`](Self::matches)),
 /// so a stale instance is never consumed.
 #[derive(Debug, Clone)]
@@ -303,16 +305,6 @@ impl CustomizedInstance {
     /// cached result.
     pub fn by_weight(&self) -> &[usize] {
         &self.by_weight
-    }
-
-    /// The cached processing order for `order`, when one is cached
-    /// (only the decreasing-weight order is; other orders return `None`
-    /// and the caller sorts as before).
-    pub fn order(&self, order: SortOrder) -> Option<&[usize]> {
-        match order {
-            SortOrder::DecreasingWeight => Some(&self.by_weight),
-            _ => None,
-        }
     }
 }
 
@@ -393,11 +385,6 @@ mod tests {
         assert!(!Arc::ptr_eq(cust.band(0), cust.band(2)));
         // The cached order is CommSet::by_order's result, verbatim.
         assert_eq!(cust.by_weight(), cs.by_order(SortOrder::DecreasingWeight));
-        assert_eq!(
-            cust.order(SortOrder::DecreasingWeight),
-            Some(cust.by_weight())
-        );
-        assert_eq!(cust.order(SortOrder::DecreasingLength), None);
         // A different instance does not match.
         let other = CommSet::new(m, vec![Comm::new(Coord::new(0, 0), Coord::new(2, 2), 1.0)]);
         assert!(!cust.matches(&other));

@@ -132,7 +132,7 @@ impl Routing {
     /// link bandwidth is exceeded (the heuristic *failed* on this instance,
     /// in the paper's terminology).
     pub fn power(&self, cs: &CommSet, model: &PowerModel) -> Result<PowerBreakdown, Infeasible> {
-        model.power(cs.mesh(), &self.loads(cs))
+        model.power(&self.loads(cs))
     }
 
     /// True iff no link bandwidth is exceeded under `model`.

@@ -1,11 +1,14 @@
-//! Reusable buffers for the heuristics' hot paths.
+//! The engines' reusable working memory.
 //!
 //! One §6 campaign trial routes the same instance with all six policies,
-//! and a full campaign runs hundreds of thousands of trials. Before this
-//! module every `route` call allocated its own [`LoadMap`], sorted-link
-//! lists, reachability flags and per-link user tables; a [`RouteScratch`]
-//! owns those buffers instead, so a worker thread allocates once and reuses
-//! them for every subsequent trial ([`Heuristic::route_with`]).
+//! and a full campaign runs hundreds of thousands of trials. A
+//! [`RouteScratch`] owns the live engines' buffers (the load accumulator,
+//! crossing rows, selection indexes, per-link cursors and costs) plus the
+//! attached precompute and cost ladder, so a worker thread allocates once
+//! and reuses them for every subsequent trial
+//! ([`Heuristic::route_with`]). The reference oracles keep their working
+//! lists as locals and share only the load accumulator, which
+//! [`RouteScratch::loads`] exposes for the differential suites to compare.
 //!
 //! [`Heuristic::route_with`]: crate::heuristic::Heuristic::route_with
 
@@ -14,7 +17,7 @@ use crate::csr::CrossingIndex;
 use crate::engine::EngineConfig;
 use crate::loadq::MaxTree;
 use crate::precompute::{CostLadder, CustomizedInstance, MeshPrecompute};
-use pamr_mesh::{LinkId, LoadMap};
+use pamr_mesh::LoadMap;
 use pamr_power::PowerModel;
 use std::sync::Arc;
 
@@ -33,29 +36,12 @@ use std::sync::Arc;
 /// [`Heuristic::route_with`]: crate::heuristic::Heuristic::route_with
 #[derive(Debug, Default)]
 pub struct RouteScratch {
-    /// Link-load accumulator (sized per mesh by `LoadMap::fit`).
+    /// Link-load accumulator (sized per mesh by `LoadMap::fit`), the one
+    /// buffer the reference oracles share with the engines.
     pub(crate) loads: LoadMap,
-    /// Sorted `(link, load)` working list (the reference oracles'
-    /// `select_max` loaded-link scan).
-    pub(crate) active: Vec<(LinkId, f64)>,
-    /// Forward-reachability flags, one per core (the PR oracle's path
-    /// cleaning).
-    pub(crate) fwd: Vec<bool>,
-    /// Backward-reachability flags, one per core (the PR oracle's path
-    /// cleaning).
-    pub(crate) bwd: Vec<bool>,
-    /// Per-link list of communications whose band contains the link —
-    /// the PR oracle's table. The optimized engines use the flat
-    /// [`CrossingIndex`] in `xusers` instead; the oracle keeps its own
-    /// Vec-of-Vec representation so it shares no index with the engine it
-    /// checks.
-    pub(crate) users: Vec<Vec<usize>>,
-    /// Flat CSR crossing-comms index — the optimized engines' counterpart
-    /// of `users` (banded PR, XYI), rebuilt per route in two
-    /// counting passes with no per-link allocations.
+    /// Flat CSR crossing-comms index (banded PR, XYI), rebuilt per route
+    /// in two counting passes with no per-link allocations.
     pub(crate) xusers: CrossingIndex,
-    /// Candidate-communication index buffer (PR's per-link scan).
-    pub(crate) cands: Vec<usize>,
     /// Per-link selection cursor into the link's `xusers` row (banded PR),
     /// reset on every route: the candidates before it were rejected, and a
     /// rejection lasts for the rest of the route.
@@ -175,23 +161,6 @@ impl RouteScratch {
             self.ladder = CostLadder::new(model);
         }
     }
-
-    /// Resets the per-link `users` table to `n_slots` empty lists, keeping
-    /// every inner allocation (the PR oracle re-keys it on every route).
-    pub(crate) fn users_fit(&mut self, n_slots: usize) {
-        for v in self.users.iter_mut() {
-            v.clear();
-        }
-        if self.users.len() < n_slots {
-            self.users.resize_with(n_slots, Vec::new);
-        }
-    }
-}
-
-/// Resets a flag buffer to `n` `false` entries, keeping its allocation.
-pub(crate) fn reset_flags(buf: &mut Vec<bool>, n: usize) {
-    buf.clear();
-    buf.resize(n, false);
 }
 
 #[cfg(test)]
@@ -250,18 +219,8 @@ mod tests {
         let b = random_instance(mesh, 4, 4);
         // PR (uses every buffer) then SG (uses only loads) then PR again.
         let pr1 = crate::pr::PathRemover.route_with(&a, &model, &mut scratch);
-        let _sg = crate::greedy::SimpleGreedy::default().route_with(&b, &model, &mut scratch);
+        let _sg = crate::greedy::SimpleGreedy.route_with(&b, &model, &mut scratch);
         let pr2 = crate::pr::PathRemover.route_with(&a, &model, &mut scratch);
         assert_eq!(pr1.loads(&a), pr2.loads(&a));
-    }
-
-    #[test]
-    fn reset_flags_clears_previous_state() {
-        let mut buf = vec![true; 10];
-        reset_flags(&mut buf, 4);
-        assert_eq!(buf, vec![false; 4]);
-        reset_flags(&mut buf, 12);
-        assert_eq!(buf.len(), 12);
-        assert!(buf.iter().all(|&b| !b));
     }
 }

@@ -30,7 +30,10 @@
 //! feasible than the batch heuristic on the same instance.
 //!
 //! The bounded pass is batch XYI's pending-link loop ([`crate::xyi`])
-//! restricted to the scope. The scope is a set of flags plus the list of
+//! restricted to the scope. It evaluates each link with batch XYI's
+//! `best_flip`, so the move and the price of a flip — the surrogate cost
+//! over the session scratch's [`CostLadder`](crate::CostLadder) — are
+//! batch XYI's own. The scope is a set of flags plus the list of
 //! the flagged links, so a pass resets it in time proportional to the
 //! scope, not to the mesh. A second [`MaxTree`] keys the *pending* scoped
 //! links: every scoped link starts pending; the pass evaluates the top,
@@ -85,7 +88,7 @@
 
 use crate::comm::{Comm, CommSet};
 use crate::csr::CrossingIndex;
-use crate::heuristic::{surrogate_link_cost, HeuristicKind};
+use crate::heuristic::HeuristicKind;
 use crate::loadq::MaxTree;
 use crate::precompute::MeshPrecompute;
 use crate::routing::Routing;
@@ -668,6 +671,9 @@ impl RoutingSession {
     /// the [module docs](self)); escalates to a full re-route when the
     /// repaired state is still infeasible.
     fn bounded_repair(&mut self, max_moves: usize) {
+        // Flips are priced as batch XYI prices them: over the scratch's
+        // cost ladder (no ladder under a continuous model).
+        self.scratch.ensure_ladder(&self.model);
         let mut moves = 0;
         while moves < max_moves {
             let Some((link, _)) = self.pending.peek_max() else {
@@ -686,7 +692,7 @@ impl RoutingSession {
                     (&lc.path, lc.comm.weight)
                 },
                 |l| self.loads.get(l),
-                |load| surrogate_link_cost(&self.model, load),
+                (&self.model, self.scratch.ladder.as_ref()),
             );
             match flip {
                 Some(flip) => {

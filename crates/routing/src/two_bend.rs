@@ -15,8 +15,8 @@
 //! model). It then walks each candidate's three straight runs in place,
 //! sums the stored marginals with `Iterator::sum` in path order — the
 //! oracle's own fold over the same values — and builds a `Path` only for
-//! the winner. It takes its processing order from the customized
-//! instance, as SG and IG do.
+//! the winner. It takes the decreasing-weight order from the customized
+//! instance, as SG and IG do, and sorts the ablation's other orders itself.
 //!
 //! Both engines produce **bit-identical** routings and load maps, and
 //! `tests/xyi_differential.rs` enforces it over randomized §6 workloads
@@ -131,13 +131,14 @@ impl Heuristic for TwoBend {
         // Never cleared: every link a candidate crosses is a band link,
         // written for the communication before its candidates are summed.
         marginals.resize(marginals.len().max(mesh.num_link_slots()), 0.0);
-        // The decreasing-weight order is cached by the customize phase
-        // (bit-identical: it is CommSet::by_order's own result).
+        // The customize phase caches the decreasing-weight order (it is
+        // CommSet::by_order's own result); the ablation's other orders are
+        // sorted here.
         let order_buf;
-        let order: &[usize] = match cust.order(self.order) {
-            Some(o) => o,
-            None => {
-                order_buf = cs.by_order(self.order);
+        let order: &[usize] = match self.order {
+            SortOrder::DecreasingWeight => cust.by_weight(),
+            other => {
+                order_buf = cs.by_order(other);
                 &order_buf
             }
         };

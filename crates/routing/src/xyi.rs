@@ -25,6 +25,14 @@
 //! communications whose current path crosses the link; every other
 //! communication's flip candidate is structurally `None`.
 //!
+//! The move itself is written once, in the private `flip_at`: the oracle
+//! reaches it through `flip_candidate`, which walks the path to the link,
+//! and the engine and the session's bounded repair through
+//! `flip_candidate_at`, which finds the link's position in `O(1)`. The
+//! engine and the session also price a flip in one place, `best_flip`,
+//! through `link_cost` over the scratch's [`CostLadder`]; the oracle
+//! evaluates the power fit per query.
+//!
 //! **Why dropping rejected links is exact.** Evaluating link `L` reads
 //! three things: the communications crossing `L`, each one's moves next to
 //! `L`, and the loads of the four sides of the unit square its flip would
@@ -48,6 +56,7 @@
 
 use crate::comm::CommSet;
 use crate::heuristic::{link_cost, Heuristic};
+use crate::precompute::CostLadder;
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
 use pamr_mesh::{Coord, LinkId, Mesh, Path, Step};
@@ -98,8 +107,8 @@ pub struct XyImprover;
 
 /// The paper's single candidate modification of `path` to avoid `link`,
 /// without building the new path: the position of the move swap plus the
-/// two removed and two added links. `None` when the move would violate the
-/// Manhattan-path constraint.
+/// two removed and two added links. `None` when the path does not cross
+/// the link or the move would violate the Manhattan-path constraint.
 ///
 /// Only the two links at `swap_at` / `swap_at + 1` differ between the old
 /// and new paths, so the candidate is fully described — and its surrogate
@@ -110,58 +119,15 @@ pub(crate) fn flip_candidate(
     link: LinkId,
 ) -> Option<(usize, [LinkId; 2], [LinkId; 2])> {
     let moves = path.moves();
-    // Walk the path to find the link's position and the cores around it.
+    // Walk the path to find the link's position and its tail core.
     let mut cur = path.src();
-    let mut prev = cur;
-    let mut j = usize::MAX;
-    for (idx, &m) in moves.iter().enumerate() {
+    for (j, &m) in moves.iter().enumerate() {
         if mesh.link_id(cur, m) == Some(link) {
-            j = idx;
-            break;
+            return flip_at(mesh, moves, link, j, cur);
         }
-        prev = cur;
         cur = mesh.step(cur, m)?;
     }
-    if j == usize::MAX {
-        return None; // path does not cross the link
-    }
-    let vertical = mesh.link_step(link).is_vertical();
-    // Pick the adjacent orthogonal move to swap with.
-    let (swap_at, corner) = if vertical {
-        // Need the preceding move to be horizontal: swap (j-1, j).
-        if j == 0 || !moves[j - 1].is_horizontal() {
-            return None;
-        }
-        (j - 1, prev)
-    } else {
-        // Need the following move to be vertical: swap (j, j+1).
-        if j + 1 >= moves.len() || !moves[j + 1].is_vertical() {
-            return None;
-        }
-        (j, cur)
-    };
-    let (a, b) = (moves[swap_at], moves[swap_at + 1]);
-    // Swapping orthogonal moves a,b around `corner` stays in the path's
-    // bounding box, so every link id below exists.
-    // pamr-lint: allow(P001, reason = "corner lies on a Manhattan path whose moves a and b both start there, so both steps stay inside the path's bounding box")
-    let via_a = mesh.step(corner, a).expect("path stays on the mesh");
-    // pamr-lint: allow(P001, reason = "same bounding-box invariant: the swapped corner is a lattice point of the a×b rectangle")
-    let via_b = mesh.step(corner, b).expect("swapped corner on mesh");
-    let removed = [
-        // pamr-lint: allow(P001, reason = "links of the current path: both endpoints were just shown to be on the mesh")
-        mesh.link_id(corner, a).expect("removed links exist"),
-        // pamr-lint: allow(P001, reason = "links of the current path: both endpoints were just shown to be on the mesh")
-        mesh.link_id(via_a, b).expect("removed links exist"),
-    ];
-    let added = [
-        // pamr-lint: allow(P001, reason = "the swapped rectangle sides: endpoints are the same four lattice points")
-        mesh.link_id(corner, b).expect("added links exist"),
-        // pamr-lint: allow(P001, reason = "the swapped rectangle sides: endpoints are the same four lattice points")
-        mesh.link_id(via_b, a).expect("added links exist"),
-    ];
-    debug_assert!(removed.contains(&link));
-    debug_assert!(!added.contains(&link));
-    Some((swap_at, removed, added))
+    None // path does not cross the link
 }
 
 /// [`flip_candidate`] for a path **known to cross** `link`, in `O(1)`.
@@ -170,11 +136,11 @@ pub(crate) fn flip_candidate(
 /// link's position — an `O(ℓ)` cost per probed candidate that the crossing
 /// index makes redundant: every Manhattan move advances the communication's
 /// diagonal index by exactly one, so a crossed link's position *is* the
-/// diagonal distance from the source to the link's tail, and the preceding
-/// corner core is one reverse step away. Same return value as
-/// [`flip_candidate`] whenever the path crosses the link (debug-asserted);
-/// the reference oracle keeps the walking version because it probes
-/// non-crossing communications too (their walk returns `None`).
+/// diagonal distance from the source to the link's tail. Same return value
+/// as [`flip_candidate`] whenever the path crosses the link
+/// (debug-asserted); the reference oracle keeps the walking version
+/// because it probes non-crossing communications too (their walk returns
+/// `None`).
 pub(crate) fn flip_candidate_at(
     mesh: &Mesh,
     path: &Path,
@@ -188,8 +154,23 @@ pub(crate) fn flip_candidate_at(
         j < moves.len() && mesh.link_id(tail, moves[j]) == Some(link),
         "flip_candidate_at requires a path crossing the link"
     );
-    let vertical = mesh.link_step(link).is_vertical();
-    let (swap_at, corner) = if vertical {
+    let flip = flip_at(mesh, moves, link, j, tail);
+    debug_assert_eq!(flip, flip_candidate(mesh, path, link));
+    flip
+}
+
+/// §5.4's move, the one body both locators share: `moves[j]` crosses
+/// `link` from core `tail`; swap it with the adjacent orthogonal move —
+/// the one before a vertical link, the one after a horizontal link — or
+/// return `None` when that move is missing or parallel.
+fn flip_at(
+    mesh: &Mesh,
+    moves: &[Step],
+    link: LinkId,
+    j: usize,
+    tail: Coord,
+) -> Option<(usize, [LinkId; 2], [LinkId; 2])> {
+    let (swap_at, corner) = if mesh.link_step(link).is_vertical() {
         // Need the preceding move to be horizontal: swap (j-1, j). The
         // corner is the core the path occupied before `tail`.
         if j == 0 || !moves[j - 1].is_horizontal() {
@@ -224,10 +205,6 @@ pub(crate) fn flip_candidate_at(
     ];
     debug_assert!(removed.contains(&link));
     debug_assert!(!added.contains(&link));
-    debug_assert_eq!(
-        flip_candidate(mesh, path, link),
-        Some((swap_at, removed, added))
-    );
     Some((swap_at, removed, added))
 }
 
@@ -256,16 +233,19 @@ impl Flip {
 /// the most, over the communications `crossing` it (ascending, each looked
 /// up by `comm` as its current path and weight), or `None` when no flip
 /// improves by more than [`IMPROVE_EPS`]. `load` reads a link's current
-/// load and `cost` prices a hypothetical one. Ties keep the earlier
-/// communication, as the oracle's all-comms sweep does.
+/// load; each hypothetical load is priced by `link_cost` over the caller's
+/// [`CostLadder`] (bit-identical to the oracle's `surrogate_link_cost`).
+/// Ties keep the earlier communication, as the oracle's all-comms sweep
+/// does.
 pub(crate) fn best_flip<'p>(
     mesh: &Mesh,
     link: LinkId,
     crossing: &[u32],
     comm: impl Fn(usize) -> (&'p Path, f64),
     load: impl Fn(LinkId) -> f64,
-    cost: impl Fn(f64) -> f64,
+    (model, ladder): (&PowerModel, Option<&CostLadder>),
 ) -> Option<Flip> {
+    let cost = |load| link_cost(model, ladder, load);
     let mut best: Option<(f64, Flip)> = None;
     for &i in crossing {
         let i = i as usize;
@@ -403,7 +383,7 @@ impl XyImprover {
                 scratch.xusers.row(link.index()),
                 |i| (&paths[i], cs.comms()[i].weight),
                 |l| loads.get(l),
-                |load| link_cost(model, ladder, load),
+                (model, ladder),
             );
             let Some(flip) = flip else {
                 // No improvement through this link, and none until a flip

@@ -13,7 +13,7 @@
 //! `#[cfg]`), so the oracle is always available to tests, benchmarks and
 //! [`EngineConfig::REFERENCE`](crate::EngineConfig::REFERENCE).
 
-use super::{flip_candidate, IMPROVE_EPS, MAX_MOVES};
+use super::{flip_candidate, Flip, IMPROVE_EPS, MAX_MOVES};
 use crate::comm::CommSet;
 use crate::heuristic::{surrogate_link_cost, Heuristic};
 use crate::loadq::select_max;
@@ -43,20 +43,20 @@ impl Heuristic for ReferenceXyImprover {
         for (c, p) in cs.comms().iter().zip(&paths) {
             loads.add_path(mesh, p, c.weight);
         }
+        // The loaded-link working list of `select_max`.
+        let mut active: Vec<(LinkId, f64)> = Vec::new();
         let mut moves_done = 0;
         'outer: while moves_done < MAX_MOVES {
             // Loaded links examined in decreasing-load order, selected
             // lazily: an improving modification is usually found within the
             // first few links, so the full sort is almost never needed.
-            scratch.active.clear();
-            scratch.active.extend(loads.iter_active());
+            active.clear();
+            active.extend(loads.iter_active());
             let mut next = 0;
-            while let Some((link, _)) = select_max(&mut scratch.active, next) {
+            while let Some((link, _)) = select_max(&mut active, next) {
                 next += 1;
-                // Best modification among the communications on this link:
-                // (delta, comm index, swap position, removed, added links).
-                type Candidate = (f64, usize, usize, [LinkId; 2], [LinkId; 2]);
-                let mut best: Option<Candidate> = None;
+                // Best modification among the communications on this link.
+                let mut best: Option<(f64, Flip)> = None;
                 for (i, c) in cs.comms().iter().enumerate() {
                     if let Some((swap_at, rem, add)) = flip_candidate(mesh, &paths[i], link) {
                         let mut delta = 0.0;
@@ -73,24 +73,28 @@ impl Heuristic for ReferenceXyImprover {
                             delta += surrogate_link_cost(model, load + c.weight)
                                 - surrogate_link_cost(model, load);
                         }
-                        if delta < -IMPROVE_EPS && best.as_ref().is_none_or(|(b, ..)| delta < *b) {
-                            best = Some((delta, i, swap_at, rem, add));
+                        if delta < -IMPROVE_EPS && best.as_ref().is_none_or(|(b, _)| delta < *b) {
+                            let flip = Flip {
+                                comm: i,
+                                swap_at,
+                                rem,
+                                add,
+                            };
+                            best = Some((delta, flip));
                         }
                     }
                 }
-                if let Some((_, i, swap_at, rem, add)) = best {
-                    let w = cs.comms()[i].weight;
-                    for l in rem {
+                if let Some((_, flip)) = best {
+                    let w = cs.comms()[flip.comm].weight;
+                    for l in flip.rem {
                         loads.add(l, -w);
                     }
-                    for l in add {
+                    for l in flip.add {
                         loads.add(l, w);
                     }
                     // Only now build the accepted path (one allocation per
                     // applied move instead of one per evaluated candidate).
-                    let mut new_moves = paths[i].moves().to_vec();
-                    new_moves.swap(swap_at, swap_at + 1);
-                    paths[i] = Path::from_moves(paths[i].src(), new_moves);
+                    paths[flip.comm] = flip.apply(&paths[flip.comm]);
                     moves_done += 1;
                     continue 'outer; // re-sort and restart from the top
                 }

@@ -49,7 +49,7 @@ fn model(pick: u8) -> PowerModel {
 
 /// The cache contract of the module docs, against the full sweeps.
 fn check(s: &RoutingSession) -> Result<(), String> {
-    let swept = s.model().power(s.mesh(), s.loads());
+    let swept = s.model().power(s.loads());
     prop_assert_eq!(s.is_feasible(), swept.is_ok());
     match (s.power(), swept) {
         (Ok(cached), Ok(swept)) => {

@@ -115,9 +115,7 @@ pub const PR: (&str, RouteFn) = ("PR", |cs, m, s| PathRemover.try_route_with(cs,
 pub const XYI: (&str, RouteFn) = ("XYI", |cs, m, s| Ok(XyImprover.route_with(cs, m, s)));
 
 /// The indexed Improved greedy (§5.2) and its full-scan oracle.
-pub const IG: (&str, RouteFn) = ("IG", |cs, m, s| {
-    Ok(ImprovedGreedy::default().route_with(cs, m, s))
-});
+pub const IG: (&str, RouteFn) = ("IG", |cs, m, s| Ok(ImprovedGreedy.route_with(cs, m, s)));
 
 /// The in-place, ladder-priced Two-bend (§5.3) and its
 /// enumerate-and-price oracle.
@@ -130,7 +128,10 @@ pub const TB: (&str, RouteFn) = ("TB", |cs, m, s| Ok(TwoBend::default().route_wi
 /// routing's power is a function of its loads, so equal routings have
 /// equal powers. The oracles rebuild every band and evaluate the power
 /// fit on every query, so every interned table and `CostLadder` value the
-/// live engines read meets a literal rebuild here.
+/// live engines read meets a literal rebuild here. Each engine then
+/// routes `cs` a second time through the same live scratch and must
+/// repeat its routing and load bits, so per-route state an engine fails
+/// to reset shows up, which a fresh scratch would hide.
 ///
 /// # Errors
 ///
@@ -155,15 +156,32 @@ pub fn engines_agree(
         // selection read, so pin the two scratches' accumulators bit for
         // bit: a load summed in another order diverges here even when the
         // routings agree.
-        let (lf, lr) = (live.loads(), oracle.loads());
-        let diverged = |&l: &LinkId| lf.get(l).to_bits() != lr.get(l).to_bits();
-        if let Some(l) = cs.mesh().links().find(diverged) {
+        if let Some(l) = load_divergence(cs, &live, &oracle) {
             return Err(format!(
                 "{label}: {engine} load accumulator of {l} diverged"
             ));
         }
+        if route(cs, model, &mut live) != fast {
+            return Err(format!(
+                "{label}: {engine} changed its routing on a second route through one scratch"
+            ));
+        }
+        if let Some(l) = load_divergence(cs, &live, &oracle) {
+            return Err(format!(
+                "{label}: {engine} load accumulator of {l} changed on a second route through one scratch"
+            ));
+        }
     }
     Ok(())
+}
+
+/// The first link of `cs`'s mesh whose load bits differ between the two
+/// scratches' accumulators.
+fn load_divergence(cs: &CommSet, a: &RouteScratch, b: &RouteScratch) -> Option<LinkId> {
+    let (la, lb) = (a.loads(), b.loads());
+    cs.mesh()
+        .links()
+        .find(|&l| la.get(l).to_bits() != lb.get(l).to_bits())
 }
 
 /// [`engines_agree`] for the differential suites.
@@ -252,6 +270,23 @@ mod tests {
         assert_eq!(
             engines_agree(&[PR, XYI, IG, TB], &cs, &model, "corner pair"),
             Ok(())
+        );
+        // XYI, except that a live scratch which already holds loads routes
+        // YX: it agrees with the oracle on a fresh scratch, and only the
+        // second route through the same scratch exposes it.
+        const STALE: (&str, RouteFn) = ("STALE", |cs, m, s| {
+            let reused = s.loads().total() > 0.0;
+            let routing = XyImprover.route_with(cs, m, s);
+            Ok(if reused && !s.engine().is_reference() {
+                yx_routing(cs)
+            } else {
+                routing
+            })
+        });
+        let err = engines_agree(&[STALE], &cs, &model, "corner pair").unwrap_err();
+        assert!(
+            err.contains("STALE") && err.contains("second route"),
+            "unexpected message: {err}"
         );
     }
 }

@@ -108,7 +108,7 @@ proptest! {
             }
             if let Some(feasible) = value.get("feasible") {
                 let session = server.session();
-                let swept = session.model().power(session.mesh(), session.loads()).is_ok();
+                let swept = session.model().power(session.loads()).is_ok();
                 prop_assert_eq!(feasible, &Value::Bool(swept), "{} -> {}", line, resp);
             }
         }

@@ -130,7 +130,7 @@ impl Fig4Pattern {
     /// Total power of the pattern under `model`.
     pub fn power(&self, model: &PowerModel) -> f64 {
         model
-            .total_power(&self.mesh, &self.loads)
+            .total_power(&self.loads)
             .expect("pattern loads must be feasible under the given model")
     }
 }

@@ -87,7 +87,7 @@ fn main() {
         }
     }
 
-    let routed = Best::default().route(&cs, &model);
+    let routed = Best.route(&cs, &model);
     if let Some(best) = routed.power {
         println!("\nBEST = {} at {best:.1} mW", routed.kind);
         if let Some(xy) = xy_power {

@@ -34,7 +34,7 @@ fn main() {
         let (_, opt) = optimal_single_path(&cs, &model, 1 << 24)
             .expect("node budget is ample for 5 comms on 4×4")
             .expect("unbounded capacity is always feasible");
-        let best = Best::default()
+        let best = Best
             .route(&cs, &model)
             .power
             .expect("unbounded capacity is always feasible");

@@ -53,7 +53,7 @@ fn main() {
         }
     }
 
-    let best = Best::default().route(&cs, &model);
+    let best = Best.route(&cs, &model);
     let power = best
         .power
         .expect("at least one policy must succeed on this instance");

@@ -257,7 +257,7 @@ fn cmd_route(flags: &Flags) -> Outcome {
     let split = split as usize;
 
     let (label, routing): (String, Routing) = if name.eq_ignore_ascii_case("best") {
-        let best = Best::default().route(&cs, &model);
+        let best = Best.route(&cs, &model);
         if best.is_feasible() {
             (format!("BEST={}", best.kind), best.routing)
         } else {
@@ -471,7 +471,7 @@ fn cmd_demo(_: &Flags) -> Outcome {
     let model = PowerModel::kim_horowitz();
     outln!("demo: 25 random communications on an 8×8 CMP\n");
     print_policies(&cs, &model);
-    let best = Best::default().route(&cs, &model);
+    let best = Best.route(&cs, &model);
     if let Some(power) = best.power {
         outln!("\nBEST = {} at {power:.1} mW", best.kind);
         outln!(

@@ -36,7 +36,7 @@
 //! // …the paper's discrete link model…
 //! let model = PowerModel::kim_horowitz();
 //! // …and the best heuristic routing.
-//! let best = Best::default().route(&cs, &model);
+//! let best = Best.route(&cs, &model);
 //! let power = best.power.expect("this instance is routable");
 //! println!("{} found a {power:.1} mW routing", best.kind);
 //! assert!(best.routing.is_feasible(&cs, &model));

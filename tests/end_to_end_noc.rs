@@ -20,7 +20,7 @@ fn feasible_routings_sustain_their_rates() {
     for seed in 0..6u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let cs = gen.generate(&mesh, &mut rng);
-        let best = Best::default().route(&cs, &model);
+        let best = Best.route(&cs, &model);
         if best.is_feasible() {
             let rep = simulate(&cs, &best.routing, &model, &cfg);
             assert!(!rep.clamped, "seed {seed}: feasible routing clamped");
@@ -79,7 +79,7 @@ fn task_graph_apps_route_and_execute() {
     let mut rng = SmallRng::seed_from_u64(5);
     let m2 = Mapping::random(&mesh, 6, &mut rng);
     let cs = pamr::workload::taskgraph::merge_applications(&mesh, &[(&fft, &m1), (&pipe, &m2)]);
-    let best = Best::default().route(&cs, &model);
+    let best = Best.route(&cs, &model);
     assert!(best.power.unwrap() > 0.0);
     let rep = simulate(&cs, &best.routing, &model, &SimConfig::default());
     assert!(rep.sustains(3.0));

@@ -29,7 +29,7 @@ fn best_single_path_power_is_56() {
     let (_, opt) = optimal_single_path(&cs, &model, 1 << 20).unwrap().unwrap();
     assert!((opt - 56.0).abs() < 1e-9);
     // …and the heuristic portfolio reaches it.
-    let best = Best::default().route(&cs, &model);
+    let best = Best.route(&cs, &model);
     let power = best.power.expect("fig2 is routable");
     assert!((power - 56.0).abs() < 1e-9);
     assert!(best.routing.is_structurally_valid(&cs, 1));

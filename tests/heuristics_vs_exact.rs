@@ -25,10 +25,7 @@ fn heuristics_bounded_by_exact_optimum_continuous() {
                 "seed {seed}: {kind} ({p}) beat the optimum ({opt})"
             );
         }
-        let best = Best::default()
-            .route(&cs, &model)
-            .power
-            .expect("feasible instance");
+        let best = Best.route(&cs, &model).power.expect("feasible instance");
         best_gaps.push(best / opt);
     }
     // The portfolio should be close to optimal on such small instances.

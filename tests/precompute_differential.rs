@@ -48,8 +48,8 @@ type Outcome = (Vec<Result<Routing, PrError>>, Vec<u64>);
 fn route_all(cs: &CommSet, scratch: &mut RouteScratch) -> Outcome {
     let model = PowerModel::kim_horowitz();
     let mut routings: Vec<_> = [
-        &SimpleGreedy::default() as &dyn Heuristic,
-        &ImprovedGreedy::default(),
+        &SimpleGreedy as &dyn Heuristic,
+        &ImprovedGreedy,
         &XyImprover,
     ]
     .into_iter()

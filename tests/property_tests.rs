@@ -59,7 +59,7 @@ proptest! {
         // Uncapacitated: XY always feasible, so BEST exists and is ≤ XY.
         let model = PowerModel::continuous(1.0, 1.0, 3.0, f64::INFINITY);
         let p_xy = xy_routing(&cs).power(&cs, &model).unwrap().total();
-        let best = Best::default().route(&cs, &model).power.unwrap();
+        let best = Best.route(&cs, &model).power.unwrap();
         prop_assert!(best <= p_xy + 1e-9 * p_xy.max(1.0));
     }
 
@@ -86,7 +86,7 @@ proptest! {
         // path; Frank–Wolfe approaches it at rate O(1/k), so allow the
         // primal iterate a small convergence margin. The certified lower
         // bound, in contrast, must hold outright.
-        let best = Best::default().route(&cs, &model).power.unwrap();
+        let best = Best.route(&cs, &model).power.unwrap();
         prop_assert!(fw.dynamic_power <= best * 1.05 + 1e-9,
             "FW {} vs BEST {}", fw.dynamic_power, best);
         prop_assert!(fw.lower_bound <= best + 1e-6 * best.max(1.0));

@@ -71,5 +71,5 @@ fn hand_written_instance_json_parses() {
     assert_eq!(cs.len(), 2);
     assert_eq!(cs.mesh().rows(), 4);
     let model = PowerModel::kim_horowitz();
-    assert!(Best::default().route(&cs, &model).is_feasible());
+    assert!(Best.route(&cs, &model).is_feasible());
 }

@@ -9,12 +9,13 @@
 //! pamr-bench help
 //! ```
 //!
-//! `run` times the §6 figure campaigns twice — on one worker thread and on
-//! the full work-pool — then every paired lane of [`LANES`] at its default
-//! sizes, and writes `BENCH_summary.json`. A paired lane times an optimized
-//! code path against the baseline it replaced, after cross-checking that
-//! both give the same answer; it refuses to time a disagreement. Every lane
-//! writes the same [`LaneSection`]:
+//! `run` times each §6 figure campaign on one worker thread and on the full
+//! work-pool, [`GROUP_REPEATS`] times each, alternating, and records the
+//! median of each; then it times every paired lane of [`LANES`] at its
+//! default sizes, and writes `BENCH_summary.json`. A paired lane times an
+//! optimized code path against the baseline it replaced, after
+//! cross-checking that both give the same answer; it refuses to time a
+//! disagreement. Every lane writes the same [`LaneSection`]:
 //!
 //! | lane | optimized | baseline | one timed call |
 //! |---|---|---|---|
@@ -193,9 +194,9 @@ struct FigureBench {
     id: String,
     /// Total instances routed per pass (sweep points × trials).
     instances: usize,
-    /// Wall time of the 1-thread pass, milliseconds.
+    /// Median wall time of the 1-thread passes, milliseconds.
     wall_ms_seq: f64,
-    /// Wall time of the N-thread pass, milliseconds.
+    /// Median wall time of the N-thread passes, milliseconds.
     wall_ms_par: f64,
     /// `wall_ms_seq / wall_ms_par`.
     speedup: f64,
@@ -244,9 +245,9 @@ struct BenchReport {
     /// Per-figure measurements (empty in a lane-only report, which `check`
     /// refuses).
     figures: Vec<FigureBench>,
-    /// Sum of the sequential passes, milliseconds.
+    /// Sum of the figures' `wall_ms_seq`, milliseconds.
     total_wall_ms_seq: f64,
-    /// Sum of the parallel passes, milliseconds.
+    /// Sum of the figures' `wall_ms_par`, milliseconds.
     total_wall_ms_par: f64,
     /// Overall sequential/parallel speedup.
     speedup: f64,
@@ -346,6 +347,27 @@ fn dispatch(args: &[String]) -> Outcome {
     }
 }
 
+/// Timed runs of each figure group per thread count in `run`, which
+/// records their median, so one slow run on a shared host does not move
+/// the gated wall time.
+const GROUP_REPEATS: usize = 3;
+
+/// The median wall times of figure group `figure` on 1 thread and on the
+/// full pool over [`GROUP_REPEATS`] runs each, the two alternating so a
+/// drift in host speed falls on both alike.
+fn median_group_ms(figure: usize, trials: usize, seed: u64) -> Outcome<(f64, f64)> {
+    let (mut seq, mut par) = (Vec::new(), Vec::new());
+    for _ in 0..GROUP_REPEATS {
+        seq.push(time_group(figure, trials, seed, 1)?);
+        par.push(time_group(figure, trials, seed, 0)?);
+    }
+    let median = |mut ms: Vec<f64>| {
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    Ok((median(seq), median(par)))
+}
+
 /// Runs figure group `figure` (0 = fig7) through the campaign runner at a
 /// fixed thread count, returning the wall time.
 fn time_group(figure: usize, trials: usize, seed: u64, threads: usize) -> Outcome<f64> {
@@ -377,8 +399,7 @@ fn cmd_run(flags: &Flags) -> Outcome {
     );
     for (figure, exps) in campaign_figures().iter().enumerate() {
         let instances: usize = exps.iter().map(|e| e.points.len() * trials).sum();
-        let wall_ms_seq = time_group(figure, trials, seed, 1)?;
-        let wall_ms_par = time_group(figure, trials, seed, 0)?;
+        let (wall_ms_seq, wall_ms_par) = median_group_ms(figure, trials, seed)?;
         let fig = FigureBench {
             id: format!("fig{}", figure + 7),
             instances,

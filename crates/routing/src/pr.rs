@@ -57,12 +57,12 @@
 use crate::comm::CommSet;
 use crate::heuristic::Heuristic;
 use crate::loadq::MaxTree;
+use crate::precompute::CustomizedInstance;
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
 use pamr_mesh::{Band, LinkId, LoadMap, Mesh, Path, Step};
 use pamr_power::PowerModel;
 use std::ops::Range;
-use std::sync::Arc;
 
 mod reference;
 
@@ -200,13 +200,14 @@ fn has_row(set: &[u64], r: usize) -> bool {
 
 /// Per-communication removal state of the banded engine.
 ///
-/// `band` is metric-independent and therefore shared: an `Arc` clone of
-/// the pair's interned [`Band`]. Bit `r` of diagonal `t`'s row set stands
+/// `band` is the pair's interned [`Band`], borrowed from the route's
+/// [`CustomizedInstance`], so building the state writes no shared
+/// reference count. Bit `r` of diagonal `t`'s row set stands
 /// for row `band.diag_rows(t).0 + r`, so a link of group `t` joins bit
 /// `band.row_offsets(t)[j].0` of diagonal `t` to bit
 /// `band.row_offsets(t)[j].1` of diagonal `t + 1`.
-struct BandedComm {
-    band: Arc<Band>,
+struct BandedComm<'b> {
+    band: &'b Band,
     weight: f64,
     /// Aliveness aligned with the band's flat link array: group `t`'s
     /// flags are `alive[band.group_range(t)]`.
@@ -227,10 +228,9 @@ struct BandedComm {
     multi: usize,
 }
 
-impl BandedComm {
+impl<'b> BandedComm<'b> {
     /// Builds the removal state from the pair's interned band.
-    fn new(weight: f64, band: &Arc<Band>) -> Self {
-        let band = Arc::clone(band);
+    fn new(weight: f64, band: &'b Band) -> Self {
         let alive = vec![true; band.num_links()];
         let share: Vec<f64> = band.groups().map(|g| weight / g.len() as f64).collect();
         let counts: Vec<usize> = band.groups().map(|g| g.len()).collect();
@@ -528,7 +528,8 @@ impl PathRemover {
         scratch: &mut RouteScratch,
     ) -> Result<Routing, PrError> {
         let mesh = cs.mesh();
-        let mut comms = seed_route(cs, scratch);
+        let cust = scratch.ensure_customized(cs);
+        let mut comms = seed_route(cs, &cust, scratch);
 
         // Iteratively remove the most loaded link from the largest
         // communication that can give it up. The oracle's scan settles on
@@ -576,12 +577,16 @@ impl RouteScratch {
     }
 }
 
-/// Seeds one banded route: builds every communication's removal state,
-/// applies the fractional loads, and resets the scratch's crossing rows,
-/// removable counts, removal tree and selection cursors for `cs`.
-fn seed_route(cs: &CommSet, scratch: &mut RouteScratch) -> Vec<BandedComm> {
+/// Seeds one banded route: builds every communication's removal state
+/// over `cust`'s bands, applies the fractional loads, and resets the
+/// scratch's crossing rows, removable counts, removal tree and selection
+/// cursors for `cs`.
+fn seed_route<'c>(
+    cs: &CommSet,
+    cust: &'c CustomizedInstance,
+    scratch: &mut RouteScratch,
+) -> Vec<BandedComm<'c>> {
     let mesh = cs.mesh();
-    let cust = scratch.ensure_customized(cs);
     let comms: Vec<BandedComm> = (cs.comms().iter().zip(cust.bands()))
         .map(|(c, band)| BandedComm::new(c.weight, band))
         .collect();
@@ -875,7 +880,8 @@ mod tests {
                 })
                 .collect();
             let cs = CommSet::new(mesh, comms);
-            let mut comms = seed_route(&cs, &mut scratch);
+            let cust = scratch.ensure_customized(&cs);
+            let mut comms = seed_route(&cs, &cust, &mut scratch);
             while comms.iter().any(|c| !c.resolved()) {
                 let (link, _) = scratch.top.peek_max().expect("a removable link");
                 let row = scratch.xusers.row(link.index());
@@ -938,9 +944,10 @@ mod tests {
         let mesh = Mesh::new(4, 4);
         let (src, snk) = (Coord::new(0, 0), Coord::new(3, 3));
         let (src2, snk2) = (Coord::new(0, 1), Coord::new(2, 3));
-        let mut banded = BandedComm::new(2.0, &Arc::new(Band::new(&mesh, src, snk)));
+        let (band, other_band) = (Band::new(&mesh, src, snk), Band::new(&mesh, src2, snk2));
+        let mut banded = BandedComm::new(2.0, &band);
         let mut reference = reference::RefComm::new(&mesh, src, snk, 2.0);
-        let other = BandedComm::new(1.0, &Arc::new(Band::new(&mesh, src2, snk2)));
+        let other = BandedComm::new(1.0, &other_band);
         let other_ref = reference::RefComm::new(&mesh, src2, snk2, 1.0);
         let mut loads_b = pamr_mesh::LoadMap::new(&mesh);
         let mut loads_r = pamr_mesh::LoadMap::new(&mesh);

@@ -8,8 +8,10 @@
 //! instance from a seed derived from `(experiment, point, trial)` — the
 //! same structure Pettersson & Ozlen (arXiv:1701.08920) exploit for
 //! parallel bi-objective sweeps. Workers claim one trial at a time, and
-//! each trial's outcome lands at its index. Two properties make the
-//! fan-out safe:
+//! each trial's outcome lands at its index. The thread that calls
+//! [`Campaign::run_point`] is one of the workers: at N threads the pool
+//! starts N − 1 helpers per point and the caller routes trials beside
+//! them. Two properties make the fan-out safe:
 //!
 //! * **Determinism.** Seeds depend only on indices, never on scheduling,
 //!   and the outcomes fold into a [`PointStats`] afterwards, in an order

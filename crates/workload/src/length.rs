@@ -5,6 +5,7 @@ use pamr_mesh::{Coord, Mesh};
 use pamr_routing::{Comm, CommSet};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
 
 /// Generator drawing communications "whose length is around the target
 /// average length" (§6.3): each source/sink pair is sampled uniformly among
@@ -40,18 +41,21 @@ impl LengthTargetedWorkload {
 
     /// Draws one instance on `mesh`.
     ///
-    /// Meshes up to [`PAIR_ENUM_MAX_CORES`] cores sample from the full
+    /// Meshes up to [`PAIR_ENUM_MAX_CORES`] cores sample from the
     /// [`PairBuckets`] enumeration — that path fixes the RNG draw
-    /// sequence every committed fixture was blessed under. Larger meshes
-    /// switch to [`sample_pair_at`], which draws from the *same* uniform
-    /// distribution over ordered pairs without materialising the
-    /// O(cores²) pair list (137 GB on a 256×256 mesh), at the cost of a
-    /// different draw sequence per communication.
+    /// sequence every committed fixture was blessed under. Only the
+    /// buckets of the distances `target ± 1` are built: they hold the
+    /// full enumeration's pairs in its order, so each draw picks the same
+    /// pair. Larger meshes switch to [`sample_pair_at`], which draws from
+    /// the *same* uniform distribution over ordered pairs without
+    /// materialising the pair lists (137 GB on a 256×256 mesh), at the
+    /// cost of a different draw sequence per communication.
     pub fn generate<R: Rng + ?Sized>(&self, mesh: &Mesh, rng: &mut R) -> CommSet {
         let max_len = mesh.rows() + mesh.cols() - 2;
         let lo = self.target_len.saturating_sub(1).max(1).min(max_len);
         let hi = (self.target_len + 1).min(max_len);
-        let buckets = (mesh.num_cores() <= PAIR_ENUM_MAX_CORES).then(|| PairBuckets::new(mesh));
+        let buckets =
+            (mesh.num_cores() <= PAIR_ENUM_MAX_CORES).then(|| PairBuckets::within(mesh, lo..=hi));
         let comms = (0..self.n)
             .map(|_| {
                 let len = rng.gen_range(lo..=hi);
@@ -144,7 +148,8 @@ fn signed_displacements(p: usize, q: usize, len: usize) -> impl Iterator<Item = 
 
 /// All ordered core pairs of a mesh, bucketed by Manhattan distance.
 ///
-/// Built once per mesh (O(cores²)) and reused across samples.
+/// Each bucket lists its pairs by source, then sink, in
+/// [`Mesh::cores`] order. [`PairBuckets::new`] is O(cores²).
 #[derive(Debug, Clone)]
 pub struct PairBuckets {
     by_len: Vec<Vec<(Coord, Coord)>>,
@@ -159,6 +164,29 @@ impl PairBuckets {
             for b in mesh.cores() {
                 if a != b {
                     by_len[a.manhattan(b)].push((a, b));
+                }
+            }
+        }
+        PairBuckets { by_len }
+    }
+
+    /// Enumerates the pairs at the distances in `lens` alone; the other
+    /// buckets stay empty. A bucket it builds equals [`PairBuckets::new`]'s,
+    /// so [`PairBuckets::sample`] draws the same pair from either. Each
+    /// source visits only the cores within distance `lens.end()` of it.
+    fn within(mesh: &Mesh, lens: RangeInclusive<usize>) -> Self {
+        let max = mesh.rows() + mesh.cols() - 2;
+        let (lo, hi) = ((*lens.start()).max(1), (*lens.end()).min(max));
+        let mut by_len: Vec<Vec<(Coord, Coord)>> = vec![Vec::new(); max + 1];
+        for a in mesh.cores() {
+            for u in a.u.saturating_sub(hi)..=(a.u + hi).min(mesh.rows() - 1) {
+                let reach = hi - a.u.abs_diff(u);
+                for v in a.v.saturating_sub(reach)..=(a.v + reach).min(mesh.cols() - 1) {
+                    let b = Coord::new(u, v);
+                    let d = a.manhattan(b);
+                    if d >= lo {
+                        by_len[d].push((a, b));
+                    }
                 }
             }
         }
@@ -203,6 +231,33 @@ mod tests {
         // Exactly two ordered pairs at the maximum distance per corner pair:
         // (0,0)↔(3,3) and (0,3)↔(3,0).
         assert_eq!(b.count(6), 4);
+    }
+
+    #[test]
+    fn buckets_within_a_band_draw_the_full_enumerations_pairs() {
+        for (p, q) in [(8, 8), (5, 7), (1, 9)] {
+            let mesh = Mesh::new(p, q);
+            let full = PairBuckets::new(&mesh);
+            for len in 1..=full.max_len() {
+                let band = PairBuckets::within(&mesh, len - 1..=len + 1);
+                for (d, bucket) in band.by_len.iter().enumerate() {
+                    let built = d + 1 >= len && d <= len + 1;
+                    let want: &[(Coord, Coord)] = if built { &full.by_len[d] } else { &[] };
+                    assert_eq!(bucket, want, "{p}x{q}, band {len}±1, distance {d}");
+                }
+                for seed in 0..4 {
+                    let mut a = SmallRng::seed_from_u64(seed);
+                    let mut b = SmallRng::seed_from_u64(seed);
+                    for _ in 0..32 {
+                        assert_eq!(
+                            band.sample(len, &mut a),
+                            full.sample(len, &mut b),
+                            "{p}x{q}, distance {len}, seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod energy;
 pub mod model;
 
 pub use model::{FrequencyScale, Infeasible, PowerBreakdown, PowerModel};

@@ -191,42 +191,42 @@ impl Best {
         model: &PowerModel,
         scratch: &mut RouteScratch,
     ) -> BestRoute {
-        let mut best: Option<(HeuristicKind, Routing, f64)> = None;
-        let mut fallback: Option<(HeuristicKind, Routing)> = None;
-        for kind in HeuristicKind::ALL {
+        let best = pick_best(HeuristicKind::ALL.into_iter().map(|kind| {
             let routing = kind.route_with(cs, model, scratch);
-            match routing.power(cs, model) {
-                Ok(p) => {
-                    let total = p.total();
-                    if best.as_ref().is_none_or(|(_, _, bp)| total < *bp) {
-                        best = Some((kind, routing, total));
-                    }
-                }
-                Err(_) => {
-                    if fallback.is_none() {
-                        fallback = Some((kind, routing));
-                    }
-                }
-            }
-        }
+            let power = routing.power(cs, model).ok().map(|p| p.total());
+            (power, (kind, routing))
+        }));
         match best {
-            Some((kind, routing, power)) => BestRoute {
+            Some((power, (kind, routing))) => BestRoute {
                 kind,
                 routing,
                 power: Some(power),
             },
-            None => {
-                // Every policy failed, so `fallback` holds the first one's
-                // attempt: XY's.
-                let (kind, routing) = fallback.expect("HeuristicKind::ALL is non-empty");
-                BestRoute {
-                    kind,
-                    routing,
-                    power: None,
-                }
+            // Every policy failed: show XY's attempt.
+            None => BestRoute {
+                kind: HeuristicKind::Xy,
+                routing: xy_routing(cs),
+                power: None,
+            },
+        }
+    }
+}
+
+/// §6's BEST rule, written once for [`Best`] and the campaign runner:
+/// given each policy's total power (`None` when its routing is
+/// infeasible) in [`HeuristicKind::ALL`] order, the feasible policy of
+/// least power wins, and on a tie the first. Each power carries its
+/// caller's payload (the policy, and perhaps its routing) to the winner.
+pub fn pick_best<T>(candidates: impl IntoIterator<Item = (Option<f64>, T)>) -> Option<(f64, T)> {
+    let mut best: Option<(f64, T)> = None;
+    for (power, payload) in candidates {
+        if let Some(p) = power {
+            if best.as_ref().is_none_or(|(bp, _)| p < *bp) {
+                best = Some((p, payload));
             }
         }
     }
+    best
 }
 
 #[cfg(test)]
@@ -281,7 +281,9 @@ mod tests {
             "got {power} from {}",
             best.kind
         );
-        assert_ne!(best.kind, HeuristicKind::Xy);
+        // SG, IG, TB, XYI and PR all reach 56: the tie goes to the first
+        // of them in `HeuristicKind::ALL`.
+        assert_eq!(best.kind, HeuristicKind::Sg);
     }
 
     #[test]

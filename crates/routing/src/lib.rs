@@ -65,7 +65,6 @@ pub mod routing;
 pub mod rules;
 pub mod scratch;
 pub mod session;
-pub mod tables;
 pub mod two_bend;
 pub mod xyi;
 
@@ -78,7 +77,7 @@ pub use frontier::{frontier_points, FrontierPoint, FrontierProblem, Segment};
 pub use fw::{frank_wolfe, FrankWolfeResult};
 pub use greedy::SimpleGreedy;
 pub use heuristic::{
-    surrogate_link_cost, Best, BestRoute, Heuristic, HeuristicKind, SURROGATE_PENALTY,
+    pick_best, surrogate_link_cost, Best, BestRoute, Heuristic, HeuristicKind, SURROGATE_PENALTY,
 };
 pub use ig::ImprovedGreedy;
 pub use loadq::MaxTree;
@@ -89,6 +88,5 @@ pub use routing::Routing;
 pub use rules::{xy_routing, yx_routing};
 pub use scratch::RouteScratch;
 pub use session::{RepairMode, RoutingSession, SessionConfig, SessionStats, SlotId};
-pub use tables::{FlowId, RoutingTables};
 pub use two_bend::TwoBend;
 pub use xyi::XyImprover;

@@ -47,12 +47,6 @@ impl Routing {
         &self.flows[i]
     }
 
-    /// All flows.
-    #[inline]
-    pub fn all_flows(&self) -> &[Vec<(Path, f64)>] {
-        &self.flows
-    }
-
     /// Number of communications covered.
     #[inline]
     pub fn len(&self) -> usize {

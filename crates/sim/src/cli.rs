@@ -15,6 +15,13 @@ use std::collections::BTreeMap;
 /// session's slots hold communication ids as `u32`.
 pub const MAX_SIZE: u64 = u32::MAX as u64;
 
+/// The largest `--threads` value. A parallel call at N threads starts
+/// N − 1 helper threads, and a thread the OS refuses is a panic, so the
+/// count is refused while parsing instead. 256 is far above the cores of
+/// any host the campaign runs on. `RAYON_NUM_THREADS` stays unbounded, as
+/// in real rayon.
+pub const MAX_THREADS: u64 = 256;
+
 /// How a flag's value is read.
 #[derive(Debug, Clone, Copy)]
 pub enum Kind {
@@ -26,6 +33,8 @@ pub enum Kind {
     Int,
     /// Any 64-bit unsigned integer: a seed.
     Seed,
+    /// A worker-thread count from 1 to [`MAX_THREADS`].
+    Threads,
     /// A positive finite number.
     Ratio,
     /// One of a fixed set of names.
@@ -128,8 +137,8 @@ impl Flags {
 
 /// The one flag parser: reads `args` against the union of `specs`,
 /// refusing unknown flags, missing values, non-numbers, zero counts, sizes
-/// above [`MAX_SIZE`] and (unless a spec takes [`Kind::Files`]) positional
-/// arguments.
+/// above [`MAX_SIZE`], thread counts above [`MAX_THREADS`] and (unless a
+/// spec takes [`Kind::Files`]) positional arguments.
 ///
 /// # Errors
 /// A one-line message naming the offending argument.
@@ -203,6 +212,12 @@ fn read(name: &str, kind: Kind, raw: &str) -> Result<Value, String> {
             .parse()
             .map(Value::Num)
             .map_err(|_| format!("{name} needs a non-negative integer, got {raw:?}")),
+        Kind::Threads => match raw.parse::<u64>() {
+            Ok(n @ 1..=MAX_THREADS) => Ok(Value::Num(n)),
+            _ => Err(format!(
+                "{name} needs a thread count from 1 to {MAX_THREADS}, got {raw:?}"
+            )),
+        },
         Kind::Ratio => match raw.parse::<f64>() {
             Ok(r) if r.is_finite() && r > 0.0 => Ok(Value::Real(r)),
             _ => Err(format!("{name} needs a positive number, got {raw:?}")),
@@ -221,7 +236,7 @@ fn read(name: &str, kind: Kind, raw: &str) -> Result<Value, String> {
 pub const CAMPAIGN_FLAGS: &[Flag] = &[
     ("--trials", Kind::Count, Unset::Default("2000")),
     ("--seed", Kind::Seed, Unset::Default("12648430")),
-    ("--threads", Kind::Count, Unset::Optional),
+    ("--threads", Kind::Threads, Unset::Optional),
 ];
 
 /// The sim binaries' flags besides [`CAMPAIGN_FLAGS`].
@@ -239,7 +254,8 @@ pub struct Options {
     pub seed: u64,
     /// Directory to write CSV series into, if any.
     pub csv: Option<std::path::PathBuf>,
-    /// Worker-thread override (`None` = `RAYON_NUM_THREADS` or all cores).
+    /// Worker-thread override, at most [`MAX_THREADS`] (`None` =
+    /// `RAYON_NUM_THREADS`, which has no such bound, or all cores).
     pub threads: Option<usize>,
 }
 
@@ -251,7 +267,8 @@ impl Options {
     ///
     /// # Errors
     /// A one-line message for an unknown flag, a missing or malformed
-    /// value, or a zero count; binaries hand it to [`exit_usage`].
+    /// value, a zero count or a thread count above [`MAX_THREADS`];
+    /// binaries hand it to [`exit_usage`].
     pub fn from_args() -> Result<Options, String> {
         Self::parse_from(std::env::args().skip(1))
     }
@@ -440,6 +457,7 @@ mod tests {
             ("--n", Kind::Int, Unset::Optional),
             ("--k", Kind::Count, Unset::Optional),
             ("--seed", Kind::Seed, Unset::Optional),
+            ("--threads", Kind::Threads, Unset::Optional),
         ];
         let (max, over) = (MAX_SIZE.to_string(), (MAX_SIZE + 1).to_string());
         for ok in ["--n 0", "--k 1", &format!("--n {max} --k {max}")] {
@@ -454,5 +472,15 @@ mod tests {
         let flags = parse(&[SPEC], &args("--seed 18446744073709551615")).unwrap();
         assert_eq!(flags.num("--seed"), u64::MAX);
         assert!(size("x", MAX_SIZE).is_ok() && size("x", MAX_SIZE + 1).is_err());
+        // Thread counts stop at their own, lower bound.
+        let flags = parse(&[SPEC], &args("--threads 256")).unwrap();
+        assert_eq!(flags.num("--threads"), MAX_THREADS);
+        for bad in ["0", "257", &max] {
+            let err = parse(&[SPEC], &args(&format!("--threads {bad}"))).unwrap_err();
+            assert_eq!(
+                err,
+                format!("--threads needs a thread count from 1 to 256, got {bad:?}")
+            );
+        }
     }
 }

@@ -25,7 +25,8 @@
 //! Binaries: `fig2`, `fig7`, `fig8`, `fig9`, `summary`, `theory` — one per
 //! paper artefact, each printing the series the corresponding figure
 //! plots (and writing CSV when `--csv DIR` is given). All campaign
-//! binaries accept `--threads N`; `RAYON_NUM_THREADS` works too.
+//! binaries accept `--threads N` up to [`cli::MAX_THREADS`];
+//! `RAYON_NUM_THREADS` works too, unbounded as in real rayon.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Runs all six routing policies (plus BEST) on a single instance.
 
 use pamr_power::{PowerBreakdown, PowerModel};
-use pamr_routing::{CommSet, HeuristicKind, RouteScratch};
+use pamr_routing::{pick_best, CommSet, HeuristicKind, RouteScratch};
 use std::time::Instant;
 
 /// One policy's outcome on one instance.
@@ -66,7 +66,6 @@ pub fn run_instance_with(
     scratch: &mut RouteScratch,
 ) -> InstanceOutcome {
     let mut results = Vec::with_capacity(HeuristicKind::ALL.len());
-    let mut best: Option<(HeuristicKind, f64)> = None;
     for kind in HeuristicKind::ALL {
         // pamr-lint: allow(D002, reason = "per-policy wall-clock timing; micros feed the stderr progress line and the bench harness, never a byte-compared report")
         let start = Instant::now();
@@ -76,9 +75,6 @@ pub fn run_instance_with(
             Ok(b) => (true, b.total(), Some(b)),
             Err(_) => (false, f64::INFINITY, None),
         };
-        if feasible && best.is_none_or(|(_, bp)| power < bp) {
-            best = Some((kind, power));
-        }
         results.push(HeurResult {
             kind,
             feasible,
@@ -87,18 +83,39 @@ pub fn run_instance_with(
             micros,
         });
     }
+    let best = pick_best(
+        results
+            .iter()
+            .map(|r| (r.feasible.then_some(r.power), r.kind)),
+    );
     InstanceOutcome {
         results,
-        best_power: best.map(|(_, p)| p),
-        best_kind: best.map(|(k, _)| k),
+        best_power: best.map(|(p, _)| p),
+        best_kind: best.map(|(_, k)| k),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::trial_seed;
+    use crate::experiments::campaign_figures;
     use pamr_mesh::{Coord, Mesh};
-    use pamr_routing::Comm;
+    use pamr_routing::{Best, Comm};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    /// `Best::route` and `run_instance` name the same policy with the same
+    /// power bits (XY and no power when every policy fails).
+    fn assert_best_agrees(cs: &CommSet, model: &PowerModel) {
+        let best = Best.route(cs, model);
+        let out = run_instance(cs, model);
+        assert_eq!(best.kind, out.best_kind.unwrap_or(HeuristicKind::Xy));
+        assert_eq!(
+            best.power.map(f64::to_bits),
+            out.best_power.map(f64::to_bits)
+        );
+    }
 
     #[test]
     fn best_is_min_over_feasible() {
@@ -125,6 +142,16 @@ mod tests {
         // On Fig. 2, best single-path power is 56.
         assert!((best - 56.0).abs() < 1e-9);
         assert_ne!(out.best_kind, Some(HeuristicKind::Xy));
+        assert_best_agrees(&cs, &model);
+        // The first and last point of every §6 sub-figure: feasible
+        // instances, ties between policies, and instances every policy fails.
+        let (mesh, model) = (crate::paper_mesh(), crate::paper_model());
+        for (pi, exp) in campaign_figures().iter().flatten().enumerate() {
+            for point in [&exp.points[0], &exp.points[exp.points.len() - 1]] {
+                let mut rng = SmallRng::seed_from_u64(trial_seed(7, pi, 0));
+                assert_best_agrees(&point.workload.generate(&mesh, &mut rng), &model);
+            }
+        }
     }
 
     #[test]

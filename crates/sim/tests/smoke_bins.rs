@@ -131,6 +131,10 @@ fn bad_arguments_exit_2_with_one_message() {
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_fig7"), &["--bogus"][..]),
         (env!("CARGO_BIN_EXE_summary"), &["--trials", "0"]),
+        (
+            env!("CARGO_BIN_EXE_summary"),
+            &["--trials", "1", "--threads", "257"],
+        ),
         (env!("CARGO_BIN_EXE_fig8"), &["--seed", "x"]),
         (env!("CARGO_BIN_EXE_fig9"), &["--shard", "0/2"]),
         (env!("CARGO_BIN_EXE_fig7"), &["--out", "part.json"]),

@@ -16,8 +16,6 @@
 //!   application task graphs);
 //! * [`theory`] — executable constructions for Lemma 1, Theorem 1,
 //!   Lemma 2 and the Theorem 3 NP-completeness reduction;
-//! * [`nocsim`] — a packet-level discrete-event NoC simulator that
-//!   executes routings and reports latency/energy/backlog;
 //! * [`sim`] — the paper's §6 simulation campaign (Figures 7–9, §6.4
 //!   summary statistics), rayon-parallel and seeded.
 //!
@@ -53,7 +51,6 @@
 #![doc = include_str!("../ARCHITECTURE.md")]
 
 pub use pamr_mesh as mesh;
-pub use pamr_nocsim as nocsim;
 pub use pamr_power as power;
 pub use pamr_routing as routing;
 pub use pamr_sim as sim;
@@ -66,9 +63,9 @@ pub mod prelude {
     pub use pamr_power::{FrequencyScale, PowerBreakdown, PowerModel};
     pub use pamr_routing::{
         frank_wolfe, frontier_points, optimal_single_path, xy_routing, yx_routing, Best, BestRoute,
-        Comm, CommSet, EngineConfig, FlowId, FrontierPoint, FrontierProblem, FwMp, Heuristic,
-        HeuristicKind, ImprovedGreedy, PathRemover, RouteScratch, Routing, RoutingTables, Segment,
-        SimpleGreedy, SortOrder, SplitMp, TwoBend, XyImprover,
+        Comm, CommSet, EngineConfig, FrontierPoint, FrontierProblem, FwMp, Heuristic,
+        HeuristicKind, ImprovedGreedy, PathRemover, RouteScratch, Routing, Segment, SimpleGreedy,
+        SortOrder, SplitMp, TwoBend, XyImprover,
     };
     pub use pamr_workload::{LengthTargetedWorkload, Mapping, TaskGraph, UniformWorkload};
 }

@@ -238,6 +238,11 @@ fn bad_input_gets_one_message_and_no_panic() {
         ("demo extra".into(), 2),
         (format!("route --instance {unusable}"), 1),
         (format!("frontier --n 3 --shard 0/2 --out {unusable}"), 1),
+        // Refused while parsing (cli::MAX_THREADS), before any thread starts.
+        (
+            format!("shard --shard 0/1 --trials 1 --threads 257 --out {unusable}"),
+            2,
+        ),
         (
             format!("route --instance {inst} --heuristic PR --split {huge}"),
             2,

@@ -9,7 +9,7 @@
 
 use crate::coord::{Coord, Rect};
 use crate::diag::Quadrant;
-use crate::link::LinkId;
+use crate::link::{LinkId, Step};
 use crate::Mesh;
 
 /// All links reachable by Manhattan paths of a communication, grouped by
@@ -27,12 +27,18 @@ use crate::Mesh;
 /// `first_out`/`head` idiom of `rust_road_router`'s `FirstOutGraph`): one
 /// allocation per band instead of one `Vec` per diagonal, and group access
 /// is a slice into the shared array. The per-diagonal row ranges
-/// ([`Band::diag_rows`]) are tabulated at construction, so PR's
-/// reachability row sets read their bit offsets in `O(1)` instead of
-/// re-scanning the bounding box's rows per query. Aligned with the link
-/// array, each link's endpoint rows relative to those ranges
-/// ([`Band::row_offsets`]) are stored too: PR's reachability steps read a
-/// link's bit positions directly instead of decoding its endpoints.
+/// ([`Band::diag_rows`]) are tabulated at construction.
+///
+/// Beside the link array, each group is also stored as two **row masks**
+/// over its diagonal's rows, [`Band::words`] `u64` words each: bit `r` of
+/// the vertical (horizontal) mask is set when the core on row
+/// `diag_rows(t).0 + r` has its vertical (horizontal) move in the box
+/// ([`Band::group_masks`]). A link's to-row on diagonal `t + 1` is its
+/// from-row plus the group's vertical or horizontal shift, −1, 0 or +1
+/// ([`Band::shifts`]), and its id follows from the row
+/// ([`Band::link_at`]): successive rows of a diagonal are `q ∓ 1` core
+/// indices apart. PR's reachability steps and path cleaning are word
+/// operations on these masks, with no per-link table.
 #[derive(Debug, Clone)]
 pub struct Band {
     src: Coord,
@@ -50,9 +56,27 @@ pub struct Band {
     /// Inclusive row range `(u_lo, u_hi)` of relative diagonal
     /// `t ∈ 0..=len` — the [`Band::diag_rows`] values, tabulated once.
     rows: Vec<(u32, u32)>,
-    /// Aligned with `links`: the link's from-row and to-row, each relative
-    /// to the low row of its diagonal (`t` and `t + 1`).
-    offsets: Vec<(u32, u32)>,
+    /// Words per row mask: `⌈widest diagonal / 64⌉`.
+    words: usize,
+    /// Group-major row masks, `2 · words` per group: group `t`'s vertical
+    /// mask, then its horizontal one ([`Band::group_masks`]).
+    masks: Vec<u64>,
+    /// Per group: where its link ids start and how its rows move on.
+    steps: Vec<GroupStep>,
+    /// Core-index distance between successive rows of one diagonal.
+    stride: u32,
+    /// Port (the [`Step`] discriminant) of the vertical and the horizontal
+    /// move.
+    ports: [u8; 2],
+}
+
+/// The per-group constants behind [`Band::shifts`] and [`Band::link_at`].
+#[derive(Debug, Clone, Copy)]
+struct GroupStep {
+    /// Core index of the group's lowest row (on its source diagonal).
+    base: u32,
+    /// Vertical and horizontal shift from a from-row to its to-row.
+    shift: [i8; 2],
 }
 
 impl Band {
@@ -64,53 +88,65 @@ impl Band {
         let k_src = mesh.diag_index(src, quadrant);
         let len = mesh.manhattan(src, snk);
         let (sv, sh) = quadrant.steps();
-        // Counting pass: group sizes and per-diagonal row extents in one
-        // sweep over the bounding box (rows on a diagonal are contiguous,
-        // so min/max is the whole interval).
-        let mut group_off = vec![0u32; len + 1];
-        let mut rows = vec![(u32::MAX, 0u32); len + 1];
-        for c in rect.cores() {
-            let t = mesh.diag_index(c, quadrant) - k_src;
-            let r = &mut rows[t];
-            r.0 = r.0.min(c.u as u32);
-            r.1 = r.1.max(c.u as u32);
-            // `t` can equal `len` (the sink's diagonal); no group for it.
-            if t >= len {
-                continue;
-            }
-            for s in [sv, sh] {
-                if let Some(n) = mesh.step(c, s) {
-                    if rect.contains(n) {
-                        group_off[t + 1] += 1;
-                    }
-                }
-            }
-        }
-        debug_assert!(group_off[1..].iter().all(|&n| n > 0));
-        debug_assert!(rows.iter().all(|r| r.0 != u32::MAX));
+        let (down, right) = (sv == Step::Down, sh == Step::Right);
+        let (height, width) = (rect.height(), rect.width());
+        // The core `a` rows and `b` columns from the source lies on relative
+        // diagonal `a + b`, so diagonal `t` holds `a` in `span(t)`. Going
+        // down, the mesh row grows with `a`; going up, it shrinks.
+        let span = |t: usize| (t.saturating_sub(width - 1), t.min(height - 1));
+        let rows: Vec<(u32, u32)> = (0..=len)
+            .map(|t| {
+                let (a_lo, a_hi) = span(t);
+                let (lo, hi) = if down {
+                    (src.u + a_lo, src.u + a_hi)
+                } else {
+                    (src.u - a_hi, src.u - a_lo)
+                };
+                (lo as u32, hi as u32)
+            })
+            .collect();
+        let core = |a: usize, b: usize| {
+            let u = if down { src.u + a } else { src.u - a };
+            let v = if right { src.v + b } else { src.v - b };
+            mesh.core_index(Coord::new(u, v))
+        };
+        // Down a diagonal, the column moves against the horizontal step
+        // when the vertical one goes down, and with it when it goes up.
+        let q = mesh.cols();
+        let stride = if down == right { q - 1 } else { q + 1 };
+        let ports = [sv as usize, sh as usize];
+        let dv = if down { 1 } else { -1 };
+        let words = height.min(width).div_ceil(64);
+        // One pass per group, row by row from the lowest, vertical move
+        // before horizontal: the order of a row-major scan of the box. A
+        // core keeps its vertical move unless it is on the box's last row
+        // of travel, and its horizontal one unless on the last column.
+        let mut group_off = Vec::with_capacity(len + 1);
+        group_off.push(0u32);
+        let mut links = Vec::with_capacity(height * (width - 1) + (height - 1) * width);
+        let mut masks = vec![0u64; 2 * words * len];
+        let mut steps = Vec::with_capacity(len);
         for t in 0..len {
-            group_off[t + 1] += group_off[t];
-        }
-        // Fill pass: identical iteration, so the flat array holds exactly
-        // the link sequence the historical Vec-of-Vec build pushed.
-        let mut links = vec![LinkId(0); group_off[len] as usize];
-        let mut offsets = vec![(0u32, 0u32); links.len()];
-        let mut cursor: Vec<u32> = group_off[..len].to_vec();
-        for c in rect.cores() {
-            let t = mesh.diag_index(c, quadrant) - k_src;
-            if t >= len {
-                continue;
-            }
-            for s in [sv, sh] {
-                if let Some(n) = mesh.step(c, s) {
-                    if rect.contains(n) {
-                        let at = cursor[t] as usize;
-                        links[at] = mesh.link_id(c, s).unwrap();
-                        offsets[at] = (c.u as u32 - rows[t].0, n.u as u32 - rows[t + 1].0);
-                        cursor[t] += 1;
-                    }
+            let (a_lo, a_hi) = span(t);
+            let a_first = if down { a_lo } else { a_hi };
+            let base = core(a_first, t - a_first);
+            for r in 0..=a_hi - a_lo {
+                let a = if down { a_lo + r } else { a_hi - r };
+                let inside = [a + 1 < height, t - a + 1 < width];
+                for axis in (0..2).filter(|&axis| inside[axis]) {
+                    masks[(2 * t + axis) * words + r / 64] |= 1 << (r % 64);
+                    links.push(LinkId(4 * (base + r * stride) + ports[axis]));
                 }
             }
+            group_off.push(links.len() as u32);
+            // A vertical move changes the row by ±1 and a horizontal one
+            // keeps it, so each shift is that change less the rise of the
+            // lowest row from diagonal `t` to `t + 1`.
+            let rise = rows[t + 1].0 as i64 - rows[t].0 as i64;
+            steps.push(GroupStep {
+                base: u32::try_from(base).expect("core index fits u32"),
+                shift: [(dv - rise) as i8, -rise as i8],
+            });
         }
         Band {
             src,
@@ -121,7 +157,11 @@ impl Band {
             group_off,
             links,
             rows,
-            offsets,
+            words,
+            masks,
+            steps,
+            stride: stride as u32,
+            ports: [sv as u8, sh as u8],
         }
     }
 
@@ -174,23 +214,6 @@ impl Band {
         &self.links[self.group_off[t] as usize..self.group_off[t + 1] as usize]
     }
 
-    /// The positions of group `t`'s links in the band's flat link array
-    /// ([`Band::links`] order): per-link data kept aligned with that array
-    /// is indexed by this range.
-    #[inline]
-    pub fn group_range(&self, t: usize) -> std::ops::Range<usize> {
-        self.group_off[t] as usize..self.group_off[t + 1] as usize
-    }
-
-    /// Aligned with [`Band::group`]`(t)`: each link's `(from, to)` rows
-    /// relative to the low rows of diagonals `t` and `t + 1`, i.e.
-    /// `from.u − diag_rows(t).0` and `to.u − diag_rows(t + 1).0` — the bit
-    /// positions of the link's endpoints in row sets over those ranges.
-    #[inline]
-    pub fn row_offsets(&self, t: usize) -> &[(u32, u32)] {
-        &self.offsets[self.group_range(t)]
-    }
-
     /// All groups, in diagonal order, as slices into the flat link array.
     #[inline]
     pub fn groups(&self) -> impl DoubleEndedIterator<Item = &[LinkId]> + ExactSizeIterator + '_ {
@@ -236,6 +259,50 @@ impl Band {
         );
         let (lo, hi) = self.rows[t];
         (lo as usize, hi as usize)
+    }
+
+    /// Words per row mask: `⌈r / 64⌉` for the widest diagonal's row count
+    /// `r`, the same for every diagonal of the band.
+    #[inline]
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Every group's row masks, group-major: group `t`'s vertical mask is
+    /// `masks()[2t · w .. (2t + 1) · w]` and its horizontal mask the next
+    /// `w` words, for `w` = [`Band::words`].
+    #[inline]
+    pub fn masks(&self) -> &[u64] {
+        &self.masks
+    }
+
+    /// Group `t`'s vertical and horizontal row masks: bit `r` is set when
+    /// the core on row `diag_rows(t).0 + r` has that move in the box. The
+    /// axis index `0` (vertical) or `1` (horizontal) also selects
+    /// [`Band::shifts`] and [`Band::link_at`].
+    #[inline]
+    pub fn group_masks(&self, t: usize) -> [&[u64]; 2] {
+        let w = self.words;
+        let (v, h) = self.masks[2 * t * w..2 * (t + 1) * w].split_at(w);
+        [v, h]
+    }
+
+    /// Group `t`'s vertical and horizontal shifts, each −1, 0 or +1: a link
+    /// from row `r` of diagonal `t` (relative to `diag_rows(t).0`) ends on
+    /// row `r + shift` of diagonal `t + 1` (relative to
+    /// `diag_rows(t + 1).0`).
+    #[inline]
+    pub fn shifts(&self, t: usize) -> [i8; 2] {
+        self.steps[t].shift
+    }
+
+    /// The link of group `t` on `axis` (`0` vertical, `1` horizontal) from
+    /// row `r` of diagonal `t`: `4 · (lowest row's core + r · (q ∓ 1)) +
+    /// port`. Meaningful only where that axis's mask has bit `r` set.
+    #[inline]
+    pub fn link_at(&self, t: usize, axis: usize, r: usize) -> LinkId {
+        let core = self.steps[t].base as usize + r * self.stride as usize;
+        LinkId(4 * core + self.ports[axis] as usize)
     }
 }
 
@@ -352,21 +419,68 @@ mod tests {
     }
 
     #[test]
-    fn row_offsets_are_the_endpoint_rows_minus_the_diagonal_lows() {
+    fn groups_keep_the_row_major_scan_order() {
+        // Each group lists its links as a row-major scan of the bounding
+        // box meets them, vertical move before horizontal per core.
+        let scan = |mesh: &Mesh, src: Coord, snk: Coord| {
+            let quadrant = Quadrant::of(src, snk);
+            let (sv, sh) = quadrant.steps();
+            let rect = Rect::spanning(src, snk);
+            let k_src = mesh.diag_index(src, quadrant);
+            let mut groups = vec![Vec::new(); mesh.manhattan(src, snk)];
+            for c in rect.cores() {
+                for s in [sv, sh] {
+                    if mesh.step(c, s).is_some_and(|n| rect.contains(n)) {
+                        let t = mesh.diag_index(c, quadrant) - k_src;
+                        groups[t].push(mesh.link_id(c, s).unwrap());
+                    }
+                }
+            }
+            groups
+        };
+        for (p, q) in [(5, 6), (1, 8), (8, 1), (3, 3)] {
+            let mesh = Mesh::new(p, q);
+            for src in mesh.cores() {
+                for snk in mesh.cores() {
+                    let band = Band::new(&mesh, src, snk);
+                    let groups: Vec<&[LinkId]> = band.groups().collect();
+                    assert_eq!(groups, scan(&mesh, src, snk), "{src}->{snk}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masks_expand_to_the_groups_and_shifts_carry_each_link() {
         let check = |mesh: &Mesh, src: Coord, snk: Coord| {
             let band = Band::new(mesh, src, snk);
+            let w = band.words();
+            assert_eq!(band.masks().len(), 2 * w * band.len());
             for t in 0..band.len() {
                 let (lo_from, lo_to) = (band.diag_rows(t).0, band.diag_rows(t + 1).0);
-                let want: Vec<(u32, u32)> = band
-                    .group(t)
-                    .iter()
-                    .map(|&l| {
-                        let (from, to) = mesh.link_endpoints(l);
-                        ((from.u - lo_from) as u32, (to.u - lo_to) as u32)
-                    })
-                    .collect();
-                assert_eq!(band.row_offsets(t), want, "{src}->{snk} t={t}");
-                assert_eq!(band.group_range(t).len(), band.group(t).len());
+                let masks = band.group_masks(t);
+                // Row by row, vertical first: the group in its link order.
+                let mut expanded = Vec::new();
+                for r in 0..64 * w {
+                    for (axis, mask) in masks.iter().enumerate() {
+                        if mask[r / 64] >> (r % 64) & 1 == 1 {
+                            expanded.push((axis, r, band.link_at(t, axis, r)));
+                        }
+                    }
+                }
+                let links: Vec<LinkId> = expanded.iter().map(|e| e.2).collect();
+                assert_eq!(links, band.group(t), "{src}->{snk} t={t}");
+                for (axis, r, l) in expanded {
+                    let (from, to) = mesh.link_endpoints(l);
+                    assert_eq!(mesh.link_step(l).is_vertical(), axis == 0);
+                    assert_eq!(from.u - lo_from, r, "{src}->{snk} t={t} {l}");
+                    let to_row = r as isize + band.shifts(t)[axis] as isize;
+                    assert_eq!(
+                        to.u as isize - lo_to as isize,
+                        to_row,
+                        "{src}->{snk} t={t} {l}"
+                    );
+                }
             }
         };
         // The five direction cases of `diag_rows_cover_exactly_the_band_cores`.

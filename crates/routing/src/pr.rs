@@ -20,10 +20,26 @@
 //! the stored one; path cleaning then re-examines only the touched groups.
 //! A removal may split a diagonal's useful rows into several runs; a
 //! bitset holds any subset, so every removal takes the same banded path.
-//! Each link's bit positions in those sets are fixed by the band, so they
-//! are read from [`Band::row_offsets`] instead of decoding the link's
-//! endpoints, and every communication's alive flags are one flat array
-//! aligned with the band's links ([`Band::group_range`]).
+//!
+//! A communication's alive links are row sets too: per diagonal group, a
+//! vertical and a horizontal mask over the group's source diagonal, seeded
+//! from the band's own [`Band::group_masks`]. A link from row `r` ends on
+//! row `r + shift` of the next diagonal, with one shift per group and axis
+//! ([`Band::shifts`]), so both halves of a removal are a few word
+//! operations per group with any number of 64-row words:
+//!
+//! * a forward reachability step is `shift(prev & V) | shift(prev & H)`,
+//!   a backward one `(unshift(next) & V) | (unshift(next) & H)`;
+//! * cleaning keeps `V & fwd_t & unshift(bwd_t+1)` (and the same for
+//!   `H`), and only the killed bits, and the survivors when the group's
+//!   share changes, are walked for their load updates, each link id
+//!   computed from its row ([`Band::link_at`]);
+//! * finding a link for a removal is one bit test, and reading a resolved
+//!   communication's path one trailing-zeros count per group.
+//!
+//! Every communication's masks, useful sets, shares and counts live in flat
+//! arenas of the [`RouteScratch`], carved per route, so a route allocates
+//! no per-communication state.
 //!
 //! Choosing each removal is cheap too. The oracle scans loaded links in
 //! decreasing load and, per link, its users in decreasing weight, until
@@ -46,8 +62,10 @@
 //! for the same 234 removals.
 //!
 //! Both implementations produce **bit-identical** routings, errors and load
-//! maps: they kill the same links in the same order and perform the same
-//! floating-point operations per link. `tests/pr_differential.rs`
+//! maps: they make the same removals, kill the same links at each, and
+//! perform the same floating-point operations on each link in the same
+//! order (the order *across* links within one cleaning differs, and no
+//! value depends on it). `tests/pr_differential.rs`
 //! enforces this with a differential oracle over randomized §6 workloads.
 //! Tests and benchmarks swap the engine behind
 //! [`HeuristicKind::Pr`](crate::HeuristicKind) by threading
@@ -55,6 +73,7 @@
 //! their scratch or campaign state.
 
 use crate::comm::CommSet;
+use crate::csr::CrossingIndex;
 use crate::heuristic::Heuristic;
 use crate::loadq::MaxTree;
 use crate::precompute::CustomizedInstance;
@@ -188,9 +207,14 @@ impl QueuedLoads<'_> {
 /// and split off so path cleaning can read them while it updates `links`.
 struct BandBufs<'a> {
     links: QueuedLoads<'a>,
-    fwd: &'a mut Vec<u64>,
-    bwd: &'a mut Vec<u64>,
+    fwd: &'a mut [u64],
+    bwd: &'a mut [u64],
 }
+
+/// A band link's place in its communication's masks: its group, its axis
+/// (`0` vertical, `1` horizontal, as in [`Band::group_masks`]) and its row
+/// on the group's source diagonal.
+type Place = (usize, usize, usize);
 
 /// Whether bit `r` of a row set is set.
 #[inline]
@@ -198,61 +222,158 @@ fn has_row(set: &[u64], r: usize) -> bool {
     set[r / 64] >> (r % 64) & 1 != 0
 }
 
-/// Per-communication removal state of the banded engine.
+/// Word `i` of an `n`-word row set moved by `s` rows (−1, 0 or +1): bit
+/// `r` goes to bit `r + s`, carried across word boundaries, and a bit moved
+/// past either end drops out. `set(k)` yields word `k` of the set, so a
+/// step can shift an expression such as `prev & mask` without storing it.
+#[inline]
+fn shifted(set: impl Fn(usize) -> u64, n: usize, i: usize, s: i8) -> u64 {
+    match s {
+        1 if i > 0 => set(i) << 1 | set(i - 1) >> 63,
+        1 => set(i) << 1,
+        -1 if i + 1 < n => set(i) >> 1 | set(i + 1) << 63,
+        -1 => set(i) >> 1,
+        _ => set(i),
+    }
+}
+
+/// Calls `f` with the row of each set bit of `word`, word `i` of a row
+/// set, in increasing order.
+#[inline]
+fn each_row(mut word: u64, i: usize, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(64 * i + word.trailing_zeros() as usize);
+        word &= word - 1;
+    }
+}
+
+/// Banded PR's per-route arenas, kept in [`RouteScratch`] and reused
+/// across routes: the row-set buffers of one removal and each
+/// communication's removal state, carved out by [`PrArena::seed`].
+#[derive(Debug, Default)]
+pub(crate) struct PrArena {
+    /// The forward and the backward row sets of one removal, then per
+    /// communication its alive masks, laid out like [`Band::masks`], and its
+    /// useful row set per diagonal, [`Band::words`] words each.
+    words: Vec<u64>,
+    /// Per group of every communication: its share and alive count.
+    groups: Vec<GroupState>,
+}
+
+/// One diagonal group's share of its communication and alive-link count.
+#[derive(Debug, Default, Clone, Copy)]
+struct GroupState {
+    /// Current equal share per alive link (`δ / count`).
+    share: f64,
+    /// Alive-link count (kept in lock-step with the alive masks).
+    count: u32,
+}
+
+impl PrArena {
+    /// Carves each communication's initial removal state, in `comms`
+    /// order, out of the arenas: every band link alive, every row useful and
+    /// the weight shared equally within each group. Also returns the
+    /// forward and backward row-set buffers of one removal, each as long
+    /// as the longest band's row sets.
+    fn seed<'a, I>(&'a mut self, comms: I) -> (Vec<BandedComm<'a>>, [&'a mut [u64]; 2])
+    where
+        I: Iterator<Item = (f64, &'a Band)> + Clone,
+    {
+        let (mut sets, mut nwords, mut ngroups) = (0, 0, 0);
+        for (_, band) in comms.clone() {
+            let reach = (band.len() + 1) * band.words();
+            sets = sets.max(reach);
+            nwords += 2 * band.len() * band.words() + reach;
+            ngroups += band.len();
+        }
+        // Every word and entry is written before it is read, so a resize is
+        // enough.
+        self.words.resize(2 * sets + nwords, 0);
+        self.groups.resize(ngroups, GroupState::default());
+        let (fwd, rest) = self.words.split_at_mut(sets);
+        let (bwd, mut words) = rest.split_at_mut(sets);
+        let mut groups = &mut self.groups[..];
+        let comms = comms
+            .map(|(weight, band)| {
+                let (w, len) = (band.words(), band.len());
+                let (alive, rest) = std::mem::take(&mut words).split_at_mut(2 * len * w);
+                let (reach, rest) = rest.split_at_mut((len + 1) * w);
+                words = rest;
+                let (g, rest) = std::mem::take(&mut groups).split_at_mut(len);
+                groups = rest;
+                BandedComm::new(weight, band, alive, reach, g)
+            })
+            .collect();
+        (comms, [fwd, bwd])
+    }
+}
+
+/// Per-communication removal state of the banded engine, borrowed from
+/// [`PrArena`].
 ///
 /// `band` is the pair's interned [`Band`], borrowed from the route's
 /// [`CustomizedInstance`], so building the state writes no shared
-/// reference count. Bit `r` of diagonal `t`'s row set stands
-/// for row `band.diag_rows(t).0 + r`, so a link of group `t` joins bit
-/// `band.row_offsets(t)[j].0` of diagonal `t` to bit
-/// `band.row_offsets(t)[j].1` of diagonal `t + 1`.
-struct BandedComm<'b> {
-    band: &'b Band,
+/// reference count. Bit `r` of diagonal `t`'s row set stands for row
+/// `band.diag_rows(t).0 + r`, and group `t`'s alive links are two such
+/// sets over diagonal `t`, laid out like the band's own
+/// [`Band::group_masks`]: a link of axis `a` from row `r` ends on row
+/// `r + band.shifts(t)[a]` of diagonal `t + 1`.
+struct BandedComm<'a> {
+    band: &'a Band,
     weight: f64,
-    /// Aliveness aligned with the band's flat link array: group `t`'s
-    /// flags are `alive[band.group_range(t)]`.
-    alive: Vec<bool>,
-    /// Current equal share per alive link, per group (`δ / alive_count`).
-    share: Vec<f64>,
-    /// Alive-link count per group (kept in lock-step with `alive`).
-    counts: Vec<usize>,
-    /// Words per row set: `⌈widest diagonal / 64⌉`.
+    /// Words per row set ([`Band::words`]).
     words: usize,
+    /// The band's masks less the links removed or cleaned so far.
+    alive: &'a mut [u64],
     /// Useful-core row set per diagonal `0 ..= len`, `words` words each:
     /// the cores lying on at least one surviving source→sink path.
     /// Invariant between removals: forward and backward reachability over
     /// the alive links both equal exactly this set, because path cleaning
     /// prunes the alive set down to the union of surviving paths.
-    reach: Vec<u64>,
+    reach: &'a mut [u64],
+    /// Per group: the share of each alive link and their count.
+    groups: &'a mut [GroupState],
     /// Number of groups with more than one alive link.
     multi: usize,
 }
 
-impl<'b> BandedComm<'b> {
-    /// Builds the removal state from the pair's interned band.
-    fn new(weight: f64, band: &'b Band) -> Self {
-        let alive = vec![true; band.num_links()];
-        let share: Vec<f64> = band.groups().map(|g| weight / g.len() as f64).collect();
-        let counts: Vec<usize> = band.groups().map(|g| g.len()).collect();
-        let multi = counts.iter().filter(|&&c| c > 1).count();
-        let rows = || (0..=band.len()).map(|t| band.diag_rows(t));
-        let widest = rows().map(|(lo, hi)| hi - lo + 1).max();
-        let words = widest.unwrap_or(1).div_ceil(64);
+impl<'a> BandedComm<'a> {
+    /// Writes the initial removal state into the carved slices.
+    fn new(
+        weight: f64,
+        band: &'a Band,
+        alive: &'a mut [u64],
+        reach: &'a mut [u64],
+        groups: &'a mut [GroupState],
+    ) -> Self {
+        let words = band.words();
+        alive.copy_from_slice(band.masks());
         // Every row of every diagonal starts useful.
-        let mut reach = vec![0u64; (band.len() + 1) * words];
-        for (set, (lo, hi)) in reach.chunks_exact_mut(words).zip(rows()) {
-            for r in 0..=hi - lo {
-                set[r / 64] |= 1 << (r % 64);
+        for (t, set) in reach.chunks_exact_mut(words).enumerate() {
+            let (lo, hi) = band.diag_rows(t);
+            let rows = hi - lo + 1;
+            for (i, word) in set.iter_mut().enumerate() {
+                *word = match rows.saturating_sub(64 * i) {
+                    0 => 0,
+                    n if n >= 64 => u64::MAX,
+                    n => (1 << n) - 1,
+                };
             }
         }
+        for (group, links) in groups.iter_mut().zip(band.groups()) {
+            *group = GroupState {
+                share: weight / links.len() as f64,
+                count: links.len() as u32,
+            };
+        }
+        let multi = groups.iter().filter(|g| g.count > 1).count();
         BandedComm {
             band,
             weight,
-            alive,
-            share,
-            counts,
             words,
+            alive,
             reach,
+            groups,
             multi,
         }
     }
@@ -263,21 +384,41 @@ impl<'b> BandedComm<'b> {
         self.multi == 0
     }
 
-    /// The alive flags of group `t`, aligned with `band.group(t)`.
+    /// Group `t`'s alive masks, vertical then horizontal.
     #[inline]
-    fn alive_in(&self, t: usize) -> &[bool] {
-        &self.alive[self.band.group_range(t)]
+    fn alive_in(&self, t: usize) -> [&[u64]; 2] {
+        let w = self.words;
+        let (v, h) = self.alive[2 * t * w..2 * (t + 1) * w].split_at(w);
+        [v, h]
+    }
+
+    /// Calls `f` on every alive link of group `t`.
+    fn for_alive(&self, t: usize, mut f: impl FnMut(LinkId)) {
+        for (axis, set) in self.alive_in(t).into_iter().enumerate() {
+            for (i, &word) in set.iter().enumerate() {
+                each_row(word, i, |r| f(self.band.link_at(t, axis, r)));
+            }
+        }
+    }
+
+    /// Group `t`'s alive link on its lowest alive row, vertical first (the
+    /// band's link order): one trailing-zeros count per axis.
+    fn first_alive(&self, t: usize) -> Option<LinkId> {
+        let lowest = |set: &[u64]| {
+            let i = set.iter().position(|&word| word != 0)?;
+            Some(64 * i + set[i].trailing_zeros() as usize)
+        };
+        let (r, axis) = (self.alive_in(t).into_iter().enumerate())
+            .filter_map(|(axis, set)| Some((lowest(set)?, axis)))
+            .min()?;
+        Some(self.band.link_at(t, axis, r))
     }
 
     /// Applies this communication's fractional load with sign `sign`.
     fn apply_loads(&self, loads: &mut LoadMap, sign: f64) {
-        for (t, g) in self.band.groups().enumerate() {
-            let s = self.share[t] * sign;
-            for (&l, &alive) in g.iter().zip(self.alive_in(t)) {
-                if alive {
-                    loads.add(l, s);
-                }
-            }
+        for t in 0..self.band.len() {
+            let s = self.groups[t].share * sign;
+            self.for_alive(t, |l| loads.add(l, s));
         }
     }
 
@@ -294,64 +435,65 @@ impl<'b> BandedComm<'b> {
     }
 
     /// One reachability step across diagonal group `g` inside `sets`, a
-    /// buffer laid out like `reach`. Forward, diagonal `g + 1`'s set
-    /// becomes the rows reached from diagonal `g`'s set through the
-    /// group's alive links; backward, diagonal `g`'s set becomes the rows
-    /// reaching diagonal `g + 1`'s set. Returns whether the written set
-    /// equals the stored useful set (the stop rule). A link's bit positions
-    /// are the band's stored [`Band::row_offsets`].
+    /// buffer laid out like `reach`, as word operations on the group's
+    /// alive masks `V` and `H`. Forward, diagonal `g + 1`'s set becomes
+    /// `shift(prev & V) | shift(prev & H)`, the rows reached from diagonal
+    /// `g`'s set; backward, diagonal `g`'s set becomes
+    /// `(unshift(next) & V) | (unshift(next) & H)`, the rows reaching
+    /// diagonal `g + 1`'s set. Returns whether the written set equals the
+    /// stored useful set (the stop rule).
     fn propagate(&self, g: usize, sets: &mut [u64], forward: bool) -> bool {
-        let (head, tail) = sets.split_at_mut((g + 1) * self.words);
-        let (prev, next, dst) = if forward {
-            (&head[self.span(g..g + 1)], &mut tail[..self.words], g + 1)
-        } else {
-            (&tail[..self.words], &mut head[self.span(g..g + 1)], g)
-        };
-        next.fill(0);
-        for (&alive, &(from, to)) in self.alive_in(g).iter().zip(self.band.row_offsets(g)) {
-            if alive {
-                let (key, r) = if forward { (from, to) } else { (to, from) };
-                let (key, r) = (key as usize, r as usize);
-                if has_row(prev, key) {
-                    next[r / 64] |= 1 << (r % 64);
-                }
+        let w = self.words;
+        let [v, h] = self.alive_in(g);
+        let [sv, sh] = self.band.shifts(g);
+        let (head, tail) = sets.split_at_mut((g + 1) * w);
+        let dst = if forward {
+            let (prev, next) = (&head[g * w..], &mut tail[..w]);
+            for (i, word) in next.iter_mut().enumerate() {
+                *word =
+                    shifted(|k| prev[k] & v[k], w, i, sv) | shifted(|k| prev[k] & h[k], w, i, sh);
             }
-        }
-        *next == self.reach[self.span(dst..dst + 1)]
+            g + 1
+        } else {
+            let (next, prev) = (&tail[..w], &mut head[g * w..]);
+            for (i, word) in prev.iter_mut().enumerate() {
+                *word =
+                    shifted(|k| next[k], w, i, -sv) & v[i] | shifted(|k| next[k], w, i, -sh) & h[i];
+            }
+            g
+        };
+        let span = self.span(dst..dst + 1);
+        sets[span.clone()] == self.reach[span]
     }
 
-    /// Removes link `(t_rm, j_rm)` and performs the paper's "path cleaning"
-    /// and re-sharing, recomputing reachability only on the diagonals the
-    /// removal can affect: forward sets downstream of `t_rm` and backward
-    /// sets upstream, each propagation stopping as soon as it re-matches
-    /// the stored `reach` set. Cleaning then touches only the groups
-    /// adjacent to a changed diagonal (plus `t_rm` itself) — the
+    /// Removes the link at `(t_rm, axis, r)` and performs the paper's "path
+    /// cleaning" and re-sharing, recomputing reachability only on the
+    /// diagonals the removal can affect: forward sets downstream of `t_rm`
+    /// and backward sets upstream, each propagation stopping as soon as it
+    /// re-matches the stored `reach` set. Cleaning then touches only the
+    /// groups adjacent to a changed diagonal (plus `t_rm` itself) — the
     /// bit-identical subset of the operations the full sweep performs,
     /// because unchanged groups reproduce the identical share quotient and
     /// skip their load updates entirely.
     fn remove_and_reshare(
         &mut self,
         ci: usize,
-        (t_rm, j_rm): (usize, usize),
+        (t_rm, axis, r): Place,
         bufs: &mut BandBufs<'_>,
     ) -> Result<(), PrError> {
         // Kill the removed link and subtract its current share. The caller
         // picked it from a group with another alive link, so until now this
         // communication could give it up.
-        debug_assert!(self.counts[t_rm] > 1, "removal from a one-link group");
-        let l_rm = self.band.group(t_rm)[j_rm];
-        self.alive[self.band.group_range(t_rm).start + j_rm] = false;
+        debug_assert!(self.groups[t_rm].count > 1, "removal from a one-link group");
+        let l_rm = self.band.link_at(t_rm, axis, r);
+        self.alive[(2 * t_rm + axis) * self.words + r / 64] &= !(1 << (r % 64));
         bufs.links.drop_removable(l_rm);
-        bufs.links.add_load(l_rm, -self.share[t_rm]);
+        bufs.links.add_load(l_rm, -self.groups[t_rm].share);
 
-        let len = self.band.len();
-        if bufs.fwd.len() < self.reach.len() {
-            bufs.fwd.resize(self.reach.len(), 0);
-            bufs.bwd.resize(self.reach.len(), 0);
-        }
         // Forward reachability, recomputed downstream of the removed group
         // until it re-matches the stored useful set. `f_stop` is the first
         // diagonal ≥ t_rm+1 whose forward set did not change.
+        let len = self.band.len();
         self.copy_reach(bufs.fwd, t_rm..t_rm + 1);
         let f_stop = (t_rm + 1..=len)
             .find(|&t| self.propagate(t - 1, bufs.fwd, true))
@@ -384,8 +526,8 @@ impl<'b> BandedComm<'b> {
         // after cleaning, the useful cores of a diagonal are exactly the
         // forward-reachable ∩ backward-reachable ones, and an empty
         // intersection would have surfaced above as an emptied group.
-        let upstream = (self.span(b_start..t_rm + 1), bufs.bwd.as_slice());
-        let downstream = (self.span(t_rm + 1..f_stop), bufs.fwd.as_slice());
+        let upstream = (self.span(b_start..t_rm + 1), &*bufs.bwd);
+        let downstream = (self.span(t_rm + 1..f_stop), &*bufs.fwd);
         for (span, sets) in [upstream, downstream] {
             for (r, s) in self.reach[span.clone()].iter_mut().zip(&sets[span]) {
                 *r &= s;
@@ -394,15 +536,16 @@ impl<'b> BandedComm<'b> {
         Ok(())
     }
 
-    /// Path cleaning and re-sharing of diagonal group `t`: kills every
-    /// alive link that does not join a core of `fwd_t` (diagonal `t`'s
-    /// forward set) to a core of `bwd_t1` (diagonal `t + 1`'s backward
-    /// set), spreads the weight equally over the survivors, and updates
-    /// `counts`, `multi` and the removable counts — a killed link of a
-    /// multi-link group loses this communication as a removable user, and
-    /// so does the survivor of a group cleaned down to one link. The load
-    /// operations are the full-sweep oracle's, in its order; `ci` labels
-    /// the error of an emptied group.
+    /// Path cleaning and re-sharing of diagonal group `t`: keeps the alive
+    /// links that join a core of `fwd_t` (diagonal `t`'s forward set) to a
+    /// core of `bwd_t1` (diagonal `t + 1`'s backward set), `V & fwd_t &
+    /// unshift(bwd_t1)` per axis, spreads the weight equally over the
+    /// survivors, and updates `counts`, `multi` and the removable counts —
+    /// a killed link of a multi-link group loses this communication as a
+    /// removable user, and so does the survivor of a group cleaned down to
+    /// one link. Only the killed bits, and the survivors when the share
+    /// changes, are walked; each such link gets the full-sweep oracle's
+    /// one load operation. `ci` labels the error of an emptied group.
     fn clean_group(
         &mut self,
         ci: usize,
@@ -411,25 +554,26 @@ impl<'b> BandedComm<'b> {
         fwd_t: &[u64],
         bwd_t1: &[u64],
     ) -> Result<(), PrError> {
-        let g = self.band.group(t);
-        let offsets = self.band.row_offsets(t);
-        let range = self.band.group_range(t);
-        let alive = &mut self.alive[range.clone()];
-        let old_share = self.share[t];
-        let was_multi = self.counts[t] > 1;
-        let (mut count, mut last) = (0usize, 0usize);
-        for (j, (&l, &(from, to))) in g.iter().zip(offsets).enumerate() {
-            if alive[j] {
-                if has_row(fwd_t, from as usize) && has_row(bwd_t1, to as usize) {
-                    count += 1;
-                    last = j;
-                } else {
-                    alive[j] = false;
+        let (w, band) = (self.words, self.band);
+        let shifts = band.shifts(t);
+        let old_share = self.groups[t].share;
+        let was_multi = self.groups[t].count > 1;
+        let mut count = 0;
+        let masks = &mut self.alive[2 * t * w..2 * (t + 1) * w];
+        for (axis, mask) in masks.chunks_exact_mut(w).enumerate() {
+            let s = shifts[axis];
+            for (i, word) in mask.iter_mut().enumerate() {
+                let keep = *word & fwd_t[i] & shifted(|k| bwd_t1[k], w, i, -s);
+                let killed = *word & !keep;
+                *word = keep;
+                count += keep.count_ones();
+                each_row(killed, i, |r| {
+                    let l = band.link_at(t, axis, r);
                     if was_multi {
                         links.drop_removable(l);
                     }
                     links.add_load(l, -old_share);
-                }
+                });
             }
         }
         if count == 0 {
@@ -437,26 +581,27 @@ impl<'b> BandedComm<'b> {
         }
         if was_multi && count == 1 {
             self.multi -= 1;
-            links.drop_removable(g[last]);
+            // Exactly one bit is left: the group's survivor.
+            if let Some(survivor) = self.first_alive(t) {
+                links.drop_removable(survivor);
+            }
         }
         let new_share = self.weight / count as f64;
         // Exact comparison: an unchanged count reproduces the identical
         // quotient, so untouched groups skip the load updates entirely.
         if new_share != old_share {
-            for (&l, &alive) in g.iter().zip(&self.alive[range]) {
-                if alive {
-                    links.add_load(l, new_share - old_share);
-                }
-            }
-            self.share[t] = new_share;
+            self.for_alive(t, |l| links.add_load(l, new_share - old_share));
         }
-        self.counts[t] = count;
+        self.groups[t] = GroupState {
+            share: new_share,
+            count,
+        };
         Ok(())
     }
 
-    /// Number of alive links in the group containing `link` and the link's
-    /// position, if it is alive. O(1) in the group size thanks to `counts`.
-    fn locate(&self, mesh: &Mesh, link: LinkId) -> Option<(usize, usize, usize)> {
+    /// The place of `link` and its group's alive-link count, if the link is
+    /// alive for this communication: one bit test, no scan of the group.
+    fn locate(&self, mesh: &Mesh, link: LinkId) -> Option<(Place, u32)> {
         if self.band.is_empty() {
             return None;
         }
@@ -466,12 +611,12 @@ impl<'b> BandedComm<'b> {
         if t >= self.band.len() {
             return None;
         }
-        let g = self.band.group(t);
-        let j = g.iter().position(|&l| l == link)?;
-        if !self.alive_in(t)[j] {
-            return None;
-        }
-        Some((t, j, self.counts[t]))
+        let r = from.u.checked_sub(self.band.diag_rows(t).0)?;
+        let axis = usize::from(mesh.link_step(link).is_horizontal());
+        let alive = r < 64 * self.words
+            && has_row(self.alive_in(t)[axis], r)
+            && self.band.link_at(t, axis, r) == link;
+        alive.then_some(((t, axis, r), self.groups[t].count))
     }
 
     /// Extracts the unique remaining path; `ci` labels errors. Fails with
@@ -483,11 +628,10 @@ impl<'b> BandedComm<'b> {
         }
         let mut cur = self.band.src();
         let mut moves: Vec<Step> = Vec::with_capacity(self.band.len());
-        for (t, g) in self.band.groups().enumerate() {
-            let Some(j) = self.alive_in(t).iter().position(|&a| a) else {
+        for t in 0..self.band.len() {
+            let Some(link) = self.first_alive(t) else {
                 return Err(PrError::EmptiedGroup { comm: ci, group: t });
             };
-            let link = g[j];
             let (from, to) = mesh.link_endpoints(link);
             if from != cur {
                 return Err(PrError::BrokenChain { comm: ci });
@@ -529,7 +673,7 @@ impl PathRemover {
     ) -> Result<Routing, PrError> {
         let mesh = cs.mesh();
         let cust = scratch.ensure_customized(cs);
-        let mut comms = seed_route(cs, &cust, scratch);
+        let mut route = seed_route(cs, &cust, scratch);
 
         // Iteratively remove the most loaded link from the largest
         // communication that can give it up. The oracle's scan settles on
@@ -538,61 +682,71 @@ impl PathRemover {
         // communication can lose any link (as would a top no candidate
         // can give up, which the counts rule out): a structural error in
         // both builds.
-        let mut unresolved = comms.iter().filter(|c| !c.resolved()).count();
+        let mut unresolved = route.comms.iter().filter(|c| !c.resolved()).count();
         while unresolved > 0 {
-            let top = scratch.top.peek_max().and_then(|(link, _)| {
-                let cursor = &mut scratch.cursor[link.index()];
-                select(mesh, &comms, scratch.xusers.row(link.index()), cursor, link)
-            });
-            let Some((i, t, j)) = top else {
+            let Some((i, place)) = route.next_removal(mesh) else {
                 return Err(PrError::Stuck { unresolved });
             };
-            comms[i].remove_and_reshare(i, (t, j), &mut scratch.band_bufs())?;
-            if comms[i].resolved() {
+            route.comms[i].remove_and_reshare(i, place, &mut route.bufs)?;
+            if route.comms[i].resolved() {
                 unresolved -= 1;
             }
         }
 
-        let paths = comms
-            .iter()
-            .enumerate()
+        let paths = (route.comms.iter().enumerate())
             .map(|(i, c)| c.final_path(mesh, i))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Routing::single(cs, paths))
     }
 }
 
-impl RouteScratch {
-    /// The shared per-link state and row-set buffers one removal updates.
-    fn band_bufs(&mut self) -> BandBufs<'_> {
-        BandBufs {
-            links: QueuedLoads {
-                loads: &mut self.loads,
-                queue: &mut self.top,
-                removable: &mut self.removable,
-            },
-            fwd: &mut self.fwd_rows,
-            bwd: &mut self.bwd_rows,
-        }
+/// One banded route's working state, split out of [`RouteScratch`]: the
+/// communications' removal state, carved from the scratch's
+/// [`PrArena`], beside the shared per-link state each removal updates
+/// and the selection rows and cursors it reads.
+struct Route<'s> {
+    comms: Vec<BandedComm<'s>>,
+    bufs: BandBufs<'s>,
+    /// Per link: its users in decreasing weight.
+    xusers: &'s CrossingIndex,
+    /// Per link: the selection cursor into its `xusers` row.
+    cursor: &'s mut [u32],
+}
+
+impl Route<'_> {
+    /// The next removal: the top link of the tree and the communication
+    /// that gives it up ([`select`]), or `None` when the tree is empty.
+    fn next_removal(&mut self, mesh: &Mesh) -> Option<(usize, Place)> {
+        let (link, _) = self.bufs.links.queue.peek_max()?;
+        let row = self.xusers.row(link.index());
+        select(mesh, &self.comms, row, &mut self.cursor[link.index()], link)
     }
 }
 
-/// Seeds one banded route: builds every communication's removal state
-/// over `cust`'s bands, applies the fractional loads, and resets the
-/// scratch's crossing rows, removable counts, removal tree and selection
-/// cursors for `cs`.
-fn seed_route<'c>(
+/// Seeds one banded route: carves every communication's removal state
+/// over `cust`'s bands from the scratch's arenas, applies the fractional
+/// loads, and resets the scratch's crossing rows, removable counts, removal
+/// tree, selection cursors and row-set buffers for `cs`.
+fn seed_route<'s>(
     cs: &CommSet,
-    cust: &'c CustomizedInstance,
-    scratch: &mut RouteScratch,
-) -> Vec<BandedComm<'c>> {
+    cust: &'s CustomizedInstance,
+    scratch: &'s mut RouteScratch,
+) -> Route<'s> {
     let mesh = cs.mesh();
-    let comms: Vec<BandedComm> = (cs.comms().iter().zip(cust.bands()))
-        .map(|(c, band)| BandedComm::new(c.weight, band))
-        .collect();
-    scratch.loads.fit(mesh);
+    let RouteScratch {
+        loads,
+        xusers,
+        cursor,
+        removable,
+        top,
+        pr,
+        ..
+    } = scratch;
+    let weights = cs.comms().iter().map(|c| c.weight);
+    let (comms, [fwd, bwd]) = pr.seed(weights.zip(cust.bands().iter().map(|b| &**b)));
+    loads.fit(mesh);
     for c in &comms {
-        c.apply_loads(&mut scratch.loads, 1.0);
+        c.apply_loads(loads, 1.0);
     }
     // Which communications' bands contain each link (static superset,
     // built flat-CSR in two counting passes over the bands). The bands
@@ -601,25 +755,25 @@ fn seed_route<'c>(
     // row already lists its users in the order the full-sweep oracle
     // re-sorts them per examined link.
     let nslots = mesh.num_link_slots();
-    scratch.xusers.rebuild(nslots, |push| {
+    xusers.rebuild(nslots, |push| {
         for &i in cust.by_weight() {
             for l in comms[i].band.links() {
                 push(l.index(), i as u32);
             }
         }
     });
-    scratch.cursor.clear();
-    scratch.cursor.resize(nslots, 0);
+    cursor.clear();
+    cursor.resize(nslots, 0);
     // Per-link removable-user counts: a communication can give a link
     // up while the link is alive for it and its group keeps another
     // alive link. Every removal and every cleaned group keeps them
     // current ([`BandedComm::clean_group`]).
-    scratch.removable.clear();
-    scratch.removable.resize(nslots, 0);
+    removable.clear();
+    removable.resize(nslots, 0);
     for c in &comms {
         for g in c.band.groups().filter(|g| g.len() > 1) {
             for l in g {
-                scratch.removable[l.index()] += 1;
+                removable[l.index()] += 1;
             }
         }
     }
@@ -629,28 +783,37 @@ fn seed_route<'c>(
     // full-sweep oracle's scan order that the scan does not reject.
     // Maintained incrementally by [`QueuedLoads`] instead of being
     // rebuilt (and re-scanned, O(links²)) on every removal.
-    let removable = &scratch.removable;
-    scratch.top.rebuild(
-        nslots,
-        scratch
-            .loads
-            .iter_active()
-            .filter(|(l, _)| removable[l.index()] > 0),
-    );
-    comms
+    let active = loads
+        .iter_active()
+        .filter(|(l, _)| removable[l.index()] > 0);
+    top.rebuild(nslots, active);
+    Route {
+        comms,
+        bufs: BandBufs {
+            links: QueuedLoads {
+                loads,
+                queue: top,
+                removable,
+            },
+            fwd,
+            bwd,
+        },
+        xusers,
+        cursor,
+    }
 }
 
 /// Whether communication `i` can give `link` up: it is unresolved and
 /// still holds the link in a group with another alive link (every alive
 /// link lies on some path after cleaning, so a sibling link guarantees a
-/// surviving path). Returns the link's group and its position there.
-fn qualifies(mesh: &Mesh, comms: &[BandedComm], i: u32, link: LinkId) -> Option<(usize, usize)> {
+/// surviving path). Returns the link's place in its masks.
+fn qualifies(mesh: &Mesh, comms: &[BandedComm], i: u32, link: LinkId) -> Option<Place> {
     let c = &comms[i as usize];
     if c.resolved() {
         return None;
     }
     match c.locate(mesh, link) {
-        Some((t, j, count)) if count >= 2 => Some((t, j)),
+        Some((place, count)) if count >= 2 => Some(place),
         _ => None,
     }
 }
@@ -668,10 +831,10 @@ fn select(
     row: &[u32],
     cursor: &mut u32,
     link: LinkId,
-) -> Option<(usize, usize, usize)> {
+) -> Option<(usize, Place)> {
     while let Some(&i) = row.get(*cursor as usize) {
-        if let Some((t, j)) = qualifies(mesh, comms, i, link) {
-            return Some((i as usize, t, j));
+        if let Some(place) = qualifies(mesh, comms, i, link) {
+            return Some((i as usize, place));
         }
         *cursor += 1;
     }
@@ -701,7 +864,7 @@ mod tests {
     use pamr_mesh::{Coord, Mesh};
     use pamr_power::PowerModel;
     use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn pr_resolves_to_single_paths() {
@@ -881,27 +1044,71 @@ mod tests {
                 .collect();
             let cs = CommSet::new(mesh, comms);
             let cust = scratch.ensure_customized(&cs);
-            let mut comms = seed_route(&cs, &cust, &mut scratch);
-            while comms.iter().any(|c| !c.resolved()) {
-                let (link, _) = scratch.top.peek_max().expect("a removable link");
-                let row = scratch.xusers.row(link.index());
-                let cursor = &mut scratch.cursor[link.index()];
-                let picked = select(&mesh, &comms, row, cursor, link);
+            let mut route = seed_route(&cs, &cust, &mut scratch);
+            while route.comms.iter().any(|c| !c.resolved()) {
+                let (link, _) = route.bufs.links.queue.peek_max().expect("a removable link");
+                let row = route.xusers.row(link.index());
+                let cursor = &mut route.cursor[link.index()];
+                let picked = select(&mesh, &route.comms, row, cursor, link);
                 let first = row.iter().find_map(|&i| {
-                    qualifies(&mesh, &comms, i, link).map(|(t, j)| (i as usize, t, j))
+                    qualifies(&mesh, &route.comms, i, link).map(|place| (i as usize, place))
                 });
                 assert_eq!(picked, first, "seed {seed}, removal {removals}: {link}");
                 // The cursor never passes a candidate that still
                 // qualifies: it rests on the one it picked.
-                let (i, t, j) = picked.expect("the top link has a removable user");
+                let (i, place) = picked.expect("the top link has a removable user");
                 assert_eq!(row[*cursor as usize] as usize, i, "seed {seed}: cursor");
-                comms[i]
-                    .remove_and_reshare(i, (t, j), &mut scratch.band_bufs())
+                route.comms[i]
+                    .remove_and_reshare(i, place, &mut route.bufs)
                     .unwrap();
                 removals += 1;
             }
         }
         assert!(removals > 200, "only {removals} removals");
+    }
+
+    #[test]
+    fn shifted_moves_every_bit_across_word_edges() {
+        // Against a bit-by-bit shift: every single-bit set (so both edges
+        // of every word) and random sets, on one to three words.
+        let mut rng = SmallRng::seed_from_u64(11);
+        for n in 1..=3 {
+            let singles = (0..64 * n).map(|r| {
+                let mut set = vec![0u64; n];
+                set[r / 64] = 1 << (r % 64);
+                set
+            });
+            let random = (0..64).map(|_| (0..n).map(|_| rng.next_u64() & rng.next_u64()).collect());
+            for set in singles.chain(random).collect::<Vec<Vec<u64>>>() {
+                for s in [-1i8, 0, 1] {
+                    let got: Vec<u64> = (0..n).map(|i| shifted(|k| set[k], n, i, s)).collect();
+                    let mut want = vec![0u64; n];
+                    for r in (0..64 * n).filter(|&r| has_row(&set, r)) {
+                        if let Some(to) = r.checked_add_signed(s as isize).filter(|&to| to < 64 * n)
+                        {
+                            want[to / 64] |= 1 << (to % 64);
+                        }
+                    }
+                    assert_eq!(got, want, "{n} words, shift {s}, set {set:x?}");
+                }
+            }
+        }
+    }
+
+    /// The alive flags of `c`'s masks expanded to the band's link order:
+    /// each link reads the bit of its axis on its from-row.
+    fn alive_flags(mesh: &Mesh, c: &BandedComm) -> Vec<Vec<bool>> {
+        (c.band.groups().enumerate())
+            .map(|(t, g)| {
+                let lo = c.band.diag_rows(t).0;
+                g.iter()
+                    .map(|&l| {
+                        let axis = usize::from(mesh.link_step(l).is_horizontal());
+                        has_row(c.alive_in(t)[axis], mesh.link_endpoints(l).0.u - lo)
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// A fresh recount of every link slot's removable users among
@@ -910,9 +1117,9 @@ mod tests {
     fn recount_removable(mesh: &Mesh, comms: &[&BandedComm]) -> Vec<u32> {
         let mut n = vec![0u32; mesh.num_link_slots()];
         for c in comms {
-            for (t, g) in c.band.groups().enumerate() {
-                if c.alive_in(t).iter().filter(|&&a| a).count() >= 2 {
-                    for (&l, &alive) in g.iter().zip(c.alive_in(t)) {
+            for (g, alive) in c.band.groups().zip(alive_flags(mesh, c)) {
+                if alive.iter().filter(|&&a| a).count() >= 2 {
+                    for (&l, &alive) in g.iter().zip(&alive) {
                         if alive {
                             n[l.index()] += 1;
                         }
@@ -930,107 +1137,102 @@ mod tests {
         (lo..=hi).filter(|&u| has_row(set, u - lo)).collect()
     }
 
-    #[test]
-    fn split_useful_sets_stay_on_the_banded_path() {
-        // Drive a banded comm and a reference comm through the identical
-        // removal sequence, picking removals that disconnect the middle of
-        // a diagonal: the diagonal-2 useful rows of a 4×4 corner-to-corner
-        // band become {0, 2} (two runs), which the banded path must store
-        // and keep bit-identical to the full sweep throughout. A second,
-        // smaller comm shares part of
-        // the band and is never removed from, so some links keep a
-        // removable user (and their tree entry) after the first comm
-        // gives them up, and others leave the tree.
-        let mesh = Mesh::new(4, 4);
-        let (src, snk) = (Coord::new(0, 0), Coord::new(3, 3));
-        let (src2, snk2) = (Coord::new(0, 1), Coord::new(2, 3));
-        let (band, other_band) = (Band::new(&mesh, src, snk), Band::new(&mesh, src2, snk2));
-        let mut banded = BandedComm::new(2.0, &band);
-        let mut reference = reference::RefComm::new(&mesh, src, snk, 2.0);
-        let other = BandedComm::new(1.0, &other_band);
-        let other_ref = reference::RefComm::new(&mesh, src2, snk2, 1.0);
-        let mut loads_b = pamr_mesh::LoadMap::new(&mesh);
-        let mut loads_r = pamr_mesh::LoadMap::new(&mesh);
+    /// Drives a banded comm `src → snk` of weight 2 and its full-sweep
+    /// oracle through the identical removals, beside a comm `src2 → snk2`
+    /// of weight 1 that shares part of the band and is never removed from,
+    /// so some links keep a removable user (and their tree entry) after the
+    /// first comm gives them up, and others leave the tree. `pick` chooses
+    /// each removal from the banded comm's state, or ends the run; `seen`
+    /// looks at the comm after each removal. After every removal the
+    /// expanded alive flags, every load bit and the useful rows must match
+    /// the oracle's, the maintained removable counts a fresh recount, and
+    /// the tree the loaded removable links. Returns the removal count.
+    fn drive_against_the_oracle(
+        mesh: &Mesh,
+        (src, snk): (Coord, Coord),
+        (src2, snk2): (Coord, Coord),
+        mut pick: impl FnMut(usize, &BandedComm) -> Option<Place>,
+        mut seen: impl FnMut(usize, &BandedComm),
+    ) -> usize {
+        let (band, other_band) = (Band::new(mesh, src, snk), Band::new(mesh, src2, snk2));
+        let mut arena = PrArena::default();
+        let (mut comms, [fwd_rows, bwd_rows]) =
+            arena.seed([(2.0, &band), (1.0, &other_band)].into_iter());
+        let (first, rest) = comms.split_at_mut(1);
+        let (banded, other) = (&mut first[0], &rest[0]);
+        let mut reference = reference::RefComm::new(mesh, src, snk, 2.0);
+        let other_ref = reference::RefComm::new(mesh, src2, snk2, 1.0);
+        let mut loads_b = pamr_mesh::LoadMap::new(mesh);
+        let mut loads_r = pamr_mesh::LoadMap::new(mesh);
         banded.apply_loads(&mut loads_b, 1.0);
         other.apply_loads(&mut loads_b, 1.0);
         reference.apply_loads(&mut loads_r, 1.0);
         other_ref.apply_loads(&mut loads_r, 1.0);
         // Real removable counts, and the tree the engine seeds from them.
-        let mut removable = recount_removable(&mesh, &[&banded, &other]);
+        let mut removable = recount_removable(mesh, &[banded, other]);
         assert!(removable.contains(&2), "the bands must overlap");
-        let mut scratch = crate::RouteScratch::new();
-        scratch.top.rebuild(
+        let mut top = MaxTree::default();
+        top.rebuild(
             mesh.num_link_slots(),
             loads_b
                 .iter_active()
                 .filter(|(l, _)| removable[l.index()] > 0),
         );
         let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
-
-        // Group 1 holds the four links leaving diagonal 1; the first two
-        // removals take the two links entering the middle core (1,1) of
-        // diagonal 2. Later removals take the first alive link of the
-        // first multi-link group until the comm resolves.
-        let mut into_middle = banded
-            .band
-            .group(1)
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| mesh.link_endpoints(l).1 == Coord::new(1, 1))
-            .map(|(j, _)| (1, j))
-            .collect::<Vec<_>>()
-            .into_iter();
-        assert_eq!(into_middle.len(), 2);
+        // The band's cores per diagonal, in increasing row order.
+        let mut diag_cores = vec![Vec::new(); band.len() + 1];
+        for c in band.rect().cores() {
+            diag_cores[mesh.diag_index(c, band.quadrant()) - band.k_src()].push(c);
+        }
         let mut step = 0;
-        while !banded.resolved() {
-            let (t, j) = into_middle.next().unwrap_or_else(|| {
-                let t = banded.counts.iter().position(|&c| c >= 2).unwrap();
-                (t, banded.alive_in(t).iter().position(|&a| a).unwrap())
-            });
+        while let Some((t, axis, r)) = pick(step, banded) {
+            let l = band.link_at(t, axis, r);
+            let j = band.group(t).iter().position(|&g| g == l).unwrap();
             let mut bufs = BandBufs {
                 links: QueuedLoads {
                     loads: &mut loads_b,
-                    queue: &mut scratch.top,
+                    queue: &mut top,
                     removable: &mut removable,
                 },
-                fwd: &mut scratch.fwd_rows,
-                bwd: &mut scratch.bwd_rows,
+                fwd: &mut *fwd_rows,
+                bwd: &mut *bwd_rows,
             };
-            banded.remove_and_reshare(0, (t, j), &mut bufs).unwrap();
+            banded
+                .remove_and_reshare(0, (t, axis, r), &mut bufs)
+                .unwrap();
             reference
-                .remove_and_reshare(&mesh, 0, (t, j), &mut loads_r, &mut fwd, &mut bwd)
+                .remove_and_reshare(mesh, 0, (t, j), &mut loads_r, &mut fwd, &mut bwd)
                 .unwrap();
             step += 1;
             assert_eq!(
-                banded.alive,
-                reference.alive.concat(),
-                "alive sets diverged"
+                alive_flags(mesh, banded),
+                reference.alive,
+                "removal {step}: alive sets diverged"
             );
             for l in mesh.links() {
                 assert_eq!(
                     loads_b.get(l).to_bits(),
                     loads_r.get(l).to_bits(),
-                    "load of {l} diverged"
+                    "removal {step}: load of {l} diverged"
                 );
-            }
-            if step == 2 {
-                assert_eq!(stored_rows(&banded, 2), [0, 2], "diagonal 2 did not split");
             }
             // The stored sets are the cores the oracle's sweep found both
             // forward- and backward-reachable…
-            for c in banded.band.rect().cores() {
-                let t = mesh.diag_index(c, banded.band.quadrant()) - banded.band.k_src();
-                let i = mesh.core_index(c);
+            for (t, cores) in diag_cores.iter().enumerate() {
+                let want: Vec<usize> = (cores.iter())
+                    .filter(|&&c| fwd[mesh.core_index(c)] && bwd[mesh.core_index(c)])
+                    .map(|c| c.u)
+                    .collect();
                 assert_eq!(
-                    stored_rows(&banded, t).contains(&c.u),
-                    fwd[i] && bwd[i],
-                    "removal {step}: useful set of diagonal {t} at {c}"
+                    stored_rows(banded, t),
+                    want,
+                    "removal {step}: useful set of diagonal {t}"
                 );
             }
             // …the maintained counts equal a fresh recount…
             assert_eq!(
                 removable,
-                recount_removable(&mesh, &[&banded, &other]),
+                recount_removable(mesh, &[banded, other]),
                 "removal {step}: removable counts drifted"
             );
             // …and the tree holds exactly the loaded links with a
@@ -1046,26 +1248,133 @@ mod tests {
                     0.0
                 };
                 assert_eq!(
-                    scratch.top.get(l).to_bits(),
+                    top.get(l).to_bits(),
                     want.to_bits(),
                     "removal {step}: tree entry of {l}"
                 );
             }
-            assert_eq!(scratch.top.len(), queued.len(), "removal {step}: tree size");
+            assert_eq!(top.len(), queued.len(), "removal {step}: tree size");
             assert_eq!(
-                scratch.top.peek_max(),
+                top.peek_max(),
                 crate::loadq::select_max(&mut queued, 0),
                 "removal {step}: tree top"
             );
+            seen(step, banded);
         }
         assert_eq!(banded.resolved(), reference.resolved);
-        // The first comm gave up links the second never held: they left
-        // the tree while still loaded by the first comm's final path.
-        assert!(
-            mesh.links()
-                .any(|l| loads_b.get(l) > 0.0 && scratch.top.get(l) == 0.0),
-            "no link left the tree"
+        if banded.resolved() {
+            // The first comm gave up links the second never held: they
+            // left the tree while still loaded by the first comm's path.
+            assert!(
+                mesh.links()
+                    .any(|l| loads_b.get(l) > 0.0 && top.get(l) == 0.0),
+                "no link left the tree"
+            );
+        }
+        step
+    }
+
+    /// The place of every alive link of group `t` of `c` that ends on
+    /// core `to`.
+    fn into_core(mesh: &Mesh, c: &BandedComm, t: usize, to: Coord) -> Vec<Place> {
+        (c.band.group(t).iter())
+            .filter(|&&l| mesh.link_endpoints(l).1 == to)
+            .filter_map(|&l| c.locate(mesh, l).map(|(place, _)| place))
+            .collect()
+    }
+
+    #[test]
+    fn split_useful_sets_stay_on_the_banded_path() {
+        // Removals that disconnect the middle of a diagonal: the first two
+        // take the two links of group 1 entering the middle core (1,1) of
+        // diagonal 2 of a 4×4 corner-to-corner band, so its useful rows
+        // become {0, 2} (two runs), which the banded path must store and
+        // keep bit-identical to the full sweep throughout. Later removals
+        // take the first alive link of the first multi-link group until
+        // the comm resolves.
+        let mesh = Mesh::new(4, 4);
+        let ends = (Coord::new(0, 0), Coord::new(3, 3));
+        let other = (Coord::new(0, 1), Coord::new(2, 3));
+        let mut into_middle = Vec::new();
+        let removals = drive_against_the_oracle(
+            &mesh,
+            ends,
+            other,
+            |step, c| {
+                if step == 0 {
+                    into_middle = into_core(&mesh, c, 1, Coord::new(1, 1));
+                    assert_eq!(into_middle.len(), 2);
+                }
+                if step < 2 {
+                    return Some(into_middle[step]);
+                }
+                let t = (0..c.band.len()).find(|&t| c.groups[t].count >= 2)?;
+                let l = c.first_alive(t)?;
+                c.locate(&mesh, l).map(|(place, _)| place)
+            },
+            |step, c| {
+                if step == 2 {
+                    assert_eq!(stored_rows(c, 2), [0, 2], "diagonal 2 did not split");
+                }
+            },
         );
+        assert!(removals > 2);
+    }
+
+    #[test]
+    fn split_useful_sets_stay_on_the_banded_path_across_two_words() {
+        // The twin of the test above on a 66×66 corner-to-corner band,
+        // whose middle diagonals are 65 and 66 rows wide, so every row set
+        // takes two words. The first two removals take the links of group
+        // 64 entering core (64, 1) of diagonal 65, from rows 63 and 64: one
+        // on each side of the word boundary, and the vertical one carried
+        // across it. Diagonal 65's useful rows then lose row 64 alone.
+        // Then groups 56 to 72 take turns, each giving up its alive link
+        // nearest the boundary while it keeps another, the unshifted one
+        // first, for 80 removals in all: a row next to the boundary is then
+        // often reached only by a link that crosses it, vertically (shift
+        // +1) before the middle diagonal and horizontally (shift −1) after.
+        let mesh = Mesh::new(66, 66);
+        let ends = (Coord::new(0, 0), Coord::new(65, 65));
+        let other = (Coord::new(40, 20), Coord::new(65, 50));
+        let mut first = Vec::new();
+        let removals = drive_against_the_oracle(
+            &mesh,
+            ends,
+            other,
+            |step, c| {
+                assert_eq!(c.words, 2);
+                if step == 0 {
+                    first = into_core(&mesh, c, 64, Coord::new(64, 1));
+                    assert_eq!(
+                        first.iter().map(|p| (p.1, p.2)).collect::<Vec<_>>(),
+                        [(0, 63), (1, 64)]
+                    );
+                }
+                if step < 2 {
+                    return Some(first[step]);
+                }
+                if step == 80 {
+                    return None;
+                }
+                let t = (0..17)
+                    .map(|d| 56 + (step + d) % 17)
+                    .find(|&t| c.groups[t].count >= 2)?;
+                let (masks, shifts) = (c.alive_in(t), c.band.shifts(t));
+                (0..128)
+                    .flat_map(|r| [(0, r), (1, r)])
+                    .filter(|&(axis, r)| has_row(masks[axis], r))
+                    .min_by_key(|&(axis, r)| ((2 * r).abs_diff(127), shifts[axis] != 0))
+                    .map(|(axis, r)| (t, axis, r))
+            },
+            |step, c| {
+                if step == 2 {
+                    let want: Vec<usize> = (0..66).filter(|&u| u != 64).collect();
+                    assert_eq!(stored_rows(c, 65), want, "diagonal 65 did not split");
+                }
+            },
+        );
+        assert_eq!(removals, 80);
     }
 
     #[test]

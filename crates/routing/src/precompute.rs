@@ -349,8 +349,8 @@ mod tests {
             for t in 0..fresh.len() {
                 assert_eq!(cached.group(t), fresh.group(t), "({src},{snk}) t={t}");
                 assert_eq!(
-                    cached.row_offsets(t),
-                    fresh.row_offsets(t),
+                    (cached.group_masks(t), cached.shifts(t)),
+                    (fresh.group_masks(t), fresh.shifts(t)),
                     "({src},{snk}) t={t}"
                 );
             }

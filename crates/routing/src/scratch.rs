@@ -3,9 +3,9 @@
 //! One §6 campaign trial routes the same instance with all six policies,
 //! and a full campaign runs hundreds of thousands of trials. A
 //! [`RouteScratch`] owns the live engines' buffers (the load accumulator,
-//! crossing rows, selection indexes, per-link cursors and costs) plus the
-//! attached precompute and cost ladder, so a worker thread allocates once
-//! and reuses them for every subsequent trial
+//! crossing rows, selection indexes, per-link cursors and costs, PR's
+//! per-route arenas) plus the attached precompute and cost ladder, so a
+//! worker thread allocates once and reuses them for every subsequent trial
 //! ([`Heuristic::route_with`]). The reference oracles keep their working
 //! lists as locals and share only the load accumulator, which
 //! [`RouteScratch::loads`] exposes for the differential suites to compare.
@@ -16,6 +16,7 @@ use crate::comm::CommSet;
 use crate::csr::CrossingIndex;
 use crate::engine::EngineConfig;
 use crate::loadq::MaxTree;
+use crate::pr::PrArena;
 use crate::precompute::{CostLadder, CustomizedInstance, MeshPrecompute};
 use pamr_mesh::LoadMap;
 use pamr_power::PowerModel;
@@ -57,13 +58,11 @@ pub struct RouteScratch {
     /// XYI keys its *pending* links, the loaded links a flip may still
     /// improve, so its top is the next link to evaluate.
     pub(crate) top: MaxTree,
-    /// Per-diagonal forward row sets of one removal (banded PR): the
-    /// communication's words-per-diagonal bitsets, recomputed downstream of
-    /// the removed link.
-    pub(crate) fwd_rows: Vec<u64>,
-    /// Per-diagonal backward row sets of one removal (banded PR),
-    /// recomputed upstream of the removed link.
-    pub(crate) bwd_rows: Vec<u64>,
+    /// Banded PR's per-route arenas: the forward and backward row sets of
+    /// one removal, and every communication's alive row masks, useful row
+    /// sets, shares and alive counts, carved per route instead of
+    /// allocated per communication.
+    pub(crate) pr: PrArena,
     /// Flat per-group `(load bits, link)` keys of one communication's band,
     /// each group sorted ascending (indexed IG's min-load tail bound).
     pub(crate) ig_keys: Vec<(u64, u32)>,

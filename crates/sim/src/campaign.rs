@@ -268,13 +268,18 @@ mod tests {
         // the workers.
         for trials in [1, 5, 10, 20] {
             let campaign = Campaign::new(&mesh, &model, trials, 42);
+            // Each count gets its own pool, so no other test's thread
+            // count can leak into the 1-thread reference.
             let run = |threads: usize| {
-                rayon::set_num_threads(threads);
-                let out: Vec<Vec<u64>> = (points.iter().enumerate())
-                    .map(|(pi, point)| campaign.run_point(pi, point).fingerprint())
-                    .collect();
-                rayon::set_num_threads(0);
-                out
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("the vendored pool always builds");
+                pool.install(|| {
+                    (points.iter().enumerate())
+                        .map(|(pi, point)| campaign.run_point(pi, point).fingerprint())
+                        .collect::<Vec<Vec<u64>>>()
+                })
             };
             let one = run(1);
             for threads in [2, 4, 9] {

@@ -177,6 +177,12 @@ fn mean_ms(calls: usize, mut f: impl FnMut()) -> f64 {
     timed(|| (0..calls).for_each(|_| f())).1 / calls as f64
 }
 
+/// The median of `ms` (the upper one of an even count).
+fn median(mut ms: Vec<f64>) -> f64 {
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
 /// The one report writer: `report` as pretty JSON into `out`, echoed on
 /// stdout.
 fn write_report(out: &str, report: &impl Serialize) -> Outcome {
@@ -361,22 +367,21 @@ fn median_group_ms(figure: usize, trials: usize, seed: u64) -> Outcome<(f64, f64
         seq.push(time_group(figure, trials, seed, 1)?);
         par.push(time_group(figure, trials, seed, 0)?);
     }
-    let median = |mut ms: Vec<f64>| {
-        ms.sort_by(f64::total_cmp);
-        ms[ms.len() / 2]
-    };
     Ok((median(seq), median(par)))
 }
 
-/// Runs figure group `figure` (0 = fig7) through the campaign runner at a
-/// fixed thread count, returning the wall time.
+/// Runs figure group `figure` (0 = fig7) through the campaign runner in a
+/// work-pool of `threads` workers (0 = the default size), returning the
+/// wall time.
 fn time_group(figure: usize, trials: usize, seed: u64, threads: usize) -> Outcome<f64> {
-    rayon::set_num_threads(threads);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .map_err(|e| Failure::Failed(e.to_string()))?;
     let mesh = pamr_sim::paper_mesh();
     let model = pamr_sim::paper_model();
     let campaign = Campaign::new(&mesh, &model, trials, seed);
-    let (points, ms) = timed(|| campaign.run_grid(Some(figure)));
-    rayon::set_num_threads(0);
+    let (points, ms) = pool.install(|| timed(|| campaign.run_grid(Some(figure))));
     if points.iter().all(|p| p.stats.trials == trials) {
         Ok(ms)
     } else {
@@ -644,13 +649,19 @@ fn draw_instances(p: &Params, w_max: f64) -> Vec<CommSet> {
         .collect()
 }
 
+/// Timed rounds of each side of an engine lane, `LIVE` and `REFERENCE`
+/// alternating, so a drift in host speed falls on both alike; the lane
+/// records each side's median.
+const ENGINE_ROUNDS: usize = 3;
+
 /// The engine lanes: one rewritten engine on a `LIVE` scratch against
 /// its full-scan oracle on a `REFERENCE` scratch, over §6.2 mixed-weight
 /// instances, every one compared through [`testutil::engines_agree`]
 /// before timing. Each instance is routed once untimed and then `repeats`
 /// times back to back, so the live engine's per-instance customization
 /// is paid outside the timing, as the campaign pays it once for all six
-/// policies; the lane reports the mean over the instances.
+/// policies. A round's figure is the mean over the instances; each side
+/// reports its median over [`ENGINE_ROUNDS`] alternating rounds.
 fn measure_engine(p: &Params, engine: (&str, RouteFn)) -> Result<(f64, f64), String> {
     let model = pamr_sim::paper_model();
     let sets = draw_instances(p, 2500.0);
@@ -670,10 +681,12 @@ fn measure_engine(p: &Params, engine: (&str, RouteFn)) -> Result<(f64, f64), Str
             .sum();
         total / sets.len() as f64
     };
-    Ok((
-        per_instance(EngineConfig::LIVE),
-        per_instance(EngineConfig::REFERENCE),
-    ))
+    let (mut live, mut reference) = (Vec::new(), Vec::new());
+    for _ in 0..ENGINE_ROUNDS {
+        live.push(per_instance(EngineConfig::LIVE));
+        reference.push(per_instance(EngineConfig::REFERENCE));
+    }
+    Ok((median(live), median(reference)))
 }
 
 /// The serve lane: a `comms`-long `add_comm` script answered by a resident

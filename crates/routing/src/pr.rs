@@ -50,8 +50,10 @@
 //! a cleaned group kills a link or leaves a group with one link. Every link
 //! the oracle's scan would reject is therefore absent, and the removal is
 //! always taken from the tree's root, the `(load bits, smaller link id)`
-//! maximum. Only that top is ever read, so each load change costs one walk
-//! up from the link's leaf instead of an ordered-set re-key. The users of
+//! maximum. Only that top is ever read, so each load change is an `O(1)`
+//! re-key of the link's leaf and block, and the tree settles once per
+//! removal, when the next removal reads its root, instead of an
+//! ordered-set re-key per change. The users of
 //! each link are listed in decreasing weight once per route, by emitting
 //! the bands in the customized weight order, and the scan of a link's
 //! users resumes at a per-link cursor: every reason to reject a user

@@ -66,7 +66,9 @@
 //!   does. [`RoutingSession::is_feasible`] reads that load off the root of
 //!   the resident [`MaxTree`] in `O(1)` and always equals
 //!   `power().is_ok()`; bounded repair's escalation check and the
-//!   `feasible` field of the serve responses use it.
+//!   `feasible` field of the serve responses use it. The index settles
+//!   lazily, so every mutation settles it once, after its last re-key and
+//!   before any read ([`MaxTree::settled_max`]); the reads keep `&self`.
 //! * **Power cache.** Wherever a link's load is re-derived (after every
 //!   mutation and in the full re-route rebuild) its
 //!   [`PowerModel::link_dynamic_power`] is recomputed from that load, never
@@ -385,7 +387,8 @@ impl RoutingSession {
     }
 
     /// The resident max-load index: a top-only [`MaxTree`], always keyed
-    /// to the strictly positive entries of [`RoutingSession::loads`].
+    /// to the strictly positive entries of [`RoutingSession::loads`] and
+    /// settled between mutations.
     #[inline]
     pub fn load_index(&self) -> &MaxTree {
         &self.queue
@@ -393,7 +396,7 @@ impl RoutingSession {
 
     /// Largest single-link load, off the resident index in `O(1)`.
     pub fn max_load(&self) -> f64 {
-        self.queue.peek_max().map_or(0.0, |(_, v)| v)
+        self.queue.settled_max().map_or(0.0, |(_, v)| v)
     }
 
     /// True iff `slot` refers to a live communication.
@@ -604,8 +607,8 @@ impl RoutingSession {
         }
     }
 
-    /// Empties the scope in `O(scope)`. The tree walks are skipped when the
-    /// pass already drained every pending link.
+    /// Empties the scope in `O(scope)`. The pending tree's re-keys are
+    /// skipped when the pass already drained every pending link.
     fn reset_scope(&mut self) {
         let drained = self.pending.is_empty();
         for l in self.scope.drain(..) {
@@ -704,6 +707,9 @@ impl RoutingSession {
             }
         }
         self.reset_scope();
+        // Every mutation ends here or in a full re-route's rebuild, so the
+        // resident index is settled once per mutation, before any read.
+        self.queue.settle();
         // Escape hatch: a locally-repaired state that is still over
         // capacity falls back to the batch heuristic, so the session is
         // feasible whenever a from-scratch route of the same set would be.

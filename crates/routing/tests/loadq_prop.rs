@@ -4,7 +4,11 @@
 //! The tree's contract is order-exact. After any interleaving of rebuilds
 //! (at slot counts that are not powers of two too) and re-keys, its root,
 //! per-link keys and size must match `select_max(…, 0)` over a plain
-//! shadow of the loads. The improvement loops also *drain* it: XYI and the
+//! shadow of the loads. The tree settles lazily, when its top is read, so
+//! the contract must also hold after a *batch* of re-keys between two
+//! reads, at slot counts on and around its block edges: the case a lazy
+//! settle can get wrong, and the one PR's dozen re-keys per removal make.
+//! The improvement loops also *drain* it: XYI and the
 //! session's bounded repair read the top and drop it (`set(top, 0.0)`)
 //! when it admits no flip, re-keying other links in between. So the
 //! drained prefix, under any interleaving of re-keys and partial drains,
@@ -16,7 +20,7 @@
 //! sequences; replay with `PAMR_PROPTEST_SEED=<seed>`.
 
 use pamr_mesh::LinkId;
-use pamr_routing::loadq::select_max;
+use pamr_routing::loadq::{select_max, BLOCK};
 use pamr_routing::MaxTree;
 use proptest::prelude::*;
 
@@ -120,7 +124,7 @@ fn tree_op() -> impl Strategy<Value = TreeOp> {
 /// Asserts that `tree` indexes exactly the strictly positive entries of
 /// `shadow`: each link's key and the count, and the root equal to the
 /// first entry of the `select_max` order, bit for bit.
-fn assert_tree_matches(tree: &MaxTree, shadow: &[f64], step: usize) -> Result<(), String> {
+fn assert_tree_matches(tree: &mut MaxTree, shadow: &[f64], step: usize) -> Result<(), String> {
     let mut active: Vec<(LinkId, f64)> = Vec::new();
     for (i, &v) in shadow.iter().enumerate() {
         let want: f64 = if v > 0.0 { v } else { 0.0 };
@@ -165,7 +169,7 @@ proptest! {
         let mut shadow = vec![0.0f64; n_slots];
         let mut tree = MaxTree::default();
         tree.rebuild(n_slots, []);
-        assert_tree_matches(&tree, &shadow, 0)?;
+        assert_tree_matches(&mut tree, &shadow, 0)?;
         for (step, op) in ops.iter().enumerate() {
             match op {
                 TreeOp::Set(slot, load) => {
@@ -183,7 +187,7 @@ proptest! {
                     );
                 }
             }
-            assert_tree_matches(&tree, &shadow, step + 1)?;
+            assert_tree_matches(&mut tree, &shadow, step + 1)?;
         }
     }
 }
@@ -254,4 +258,161 @@ proptest! {
         prop_assert_eq!(drain(&mut by_rebuild, &mut loads.clone(), SLOTS), expected.clone());
         prop_assert_eq!(drain(&mut by_sets, &mut loads.clone(), SLOTS), expected);
     }
+}
+
+/// Slot counts on and around the tree's block edges, up to the 70×70
+/// mesh's 19 600 link slots.
+const EDGE_SLOTS: [usize; 7] = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 256, 19_600];
+
+/// Largest slot count in [`EDGE_SLOTS`].
+const MAX_EDGE_SLOTS: usize = EDGE_SLOTS[EDGE_SLOTS.len() - 1];
+
+/// One re-key of a batch: `(anchor, offset, anywhere, load)` keys link
+/// `(anchors[anchor] + offset) % n_slots` for `anchor < 3` and link
+/// `anywhere % n_slots` otherwise, to `TREE_LOADS[load]`. Three anchors a
+/// few blocks wide make repeated slots and re-keys within one block
+/// common on every slot count.
+type Rekey = (usize, usize, usize, usize);
+
+fn rekey() -> impl Strategy<Value = Rekey> {
+    (
+        0..4usize,
+        0..3 * BLOCK,
+        0..MAX_EDGE_SLOTS,
+        0..TREE_LOADS.len(),
+    )
+}
+
+/// The link a [`Rekey`] keys on a tree of `n` slots.
+fn rekeyed_slot(&(anchor, offset, anywhere, _): &Rekey, anchors: &[usize], n: usize) -> usize {
+    match anchors.get(anchor) {
+        Some(a) => (a + offset) % n,
+        None => anywhere % n,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn top_matches_select_max_after_batches_of_rekeys(
+        size in 0..EDGE_SLOTS.len(),
+        anchors in prop::collection::vec(0..MAX_EDGE_SLOTS, 3),
+        batches in prop::collection::vec(prop::collection::vec(rekey(), 1..=40), 1..=12),
+    ) {
+        let n = EDGE_SLOTS[size];
+        // The first batch seeds a rebuild; every later one is applied by
+        // `set` with no read in between, then checked as a whole.
+        let mut shadow = vec![0.0f64; n];
+        for r in &batches[0] {
+            shadow[rekeyed_slot(r, &anchors, n)] = TREE_LOADS[r.3];
+        }
+        let mut tree = MaxTree::default();
+        tree.rebuild(n, shadow.iter().enumerate().map(|(i, &v)| (LinkId(i), v)));
+        assert_tree_matches(&mut tree, &shadow, 0)?;
+        for (step, batch) in batches.iter().enumerate().skip(1) {
+            for r in batch {
+                let l = rekeyed_slot(r, &anchors, n);
+                shadow[l] = TREE_LOADS[r.3];
+                tree.set(LinkId(l), TREE_LOADS[r.3]);
+            }
+            assert_tree_matches(&mut tree, &shadow, step)?;
+        }
+    }
+}
+
+/// Re-keys `tree` and `shadow` alike.
+fn set_both(tree: &mut MaxTree, shadow: &mut [f64], slot: usize, v: f64) {
+    tree.set(LinkId(slot), v);
+    shadow[slot] = v;
+}
+
+#[test]
+fn a_dropped_winner_is_rescanned_though_a_lower_leaf_rose_before_the_read() {
+    let mut shadow = vec![0.0f64; 4 * BLOCK];
+    for (slot, v) in [(3, 5.0), (7, 2.0), (BLOCK + 2, 3.0)] {
+        shadow[slot] = v;
+    }
+    let mut tree = MaxTree::default();
+    tree.rebuild(
+        shadow.len(),
+        shadow.iter().enumerate().map(|(i, &v)| (LinkId(i), v)),
+    );
+    assert_eq!(tree.peek_max(), Some((LinkId(3), 5.0)));
+    // Block 0's winner drops below block 1's; then a lower leaf of block
+    // 0 rises above block 1, still below the old winner, before any read.
+    set_both(&mut tree, &mut shadow, 3, 1.0);
+    set_both(&mut tree, &mut shadow, 7, 4.0);
+    assert_tree_matches(&mut tree, &shadow, 1).unwrap();
+    assert_eq!(tree.peek_max(), Some((LinkId(7), 4.0)));
+    // The same, with the riser staying below block 1.
+    set_both(&mut tree, &mut shadow, 7, 0.0);
+    set_both(&mut tree, &mut shadow, 9, 2.5);
+    assert_tree_matches(&mut tree, &shadow, 2).unwrap();
+    assert_eq!(tree.peek_max(), Some((LinkId(BLOCK + 2), 3.0)));
+    // And with the riser passing the old winner, which then drops again.
+    set_both(&mut tree, &mut shadow, 9, 6.0);
+    set_both(&mut tree, &mut shadow, 9, 0.5);
+    assert_tree_matches(&mut tree, &shadow, 3).unwrap();
+    assert_eq!(tree.peek_max(), Some((LinkId(BLOCK + 2), 3.0)));
+}
+
+#[test]
+fn equal_loads_in_two_blocks_go_to_the_smaller_id() {
+    let mut shadow = vec![0.0f64; 3 * BLOCK];
+    let mut tree = MaxTree::default();
+    tree.rebuild(shadow.len(), []);
+    // The larger id is keyed first, then the smaller one, in one batch.
+    set_both(&mut tree, &mut shadow, 2 * BLOCK + 1, 3.0);
+    set_both(&mut tree, &mut shadow, BLOCK + 5, 3.0);
+    assert_tree_matches(&mut tree, &shadow, 0).unwrap();
+    assert_eq!(tree.peek_max(), Some((LinkId(BLOCK + 5), 3.0)));
+    // A tie in block 0 wins; once it leaves, the smaller of the others.
+    set_both(&mut tree, &mut shadow, BLOCK - 1, 3.0);
+    assert_eq!(tree.peek_max(), Some((LinkId(BLOCK - 1), 3.0)));
+    set_both(&mut tree, &mut shadow, BLOCK - 1, 0.0);
+    assert_tree_matches(&mut tree, &shadow, 1).unwrap();
+    assert_eq!(tree.peek_max(), Some((LinkId(BLOCK + 5), 3.0)));
+    set_both(&mut tree, &mut shadow, BLOCK + 5, 0.0);
+    assert_eq!(tree.peek_max(), Some((LinkId(2 * BLOCK + 1), 3.0)));
+}
+
+#[test]
+fn a_tree_drained_to_empty_is_refilled() {
+    let mut shadow = vec![0.0f64; 2 * BLOCK + 1];
+    for (slot, v) in [(0, 1.0), (BLOCK, 2.0), (2 * BLOCK, 2.0), (5, 3.0)] {
+        shadow[slot] = v;
+    }
+    let mut tree = MaxTree::default();
+    tree.rebuild(
+        shadow.len(),
+        shadow.iter().enumerate().map(|(i, &v)| (LinkId(i), v)),
+    );
+    let n = shadow.len();
+    let expected = naive_prefix(&shadow, n);
+    assert_eq!(drain(&mut tree, &mut shadow, n), expected);
+    assert!(tree.is_empty());
+    assert_eq!((tree.len(), tree.peek_max()), (0, None));
+    // Refill in one batch, then empty again without a read in between.
+    for (slot, v) in [(2 * BLOCK, 4.0), (1, 4.0), (BLOCK + 3, 0.5)] {
+        set_both(&mut tree, &mut shadow, slot, v);
+    }
+    assert_tree_matches(&mut tree, &shadow, 1).unwrap();
+    assert_eq!(tree.peek_max(), Some((LinkId(1), 4.0)));
+    for slot in [1, 2 * BLOCK, BLOCK + 3] {
+        set_both(&mut tree, &mut shadow, slot, 0.0);
+    }
+    assert_eq!((tree.len(), tree.peek_max()), (0, None));
+    set_both(&mut tree, &mut shadow, BLOCK + 3, 0.5);
+    assert_tree_matches(&mut tree, &shadow, 2).unwrap();
+}
+
+#[test]
+#[should_panic(expected = "read unsettled")]
+fn a_shared_read_refuses_an_unsettled_tree() {
+    let mut tree = MaxTree::default();
+    tree.rebuild(BLOCK, [(LinkId(1), 1.0)]);
+    assert_eq!(tree.settled_max(), Some((LinkId(1), 1.0)));
+    tree.set(LinkId(2), 2.0);
+    tree.settled_max();
 }

@@ -7,6 +7,10 @@ use pamr_sim::outln;
 
 fn main() {
     let opts = Options::from_args().unwrap_or_else(cli::exit_usage);
+    opts.install(|| run(&opts));
+}
+
+fn run(opts: &Options) {
     let mesh = pamr_sim::paper_mesh();
 
     outln!("== leakage ablation: does a lower P_leak/P_0 favour PR over XYI? ==");

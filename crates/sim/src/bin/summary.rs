@@ -13,12 +13,14 @@ fn main() {
     let opts = Options::from_args().unwrap_or_else(cli::exit_usage);
     let mesh = pamr_sim::paper_mesh();
     let model = pamr_sim::paper_model();
-    eprintln!(
-        "running the full campaign ({} trials per sweep point, {} worker thread(s)) ...",
-        opts.trials,
-        rayon::current_num_threads()
-    );
-    let s = Summary::run(&mesh, &model, opts.trials, opts.seed);
+    let s = opts.install(|| {
+        eprintln!(
+            "running the full campaign ({} trials per sweep point, {} worker thread(s)) ...",
+            opts.trials,
+            rayon::current_num_threads()
+        );
+        Summary::run(&mesh, &model, opts.trials, opts.seed)
+    });
     out!("{}", s.render_report());
     eprint!("{}", s.render_timings());
 }

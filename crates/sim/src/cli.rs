@@ -254,16 +254,16 @@ pub struct Options {
     pub seed: u64,
     /// Directory to write CSV series into, if any.
     pub csv: Option<std::path::PathBuf>,
-    /// Worker-thread override, at most [`MAX_THREADS`] (`None` =
-    /// `RAYON_NUM_THREADS`, which has no such bound, or all cores).
+    /// Worker-thread count, at most [`MAX_THREADS`] (`None` =
+    /// `RAYON_NUM_THREADS`, which has no such bound, or all cores);
+    /// [`Options::install`] runs a command at it.
     pub threads: Option<usize>,
 }
 
 impl Options {
     /// Parses `--trials N` (default 2000), `--seed S` (default `0xC0FFEE`),
-    /// `--csv DIR` and `--threads N` from `std::env::args` and applies the
-    /// thread override to the work-pool. Results never depend on the
-    /// thread count — only wall-clock does.
+    /// `--csv DIR` and `--threads N` from `std::env::args`. Results never
+    /// depend on the thread count — only wall-clock does.
     ///
     /// # Errors
     /// A one-line message for an unknown flag, a missing or malformed
@@ -287,19 +287,27 @@ impl Options {
         Ok(Options::from_flags(&flags))
     }
 
-    /// The options in flags parsed against [`CAMPAIGN_FLAGS`], with the
-    /// thread override applied to the work-pool.
+    /// The options in flags parsed against [`CAMPAIGN_FLAGS`].
     pub fn from_flags(flags: &Flags) -> Options {
-        let opts = Options {
+        Options {
             trials: flags.num("--trials") as usize,
             seed: flags.num("--seed"),
             csv: flags.opt_text("--csv").map(Into::into),
             threads: flags.opt_num("--threads").map(|n| n as usize),
-        };
-        if let Some(n) = opts.threads {
-            rayon::set_num_threads(n);
         }
-        opts
+    }
+
+    /// Runs `op` in a work-pool of [`Options::threads`] workers (the
+    /// default size when unset): parallel calls and
+    /// `rayon::current_num_threads` inside it use that count, and the
+    /// count outside it is left as it was. A pool that cannot be built is
+    /// one line and exit status 1.
+    pub fn install<R: Send>(&self, op: impl FnOnce() -> R + Send) -> R {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(self.threads.unwrap_or(0))
+            .build()
+            .unwrap_or_else(|e| exit(&bin_name(), Failure::Failed(e.to_string())));
+        pool.install(op)
     }
 }
 
@@ -405,7 +413,7 @@ pub fn figure_main(figure: usize) {
     let opts = Options::from_args().unwrap_or_else(exit_usage);
     let (mesh, model) = (crate::paper_mesh(), crate::paper_model());
     let campaign = Campaign::new(&mesh, &model, opts.trials, opts.seed);
-    let results = figure_results(figure, &campaign.run_grid(Some(figure)));
+    let results = figure_results(figure, &opts.install(|| campaign.run_grid(Some(figure))));
     crate::out!("{}", render_figure(figure, &results, opts.trials));
     if let Some(dir) = &opts.csv {
         for res in &results {
@@ -430,6 +438,20 @@ mod tests {
         let o = Options::parse_from(Vec::new()).unwrap();
         assert_eq!((o.trials, o.seed), (2000, 0xC0FFEE));
         assert!(o.csv.is_none() && o.threads.is_none());
+    }
+
+    #[test]
+    fn threads_size_a_pool_installed_around_the_command() {
+        let default = rayon::current_num_threads();
+        let opts = Options::parse_from(args("--threads 3")).unwrap();
+        assert_eq!(opts.install(rayon::current_num_threads), 3);
+        assert_eq!(
+            rayon::current_num_threads(),
+            default,
+            "the count leaked out"
+        );
+        let unset = Options::parse_from(Vec::new()).unwrap();
+        assert_eq!(unset.install(rayon::current_num_threads), default);
     }
 
     #[test]

@@ -407,12 +407,14 @@ fn cmd_shard(flags: &Flags) -> Outcome {
     let out = flags.text("--out");
     let mesh = pamr::sim::paper_mesh();
     let model = pamr::sim::paper_model();
-    eprintln!(
-        "running shard {shard} of the §6 campaign ({} trials per sweep point, {} worker thread(s)) ...",
-        opts.trials,
-        rayon::current_num_threads()
-    );
-    let partial = ShardPartial::run(&mesh, &model, opts.trials, opts.seed, shard);
+    let partial = opts.install(|| {
+        eprintln!(
+            "running shard {shard} of the §6 campaign ({} trials per sweep point, {} worker thread(s)) ...",
+            opts.trials,
+            rayon::current_num_threads()
+        );
+        ShardPartial::run(&mesh, &model, opts.trials, opts.seed, shard)
+    });
     write(out, &partial.to_json())?;
     eprintln!(
         "wrote {} sweep points to {out} (recombine with `pamr merge`)",
